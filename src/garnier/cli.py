@@ -40,6 +40,18 @@ def _parse_weights(text: str):
     return [_parse_weight(t) for t in toks]
 
 
+def _int_at_least(lo: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"bad integer {text!r}")
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {value}")
+        return value
+    return parse
+
+
 def _structure(genus: int, weights) -> OrbifoldStructure:
     return OrbifoldStructure(genus, tuple((f"w{i}", w) for i, w in enumerate(weights)))
 
@@ -190,13 +202,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate",
                        help="candidate triples and branch data for n points")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--dmax", type=int, default=DEFAULT_DMAX)
+    p.add_argument("--n", type=_int_at_least(0), required=True)
+    p.add_argument("--dmax", type=_int_at_least(2), default=DEFAULT_DMAX)
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("tables", help="reproduce a classification table")
     p.add_argument("--id", required=True, choices=TABLE_IDS)
-    p.add_argument("--dmax", type=int, default=DEFAULT_DMAX)
+    p.add_argument("--dmax", type=_int_at_least(2), default=DEFAULT_DMAX)
     p.add_argument("--json", action="store_true")
     p.add_argument("--golden", action="store_true",
                    help="diff against the packaged golden copy")

@@ -9,6 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from math import gcd
 from typing import List, Optional, Sequence, Tuple
@@ -27,6 +28,10 @@ def _entry_key(p):
     return (1, 0) if _is_inf(p) else (0, p)
 
 
+def _recip(p) -> Fraction:
+    return Fraction(0) if _is_inf(p) else Fraction(1, p)
+
+
 def format_entry(p) -> str:
     return "inf" if _is_inf(p) else str(p)
 
@@ -40,14 +45,10 @@ class TripleSpec:
 
     def __init__(self, p0, p1, pinf):
         es = sorted((p0, p1, pinf), key=_entry_key)
-        recip = Fraction(0)
         for p in es:
-            if _is_inf(p):
-                continue
-            if not isinstance(p, int) or p < 2:
+            if not _is_inf(p) and (not isinstance(p, int) or p < 2):
                 raise ValueError(f"weight must be an integer >= 2 or inf, got {p!r}")
-            recip += Fraction(1, p)
-        if recip >= 1:
+        if sum(_recip(p) for p in es) >= 1:
             raise ValueError(f"triple {es} is not hyperbolic")
         object.__setattr__(self, "entries", tuple(es))
 
@@ -78,9 +79,40 @@ def floor_identity_holds(t: TripleSpec, d: int) -> bool:
 
 def chi_inequality_holds(t: TripleSpec, d: int, n: int) -> bool:
     """d * (-chi of the triple) <= 1 - n/pinf, reading n/inf as 0."""
-    neg_chi = 1 - sum(Fraction(0) if _is_inf(p) else Fraction(1, p) for p in t.entries)
-    rhs = Fraction(1) if _is_inf(t.pinf) else 1 - Fraction(n, t.pinf)
-    return d * neg_chi <= rhs
+    neg_chi = 1 - sum(_recip(p) for p in t.entries)
+    return d * neg_chi <= 1 - n * _recip(t.pinf)
+
+
+@lru_cache(maxsize=None)
+def _candidate_pairs(d_max: int) -> Tuple[Tuple[TripleSpec, int], ...]:
+    """The sorted n-independent candidates: canonical hyperbolic (triple, d)
+    with the floor identity and d * (-chi) <= 1, which the chi inequality
+    implies for every n >= 0.
+
+    -chi = 1 - 1/p0 - 1/p1 - 1/pinf grows along each entry, so each loop
+    stops at the first entry whose least possible -chi exceeds 1/d.
+    """
+    out = []
+    for d in range(2, d_max + 1):
+        bound = Fraction(1, d)
+        pool = list(range(2, d + 1)) + [INF]
+        for i, p0 in enumerate(pool):
+            if 1 - 3 * _recip(p0) > bound:
+                break
+            for j, p1 in enumerate(pool[i:], i):
+                if 1 - _recip(p0) - 2 * _recip(p1) > bound:
+                    break
+                for pinf in pool[j:]:
+                    neg_chi = 1 - _recip(p0) - _recip(p1) - _recip(pinf)
+                    if neg_chi > bound:
+                        break
+                    if neg_chi <= 0:
+                        continue
+                    t = TripleSpec(p0, p1, pinf)
+                    if floor_identity_holds(t, d):
+                        out.append((t, d))
+    out.sort(key=lambda e: (e[0].sort_key(), e[1]))
+    return tuple(out)
 
 
 def enumerate_candidates(n: int, d_max: int = DEFAULT_DMAX) -> List[Tuple[TripleSpec, int]]:
@@ -91,26 +123,9 @@ def enumerate_candidates(n: int, d_max: int = DEFAULT_DMAX) -> List[Tuple[Triple
     p > d has no index-p preimage, so it acts exactly like weight inf and
     the triple is rewritten with inf there.
     """
-    out = []
-    for d in range(2, d_max + 1):
-        pool = list(range(2, d + 1)) + [INF]
-        for i, p0 in enumerate(pool):
-            for j in range(i, len(pool)):
-                p1 = pool[j]
-                for k in range(j, len(pool)):
-                    pinf = pool[k]
-                    s = sum(0 if _is_inf(p) else d // p for p in (p0, p1, pinf))
-                    if d - s != 1:
-                        continue
-                    recip = sum(Fraction(0) if _is_inf(p) else Fraction(1, p)
-                                for p in (p0, p1, pinf))
-                    if recip >= 1:
-                        continue
-                    t = TripleSpec(p0, p1, pinf)
-                    if chi_inequality_holds(t, d, n):
-                        out.append((t, d))
-    out.sort(key=lambda e: (e[0].sort_key(), e[1]))
-    return out
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+    return [(t, d) for t, d in _candidate_pairs(d_max) if chi_inequality_holds(t, d, n)]
 
 
 def partitions_of(r: int, max_part: Optional[int] = None) -> List[Tuple[int, ...]]:
@@ -230,17 +245,20 @@ class CandidateVerdict:
         return self.kind.value
 
 
-def verdict(profile: RamificationProfile, n: int) -> CandidateVerdict:
-    """Completeness of an n-essential-point profile: the deformation space
-    has dimension n-3 and the free branch points supply N parameters."""
+def _verdict_from_counts(n: int, n_free: int) -> CandidateVerdict:
     if n <= 2:
         return CandidateVerdict(VerdictKind.IMPOSSIBLE)
     if n == 3:
         return CandidateVerdict(VerdictKind.DEGENERATE_HYPERGEOMETRIC)
-    n_free = profile.free_points
     if n_free >= n - 3:
         return CandidateVerdict(VerdictKind.COMPLETE)
     return CandidateVerdict(VerdictKind.PARTIAL, deficit=(n - 3) - n_free)
+
+
+def verdict(profile: RamificationProfile, n: int) -> CandidateVerdict:
+    """Completeness of an n-essential-point profile: the deformation space
+    has dimension n-3 and the free branch points supply N parameters."""
+    return _verdict_from_counts(n, profile.free_points)
 
 
 def complete_profiles(n: int, d_max: int = DEFAULT_DMAX
@@ -279,15 +297,10 @@ def _max_free_row(t: TripleSpec, d: int, n_target: int) -> IntermediateRow:
             lams.append((p,) * q + (1,) * r)
             n_points += r
     n_free = sum(len(lam) for lam in lams) - d - 2
-    if n_points <= 2:
-        status = "IMPOSSIBLE"
-    elif n_points == 3:
-        status = "DEGENERATE_HYPERGEOMETRIC"
-    elif n_free < n_target - 3:
-        status = f"PARTIAL(deficit={n_target - 3 - n_free})"
-    else:
-        status = "COMPLETE"
-    return IntermediateRow(t, d, tuple(lams), n_points, n_free, status)
+    # a row with at most three essential points is degenerate on its own;
+    # otherwise its free count is measured against the target
+    status = _verdict_from_counts(n_points if n_points <= 3 else n_target, n_free)
+    return IntermediateRow(t, d, tuple(lams), n_points, n_free, str(status))
 
 
 def intermediate_rows(n_target: int = 5, d_max: int = DEFAULT_DMAX,
@@ -414,27 +427,14 @@ def t3_rows(n: int = 6, d_max: int = DEFAULT_DMAX) -> List[FamilyRow]:
     Membership is recomputed with the symbol treated as larger than any
     degree in range, i.e. as inf in both filters, without canonicalizing.
     """
-    prefixes = []
+    families = {}
     for t, _ in enumerate_candidates(n, d_max):
-        if not any(_is_inf(p) for p in t.entries):
-            continue
-        prefix = tuple(p for p in t.entries if not _is_inf(p))
-        if prefix not in prefixes:
-            prefixes.append(prefix)
-    rows = []
-    for prefix in sorted(prefixes):
-        degrees = []
-        for d in range(2, d_max + 1):
-            s = sum(d // q for q in prefix)
-            if d - s != 1:
-                continue
-            recip = sum(Fraction(1, q) for q in prefix)
-            if recip >= 1:
-                continue
-            if d * (1 - recip) <= 1:
-                degrees.append(d)
-        rows.append(FamilyRow(prefix, tuple(degrees)))
-    return rows
+        if _is_inf(t.pinf):
+            families.setdefault(tuple(p for p in t.entries if not _is_inf(p)), t)
+    return [FamilyRow(prefix, tuple(d for d in range(2, d_max + 1)
+                                    if floor_identity_holds(t, d)
+                                    and chi_inequality_holds(t, d, n)))
+            for prefix, t in sorted(families.items())]
 
 
 def n7_summary(n_low: int = 7, n_high: int = 12,
@@ -454,8 +454,7 @@ def multipoint_bases(k: int, weight_cap: int = 12) -> List[Tuple[Tuple[object, .
         if any(combo[i] > combo[i + 1] for i in range(k - 1)):
             continue
         ws = tuple(pool[i] for i in combo)
-        recip = sum(Fraction(0) if _is_inf(p) else Fraction(1, p) for p in ws)
-        neg_chi = (k - 2) - recip
+        neg_chi = (k - 2) - sum(_recip(p) for p in ws)
         if neg_chi <= 0:
             continue
         if neg_chi > Fraction(1, 2):

@@ -95,6 +95,27 @@ def test_tables_bad_id_exits_2(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "--n", "-3"],
+    ["enumerate", "--n", "5", "--dmax", "1"],
+    ["tables", "--id", "T1", "--dmax", "-5"],
+    ["tables", "--id", "T1", "--dmax", "1"],
+])
+def test_out_of_range_counts_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "must be >=" in capsys.readouterr().err
+
+
+def test_smallest_accepted_counts(capsys):
+    code, out, _ = run(capsys, "enumerate", "--n", "0", "--dmax", "2")
+    assert (code, out) == (0, "no complete solutions for n=0\n")
+    code, out, _ = run(capsys, "tables", "--id", "T1", "--dmax", "2")
+    assert code == 0
+    assert out.splitlines()[1:] == ["triple | d | branch data | free | verdict"]
+
+
 def test_hurwitz_exists(capsys):
     code, out, _ = run(capsys, "hurwitz", "--degree", "4",
                        "--types", "2,2;3,1;1,1,1,1;2,1,1;2,1,1")

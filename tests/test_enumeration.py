@@ -79,16 +79,71 @@ EXPECTED_N5_CANDIDATES = [
 ]
 
 
+EXPECTED_N6_CANDIDATES = [
+    ("(2,3,inf)", 3), ("(2,3,inf)", 4), ("(2,3,inf)", 6),
+    ("(2,4,inf)", 4),
+    ("(2,inf,inf)", 2),
+    ("(3,3,inf)", 3),
+]
+
+
 def test_enumerate_candidates_n5():
-    got = [(str(t), d) for t, d in enumerate_candidates(5)]
-    assert sorted(got) == sorted(EXPECTED_N5_CANDIDATES)
+    for n, want in ((5, EXPECTED_N5_CANDIDATES), (6, EXPECTED_N6_CANDIDATES)):
+        got = [(str(t), d) for t, d in enumerate_candidates(n)]
+        assert sorted(got) == sorted(want)
 
 
 def test_enumerate_candidates_monotone_in_n():
-    # raising n only tightens the chi inequality
-    c6 = {(str(t), d) for t, d in enumerate_candidates(6)}
-    c5 = {(str(t), d) for t, d in enumerate_candidates(5)}
-    assert c6 <= c5
+    # raising n only tightens the chi inequality; from n = 6 on only the
+    # triples with pinf = inf are left, and their inequality ignores n
+    counts = {5: 13, **{n: 6 for n in range(6, 13)}}
+    for n in range(5, 13):
+        lo = {(str(t), d) for t, d in enumerate_candidates(n + 1)}
+        hi = {(str(t), d) for t, d in enumerate_candidates(n)}
+        assert lo <= hi
+        assert len(hi) == counts[n]
+
+
+def _cube_sweep(d_max):
+    """Reference: every p0 <= p1 <= pinf in {2..d, inf} for every d, kept
+    when hyperbolic with the floor identity; the n-dependent chi inequality
+    is left to the caller as (triple, d, -chi)."""
+    out = []
+    for d in range(2, d_max + 1):
+        pool = list(range(2, d + 1)) + [INF]
+        for i, p0 in enumerate(pool):
+            for j in range(i, len(pool)):
+                for k in range(j, len(pool)):
+                    es = (p0, pool[j], pool[k])
+                    if d - sum(0 if p is INF else d // p for p in es) != 1:
+                        continue
+                    neg_chi = 1 - sum(Fraction(0) if p is INF else Fraction(1, p) for p in es)
+                    if neg_chi > 0:
+                        out.append((es, d, neg_chi))
+    return out
+
+
+def test_enumerate_candidates_matches_cube_sweep():
+    for d_max in (2, 3, 10, 42):
+        cube = _cube_sweep(d_max)
+        for n in range(14):
+            want = [(es, d) for es, d, neg_chi in cube
+                    if d * neg_chi <= 1 - (0 if es[2] is INF else Fraction(n, es[2]))]
+            want.sort(key=lambda e: ([(p is INF, 0 if p is INF else p) for p in e[0]], e[1]))
+            got = [(t.entries, d) for t, d in enumerate_candidates(n, d_max)]
+            assert got == want, (d_max, n)
+
+
+def test_enumerate_candidates_fresh_list():
+    first = enumerate_candidates(5)
+    want = list(first)
+    first.clear()
+    assert enumerate_candidates(5) == want
+
+
+def test_enumerate_candidates_rejects_negative_n():
+    with pytest.raises(ValueError):
+        enumerate_candidates(-1)
 
 
 def test_partitions_of():

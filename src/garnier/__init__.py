@@ -15,9 +15,8 @@ from .orbifold import (CurvatureClass, INF, OrbifoldStructure,
                        RamificationData, classify, euler_char, min_neg_chi,
                        pullback, underlying)
 from .fuchsian import (Exponent, FuchsianSignature, PulledBackSignature,
-                       SingularPoint, is_elementary, is_listed_elementary,
-                       normalize_exponent, orbifold_of, pullback_exponents,
-                       underlying_orbifold_of)
+                       SingularPoint, is_elementary, orbifold_of,
+                       pullback_exponents, underlying_orbifold_of)
 from .enumeration import (CandidateVerdict, RamificationProfile, TripleSpec,
                           VerdictKind, enumerate_candidates,
                           enumerate_profiles, reproduce_table, verdict)

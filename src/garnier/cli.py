@@ -104,7 +104,7 @@ def _cmd_tables(args) -> int:
     else:
         text = render_table(table)
     if args.golden:
-        name = f"{table.table_id.lower()}{'.json' if args.json else '.txt'}"
+        name = f"{table.table_id.lower()}.txt"
         want = _golden_text(name)
         if text == want:
             print(f"OK: {args.id} matches golden {name}")
@@ -209,9 +209,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tables", help="reproduce a classification table")
     p.add_argument("--id", required=True, choices=TABLE_IDS)
     p.add_argument("--dmax", type=_int_at_least(2), default=DEFAULT_DMAX)
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--golden", action="store_true",
-                   help="diff against the packaged golden copy")
+    output = p.add_mutually_exclusive_group()
+    output.add_argument("--json", action="store_true")
+    output.add_argument("--golden", action="store_true",
+                        help="diff the text table against the packaged golden copy")
     p.set_defaults(func=_cmd_tables)
 
     p = sub.add_parser("hurwitz",

@@ -348,10 +348,6 @@ class SolutionRecord:
         }
 
 
-def _is_zero_val(x) -> bool:
-    return isinstance(x, QuadElement) and x.is_zero()
-
-
 def solution_record(uv: UVPoint) -> SolutionRecord:
     """Build and exactly verify one member of the family over a chart point.
 
@@ -389,7 +385,7 @@ def solution_record(uv: UVPoint) -> SolutionRecord:
     total, prod = t_quadratic_coeffs(st)
     checks.append(("t_quadratic_vieta", t1 + t2 == total and t1 * t2 == prod))
     checks.append(("free_critical_points",
-                   _is_zero_val(dphi.evaluate(q1)) and _is_zero_val(dphi.evaluate(q2))))
+                   not dphi.evaluate(q1) and not dphi.evaluate(q2)))
     checks.append(("q_quadratic_vieta", q1 + q2 == b and q1 * q2 == -c_val))
     checks.append(("q_quadratic_normalization", q_poly == norm_poly))
     fval = f_poly().evaluate(s, t)
@@ -411,8 +407,8 @@ def solution_record(uv: UVPoint) -> SolutionRecord:
                 and not p_poly.evaluate(params.c).is_zero())
     unit_num = phi.num - phi.den
     over1_ok = (unit_num.degree() == 4
-                and all(_is_zero_val(unit_num.evaluate(x))
-                        for x in (QuadElement(0), QuadElement(1), t1, t2)))
+                and not any(unit_num.evaluate(x)
+                            for x in (QuadElement(0), QuadElement(1), t1, t2)))
     overinf_ok = (phi.den == Poly([-params.c, QuadElement(1)], "x") ** 3
                   and phi.num.degree() == 4
                   and not phi.num.evaluate(params.c).is_zero())

@@ -15,25 +15,9 @@ from math import gcd
 from typing import List, Optional, Sequence, Tuple
 
 from .fuchsian import Exponent, hypergeometric_signature, is_elementary, pullback_exponents
-from .orbifold import INF, _Infinity
+from .orbifold import INF, weight_reciprocal
 
 DEFAULT_DMAX = 42
-
-
-def _is_inf(p) -> bool:
-    return isinstance(p, _Infinity)
-
-
-def _entry_key(p):
-    return (1, 0) if _is_inf(p) else (0, p)
-
-
-def _recip(p) -> Fraction:
-    return Fraction(0) if _is_inf(p) else Fraction(1, p)
-
-
-def format_entry(p) -> str:
-    return "inf" if _is_inf(p) else str(p)
 
 
 @dataclass(frozen=True)
@@ -44,11 +28,11 @@ class TripleSpec:
     entries: Tuple[object, object, object]
 
     def __init__(self, p0, p1, pinf):
-        es = sorted((p0, p1, pinf), key=_entry_key)
-        for p in es:
-            if not _is_inf(p) and (not isinstance(p, int) or p < 2):
+        for p in (p0, p1, pinf):
+            if p is not INF and (not isinstance(p, int) or p < 2):
                 raise ValueError(f"weight must be an integer >= 2 or inf, got {p!r}")
-        if sum(_recip(p) for p in es) >= 1:
+        es = sorted((p0, p1, pinf))
+        if sum(weight_reciprocal(p) for p in es) >= 1:
             raise ValueError(f"triple {es} is not hyperbolic")
         object.__setattr__(self, "entries", tuple(es))
 
@@ -65,22 +49,19 @@ class TripleSpec:
         return self.entries[2]
 
     def __str__(self):
-        return "(" + ",".join(format_entry(p) for p in self.entries) + ")"
-
-    def sort_key(self):
-        return tuple(_entry_key(p) for p in self.entries)
+        return "(" + ",".join(str(p) for p in self.entries) + ")"
 
 
 def floor_identity_holds(t: TripleSpec, d: int) -> bool:
     """d - sum of floor(d/p) = 1; floor(d/inf) = 0."""
-    s = sum(0 if _is_inf(p) else d // p for p in t.entries)
+    s = sum(0 if p is INF else d // p for p in t.entries)
     return d - s == 1
 
 
 def chi_inequality_holds(t: TripleSpec, d: int, n: int) -> bool:
     """d * (-chi of the triple) <= 1 - n/pinf, reading n/inf as 0."""
-    neg_chi = 1 - sum(_recip(p) for p in t.entries)
-    return d * neg_chi <= 1 - n * _recip(t.pinf)
+    neg_chi = 1 - sum(weight_reciprocal(p) for p in t.entries)
+    return d * neg_chi <= 1 - n * weight_reciprocal(t.pinf)
 
 
 @lru_cache(maxsize=None)
@@ -97,13 +78,14 @@ def _candidate_pairs(d_max: int) -> Tuple[Tuple[TripleSpec, int], ...]:
         bound = Fraction(1, d)
         pool = list(range(2, d + 1)) + [INF]
         for i, p0 in enumerate(pool):
-            if 1 - 3 * _recip(p0) > bound:
+            if 1 - 3 * weight_reciprocal(p0) > bound:
                 break
             for j, p1 in enumerate(pool[i:], i):
-                if 1 - _recip(p0) - 2 * _recip(p1) > bound:
+                if 1 - weight_reciprocal(p0) - 2 * weight_reciprocal(p1) > bound:
                     break
                 for pinf in pool[j:]:
-                    neg_chi = 1 - _recip(p0) - _recip(p1) - _recip(pinf)
+                    neg_chi = (1 - weight_reciprocal(p0) - weight_reciprocal(p1)
+                               - weight_reciprocal(pinf))
                     if neg_chi > bound:
                         break
                     if neg_chi <= 0:
@@ -111,7 +93,7 @@ def _candidate_pairs(d_max: int) -> Tuple[Tuple[TripleSpec, int], ...]:
                     t = TripleSpec(p0, p1, pinf)
                     if floor_identity_holds(t, d):
                         out.append((t, d))
-    out.sort(key=lambda e: (e[0].sort_key(), e[1]))
+    out.sort(key=lambda e: (e[0].entries, e[1]))
     return tuple(out)
 
 
@@ -141,13 +123,18 @@ def partitions_of(r: int, max_part: Optional[int] = None) -> List[Tuple[int, ...
     return out
 
 
+def _free_count(partitions: Sequence[Tuple[int, ...]], d: int) -> int:
+    """Free simple branch points of a genus-0 cover of the line with the
+    given fibers over k marked points: N = sum(len) - (k-2)d - 2."""
+    return sum(len(lam) for lam in partitions) - (len(partitions) - 2) * d - 2
+
+
 @dataclass(frozen=True)
 class RamificationProfile:
     """Branch data over k >= 3 marked points plus free simple branch points.
 
-    The free count N is pinned by the genus balance for a genus-0 cover of
-    the line: N = sum(len) - (k-2)d - 2, and must be >= 0 for the profile
-    to describe an actual covering.
+    The free count N is pinned by the genus balance (_free_count) and must
+    be >= 0 for the profile to describe an actual covering.
     """
 
     degree: int
@@ -162,7 +149,7 @@ class RamificationProfile:
                 raise ValueError(f"invalid partition {lam}")
             if sum(lam) != degree:
                 raise ValueError(f"partition {lam} does not sum to {degree}")
-        n_free = sum(len(lam) for lam in parts) - (len(parts) - 2) * degree - 2
+        n_free = _free_count(parts, degree)
         if n_free < 0:
             raise ValueError(f"free branch point count {n_free} is negative")
         object.__setattr__(self, "degree", degree)
@@ -170,8 +157,7 @@ class RamificationProfile:
 
     @property
     def free_points(self) -> int:
-        return (sum(len(lam) for lam in self.partitions)
-                - (len(self.partitions) - 2) * self.degree - 2)
+        return _free_count(self.partitions, self.degree)
 
     def __str__(self):
         return " ".join("[" + ",".join(str(k) for k in lam) + "]"
@@ -186,7 +172,7 @@ def nonapparent_counts(weights: Sequence[object],
         raise ValueError("need one weight per fiber")
     out = []
     for p, lam in zip(weights, profile.partitions):
-        if _is_inf(p):
+        if p is INF:
             out.append(len(lam))
         else:
             out.append(sum(1 for k in lam if k % p != 0))
@@ -200,7 +186,7 @@ def _fiber_options(p, d: int):
     upstairs); the remainder r = d mod p splits arbitrarily, every such part
     being essential.  Weight inf allows any partition, all parts essential.
     """
-    if _is_inf(p):
+    if p is INF:
         return [(lam, len(lam)) for lam in partitions_of(d)]
     q, r = divmod(d, p)
     forced = (p,) * q
@@ -219,8 +205,7 @@ def enumerate_profiles(weights: Sequence[object], d: int,
         n_total = sum(c[1] for c in combo)
         if n is not None and n_total != n:
             continue
-        n_free = sum(len(lam) for lam in lams) - (len(lams) - 2) * d - 2
-        if n_free < 0:
+        if _free_count(lams, d) < 0:
             continue
         out.append((RamificationProfile(d, lams), n_total))
     out.sort(key=lambda e: e[0].partitions)
@@ -289,14 +274,14 @@ def _max_free_row(t: TripleSpec, d: int, n_target: int) -> IntermediateRow:
     lams = []
     n_points = 0
     for p in t.entries:
-        if _is_inf(p):
+        if p is INF:
             lams.append((1,) * d)
             n_points += d
         else:
             q, r = divmod(d, p)
             lams.append((p,) * q + (1,) * r)
             n_points += r
-    n_free = sum(len(lam) for lam in lams) - d - 2
+    n_free = _free_count(lams, d)
     # a row with at most three essential points is degenerate on its own;
     # otherwise its free count is measured against the target
     status = _verdict_from_counts(n_points if n_points <= 3 else n_target, n_free)
@@ -309,7 +294,7 @@ def intermediate_rows(n_target: int = 5, d_max: int = DEFAULT_DMAX,
     containing inf, False keeps all-finite triples, None keeps both."""
     rows = []
     for t, d in enumerate_candidates(n_target, d_max):
-        has_inf = any(_is_inf(p) for p in t.entries)
+        has_inf = INF in t.entries
         if infinite is not None and has_inf != infinite:
             continue
         rows.append(_max_free_row(t, d, n_target))
@@ -322,7 +307,7 @@ def _base_signature(t: TripleSpec, numerator: int = 1):
     numerator/pinf."""
     es = []
     for i, p in enumerate(t.entries):
-        if _is_inf(p):
+        if p is INF:
             es.append(Exponent.generic("theta"))
         elif i == 2:
             es.append(Exponent.of(Fraction(numerator, p)))
@@ -360,19 +345,22 @@ _T2_EXTRA = (
 )
 
 
-def t2_rows(d_max: int = DEFAULT_DMAX) -> List[PullbackFamilyRow]:
-    """Five-point pullback families: the complete profiles from the
-    enumeration plus the two partial ones, with exponent data."""
+def _family_rows(n: int, d_max: int = DEFAULT_DMAX,
+                 extra=()) -> List[PullbackFamilyRow]:
+    """n-point pullback families with exponent data: the complete profiles
+    from the enumeration plus the extra (d, partitions, pinf) profiles over
+    (2,3,pinf), in degree order.  Over a finite pinf every reduced exponent
+    numerator gives a variant; elementary variants are dropped."""
     items = []
-    for t, d, profile in complete_profiles(5, d_max):
+    for t, d, profile in complete_profiles(n, d_max):
         items.append((d, t, profile))
-    for d, lams, pinf in _T2_EXTRA:
+    for d, lams, pinf in extra:
         t = TripleSpec(2, 3, pinf)
         items.append((d, t, RamificationProfile(d, lams)))
-    items.sort(key=lambda e: (e[0], e[1].sort_key()))
+    items.sort(key=lambda e: (e[0], e[1].entries))
     rows = []
     for d, t, profile in items:
-        if _is_inf(t.pinf):
+        if t.pinf is INF:
             numerators = [1]
         else:
             numerators = _exponent_numerators(t.pinf)
@@ -386,23 +374,6 @@ def t2_rows(d_max: int = DEFAULT_DMAX) -> List[PullbackFamilyRow]:
             variants.append((base, pulled.exponents, pulled.apparent_count))
         n_pts = sum(nonapparent_counts(t.entries, profile))
         rows.append(PullbackFamilyRow(t, d, profile, tuple(variants),
-                                      n_pts, profile.free_points,
-                                      verdict(profile, n_pts)))
-    return rows
-
-
-def t4_rows(d_max: int = DEFAULT_DMAX) -> List[PullbackFamilyRow]:
-    """Six-point complete pullback families with exponent data."""
-    rows = []
-    for t, d, profile in complete_profiles(6, d_max):
-        sig = _base_signature(t)
-        if is_elementary(sig):
-            continue
-        pulled = pullback_exponents(sig, profile.partitions)
-        base = tuple(p.exponent for p in sig.points)
-        n_pts = sum(nonapparent_counts(t.entries, profile))
-        rows.append(PullbackFamilyRow(t, d, profile,
-                                      ((base, pulled.exponents, pulled.apparent_count),),
                                       n_pts, profile.free_points,
                                       verdict(profile, n_pts)))
     return rows
@@ -429,8 +400,8 @@ def t3_rows(n: int = 6, d_max: int = DEFAULT_DMAX) -> List[FamilyRow]:
     """
     families = {}
     for t, _ in enumerate_candidates(n, d_max):
-        if _is_inf(t.pinf):
-            families.setdefault(tuple(p for p in t.entries if not _is_inf(p)), t)
+        if t.pinf is INF:
+            families.setdefault(tuple(p for p in t.entries if p is not INF), t)
     return [FamilyRow(prefix, tuple(d for d in range(2, d_max + 1)
                                     if floor_identity_holds(t, d)
                                     and chi_inequality_holds(t, d, n)))
@@ -454,7 +425,7 @@ def multipoint_bases(k: int, weight_cap: int = 12) -> List[Tuple[Tuple[object, .
         if any(combo[i] > combo[i + 1] for i in range(k - 1)):
             continue
         ws = tuple(pool[i] for i in combo)
-        neg_chi = (k - 2) - sum(_recip(p) for p in ws)
+        neg_chi = (k - 2) - sum(weight_reciprocal(p) for p in ws)
         if neg_chi <= 0:
             continue
         if neg_chi > Fraction(1, 2):
@@ -498,14 +469,18 @@ def reproduce_table(table_id: str, d_max: int = DEFAULT_DMAX) -> Table:
                          f"N={profile.free_points}", "COMPLETE"))
         return Table("T1", "complete five-point pullback profiles",
                      ("triple", "d", "branch data", "free", "verdict"), tuple(rows))
-    if tid == "T2":
+    if tid in ("T2", "T4"):
+        if tid == "T2":
+            n, extra, title = 5, _T2_EXTRA, "five-point pullback families with exponent data"
+        else:
+            n, extra, title = 6, (), "complete six-point pullback families"
         rows = []
-        for r in t2_rows(d_max):
+        for r in _family_rows(n, d_max, extra):
             for base, pulled, napp in r.variants:
                 rows.append((str(r.triple), str(r.degree), str(r.profile),
                              _fmt_exps(base), _fmt_exps(pulled),
                              f"apparent={napp}", f"N={r.n_free}", str(r.verdict)))
-        return Table("T2", "five-point pullback families with exponent data",
+        return Table(tid, title,
                      ("triple", "d", "branch data", "base exponents",
                       "exponents", "apparent", "free", "verdict"), tuple(rows))
     if tid == "T3":
@@ -513,16 +488,6 @@ def reproduce_table(table_id: str, d_max: int = DEFAULT_DMAX) -> Table:
                 for fr in t3_rows(6, d_max)]
         return Table("T3", "six-point candidate families",
                      ("family", "degrees"), tuple(rows))
-    if tid == "T4":
-        rows = []
-        for r in t4_rows(d_max):
-            base, pulled, napp = r.variants[0]
-            rows.append((str(r.triple), str(r.degree), str(r.profile),
-                         _fmt_exps(base), _fmt_exps(pulled),
-                         f"apparent={napp}", f"N={r.n_free}", str(r.verdict)))
-        return Table("T4", "complete six-point pullback families",
-                     ("triple", "d", "branch data", "base exponents",
-                      "exponents", "apparent", "free", "verdict"), tuple(rows))
     if tid in ("N2A", "N2B"):
         rows = []
         for r in intermediate_rows(5, d_max, infinite=(tid == "N2A")):

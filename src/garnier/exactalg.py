@@ -242,7 +242,7 @@ class Poly:
 
     def __init__(self, coeffs, var: str = "x"):
         cs = list(coeffs)
-        while cs and (cs[-1] == 0 if not isinstance(cs[-1], QuadElement) else cs[-1].is_zero()):
+        while cs and not cs[-1]:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
         object.__setattr__(self, "var", var)
@@ -420,8 +420,7 @@ class PoleValue:
 def _root_multiplicity(p: Poly, x) -> int:
     m = 0
     while not p.is_zero():
-        v = p.evaluate(x)
-        if not (v.is_zero() if isinstance(v, QuadElement) else v == 0):
+        if p.evaluate(x):
             break
         m += 1
         p = p.divmod(Poly([-x, 1], p.var))[0]
@@ -498,8 +497,7 @@ class RatFunc:
 
     def evaluate(self, x):
         dv = self.den.evaluate(x)
-        dz = dv.is_zero() if isinstance(dv, QuadElement) else dv == 0
-        if dz:
+        if not dv:
             # reduced, so the numerator cannot vanish here too
             return PoleValue(_root_multiplicity(self.den, x))
         nv = self.num.evaluate(x)
@@ -529,7 +527,7 @@ class BiPoly:
     def __init__(self, rows, variables=("s", "t")):
         trimmed = [list(r) for r in rows]
         for r in trimmed:
-            while r and (r[-1] == 0 if not isinstance(r[-1], QuadElement) else r[-1].is_zero()):
+            while r and not r[-1]:
                 r.pop()
         while trimmed and not trimmed[-1]:
             trimmed.pop()
@@ -587,8 +585,7 @@ class BiPoly:
         out = [[0] * nj for _ in range(ni)]
         for i, ra in enumerate(self.rows):
             for j, ca in enumerate(ra):
-                cz = ca == 0 if not isinstance(ca, QuadElement) else ca.is_zero()
-                if cz:
+                if not ca:
                     continue
                 for k, rb in enumerate(other.rows):
                     for l, cb in enumerate(rb):
@@ -621,26 +618,24 @@ def _det(matrix):
     m = [row[:] for row in matrix]
     n = len(m)
     sign = 1
-    det = None
+    det = 1
     for col in range(n):
         pivot = None
         for r in range(col, n):
-            v = m[r][col]
-            if not (v.is_zero() if isinstance(v, QuadElement) else v == 0):
+            if m[r][col]:
                 pivot = r
                 break
         if pivot is None:
-            return QuadElement(0) if any(isinstance(c, QuadElement) for row in matrix for c in row) else Fraction(0)
+            return 0 * det
         if pivot != col:
             m[col], m[pivot] = m[pivot], m[col]
             sign = -sign
         pv = m[col][col]
-        det = pv if det is None else det * pv
+        det = det * pv
         pinv = _inv_coeff(pv)
         for r in range(col + 1, n):
             f = m[r][col] * pinv
-            fz = f.is_zero() if isinstance(f, QuadElement) else f == 0
-            if fz:
+            if not f:
                 continue
             m[r] = [a - f * b for a, b in zip(m[r], m[col])]
     return det * sign

@@ -121,18 +121,6 @@ def underlying_orbifold_of(sig: FuchsianSignature) -> OrbifoldStructure:
         (p.point_id, _weight_of_point(p, True)) for p in sig.points))
 
 
-def normalize_exponent(e: Exponent) -> Exponent:
-    """Reduce a rational exponent into [0, 1/2] by theta -> theta mod 1,
-    then theta -> 1 - theta; these moves do not change the projective
-    equivalence class of the local equation."""
-    if not e.is_rational():
-        return e
-    t = e.rational % 1
-    if t > Fraction(1, 2):
-        t = 1 - t
-    return Exponent(t)
-
-
 @dataclass(frozen=True)
 class PulledBackSignature:
     exponents: Tuple[Exponent, ...]
@@ -168,33 +156,9 @@ def pullback_exponents(sig: FuchsianSignature,
     return PulledBackSignature(tuple(kept), apparent)
 
 
-_LISTED = (
-    (Fraction(1, 3), Fraction(1, 3), Fraction(1, 3)),
-    (Fraction(1, 3), Fraction(2, 5), Fraction(1, 2)),
-)
-
-
-def is_listed_elementary(exponents: Sequence[Exponent]) -> Optional[bool]:
-    """Membership of a rational exponent triple in the short list of
-    hyperbolic hypergeometric equations with algebraic or elementary
-    solutions; None when a generic symbol makes the question ill-posed."""
-    if len(exponents) != 3:
-        raise ValueError("expected a triple of exponents")
-    if any(not e.is_rational() for e in exponents):
-        return None
-    vals = sorted(normalize_exponent(e).rational for e in exponents)
-    if sum(1 for v in vals if v == Fraction(1, 2)) >= 2:
-        return True
-    return tuple(vals) in _LISTED
-
-
 def is_elementary(sig: FuchsianSignature) -> bool:
     """True when the equation has no transcendental hypergeometric content:
-    the underlying integral structure fails to be hyperbolic, or the triple
-    is in the listed exceptional family."""
+    the underlying integral structure fails to be hyperbolic."""
     if sig.genus != 0 or len(sig.points) != 3:
         raise ValueError("elementarity gate applies to three-point genus-0 data")
-    if classify(underlying_orbifold_of(sig)) != CurvatureClass.HYPERBOLIC:
-        return True
-    listed = is_listed_elementary(tuple(p.exponent for p in sig.points))
-    return bool(listed)
+    return classify(underlying_orbifold_of(sig)) != CurvatureClass.HYPERBOLIC

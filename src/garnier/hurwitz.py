@@ -15,10 +15,13 @@ over products h of bounded Cayley norm, factored on demand.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations, permutations
 from math import factorial
 from typing import Dict, List, Optional, Sequence, Tuple
+
+from .enumeration import partitions_of
 
 Perm = Tuple[int, ...]
 
@@ -90,11 +93,8 @@ def canonical_perm(parts: Sequence[int]) -> Perm:
 
 
 def class_size(d: int, parts: Sequence[int]) -> int:
-    counts: Dict[int, int] = {}
-    for k in parts:
-        counts[k] = counts.get(k, 0) + 1
     denom = 1
-    for k, a in counts.items():
+    for k, a in Counter(parts).items():
         denom *= k ** a * factorial(a)
     return factorial(d) // denom
 
@@ -105,9 +105,6 @@ def class_elements(d: int, parts: Sequence[int]) -> List[Perm]:
     The smallest unplaced point always opens the next cycle, once per
     distinct available length, so each permutation appears exactly once.
     """
-    target: Dict[int, int] = {}
-    for k in parts:
-        target[k] = target.get(k, 0) + 1
     img = list(range(d))
     out: List[Perm] = []
 
@@ -138,7 +135,9 @@ def class_elements(d: int, parts: Sequence[int]) -> List[Perm]:
                 img[start] = start
             remaining[k] += 1
 
-    place(target, list(range(d)))
+    # a plain dict: subscripting a dict subclass such as Counter is
+    # markedly slower in this recursion
+    place(dict(Counter(parts)), list(range(d)))
     return out
 
 
@@ -195,21 +194,11 @@ def transpositions(d: int) -> List[Perm]:
     return out
 
 
-def _partitions_bounded(r: int, max_part: int) -> List[Tuple[int, ...]]:
-    if r == 0:
-        return [()]
-    out = []
-    for first in range(min(r, max_part), 0, -1):
-        for rest in _partitions_bounded(r - first, first):
-            out.append((first,) + rest)
-    return out
-
-
 def h_set(d: int, k: int) -> List[Perm]:
     """All permutations expressible as a product of exactly k transpositions:
     Cayley norm <= k with the same parity."""
     out = []
-    for parts in _partitions_bounded(d, d):
+    for parts in partitions_of(d):
         norm = d - len(parts)
         if norm <= k and (k - norm) % 2 == 0:
             out.extend(class_elements(d, parts))

@@ -41,7 +41,7 @@ Weight = Union[Fraction, _Infinity]
 
 
 def make_weight(value) -> Weight:
-    if isinstance(value, _Infinity):
+    if value is INF:
         return INF
     w = Fraction(value)
     if w <= 0:
@@ -49,16 +49,9 @@ def make_weight(value) -> Weight:
     return w
 
 
-def weight_reciprocal(w: Weight) -> Fraction:
-    return Fraction(0) if isinstance(w, _Infinity) else 1 / w
-
-
-def _weight_sort_key(w: Weight):
-    return (1, Fraction(0)) if isinstance(w, _Infinity) else (0, w)
-
-
-def format_weight(w: Weight) -> str:
-    return "inf" if isinstance(w, _Infinity) else str(w)
+def weight_reciprocal(w) -> Fraction:
+    """1/w for a rational or integer weight, 0 for inf."""
+    return Fraction(0) if w is INF else Fraction(1, w)
 
 
 class CurvatureClass(Enum):
@@ -97,7 +90,7 @@ class OrbifoldStructure:
         object.__setattr__(self, "support", tuple(kept))
 
     def weights(self) -> Tuple[Weight, ...]:
-        return tuple(sorted((w for _, w in self.support), key=_weight_sort_key))
+        return tuple(sorted(w for _, w in self.support))
 
     def weight_at(self, pt) -> Weight:
         for p, w in self.support:
@@ -109,7 +102,7 @@ class OrbifoldStructure:
         return len(self.support)
 
     def is_integral(self) -> bool:
-        return all(isinstance(w, _Infinity) or w.denominator == 1 for _, w in self.support)
+        return all(w is INF or w.denominator == 1 for _, w in self.support)
 
 
 def euler_char(o: OrbifoldStructure) -> Fraction:
@@ -182,7 +175,7 @@ def pullback(o: OrbifoldStructure, cover: RamificationData) -> OrbifoldStructure
     for pt, parts in cover.fibers:
         w = o.weight_at(pt)
         for i, k in enumerate(parts):
-            up = INF if isinstance(w, _Infinity) else w / k
+            up = INF if w is INF else w / k
             support.append(((pt, i), up))
     return OrbifoldStructure(g, support)
 
@@ -191,7 +184,7 @@ def underlying(o: OrbifoldStructure) -> OrbifoldStructure:
     """Replace each weight n/q (lowest terms) by its numerator n; inf stays."""
     support = []
     for pt, w in o.support:
-        support.append((pt, INF if isinstance(w, _Infinity) else Fraction(w.numerator)))
+        support.append((pt, INF if w is INF else Fraction(w.numerator)))
     return OrbifoldStructure(o.genus, support)
 
 
@@ -201,7 +194,7 @@ def classify(o: OrbifoldStructure) -> CurvatureClass:
         raise ValueError("classification requires an integral structure")
     ws = o.weights()
     if o.genus == 0:
-        if len(ws) == 1 and not isinstance(ws[0], _Infinity):
+        if len(ws) == 1 and ws[0] is not INF:
             return CurvatureClass.NOT_UNIFORMIZABLE
         if len(ws) == 2 and ws[0] != ws[1]:
             return CurvatureClass.NOT_UNIFORMIZABLE

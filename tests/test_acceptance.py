@@ -14,10 +14,11 @@ from importlib import resources
 from garnier.cli import main as cli_main
 from garnier.covers import check_f_factorization
 from garnier.enumeration import (
+    _T2_EXTRA,
+    _family_rows,
     complete_profiles,
     render_table,
     reproduce_table,
-    t2_rows,
 )
 from garnier.exactalg import parse_quad
 from garnier.hurwitz import find_tuple, realize_profile, verify_tuple
@@ -160,7 +161,7 @@ def test_criterion_07_hurwitz_certificates():
 
 def test_criterion_08_exponent_table():
     t0 = time.perf_counter()
-    rows = t2_rows(42)
+    rows = _family_rows(5, 42, _T2_EXTRA)
     groups = {(str(r.triple), r.degree) for r in rows}
     flat = {(str(r.triple), r.degree, tuple(str(e) for e in pulled))
             for r in rows for _, pulled, _ in r.variants}

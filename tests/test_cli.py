@@ -95,6 +95,14 @@ def test_tables_bad_id_exits_2(capsys):
     assert exc.value.code == 2
 
 
+def test_tables_json_golden_exclusive_exits_2(capsys):
+    # only text goldens ship, so the combination is a usage error
+    with pytest.raises(SystemExit) as exc:
+        main(["tables", "--id", "T1", "--json", "--golden"])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [
     ["enumerate", "--n", "-3"],
     ["enumerate", "--n", "5", "--dmax", "1"],

@@ -9,6 +9,8 @@ from garnier.enumeration import (
     RamificationProfile,
     TripleSpec,
     VerdictKind,
+    _T2_EXTRA,
+    _family_rows,
     chi_inequality_holds,
     complete_profiles,
     enumerate_candidates,
@@ -22,9 +24,7 @@ from garnier.enumeration import (
     partitions_of,
     render_table,
     reproduce_table,
-    t2_rows,
     t3_rows,
-    t4_rows,
     verdict,
 )
 from garnier.orbifold import INF
@@ -37,6 +37,8 @@ def test_triple_spec_canonical_order():
     t = TripleSpec(INF, 3, 2)
     assert t.pinf is INF
     assert str(t) == "(2,3,inf)"
+    assert TripleSpec(INF, 7, 2).entries == (2, 7, INF)
+    assert str(TripleSpec(INF, 2, INF)) == "(2,inf,inf)"
 
 
 def test_triple_spec_validation():
@@ -248,7 +250,7 @@ def test_intermediate_rows_infinite():
 
 
 def test_t2_rows_shape():
-    rows = t2_rows()
+    rows = _family_rows(5, extra=_T2_EXTRA)
     assert [(str(r.triple), r.degree) for r in rows] == [
         ("(2,3,inf)", 3), ("(2,3,inf)", 4), ("(2,3,inf)", 6),
         ("(2,3,8)", 9), ("(2,3,7)", 12)]
@@ -264,13 +266,13 @@ def test_t2_rows_shape():
 
 def test_t2_rows_filter_elementary_variants():
     # over (2,3,8) only numerators 1 and 3 survive; 2/8 and 4/8 are not reduced
-    row = [r for r in t2_rows() if r.degree == 9][0]
+    row = [r for r in _family_rows(5, extra=_T2_EXTRA) if r.degree == 9][0]
     nums = sorted(base[2].rational for base, _, _ in row.variants)
     assert nums == [Fraction(1, 8), Fraction(3, 8)]
 
 
 def test_t4_rows():
-    rows = t4_rows()
+    rows = _family_rows(6)
     assert len(rows) == 1
     r = rows[0]
     assert (str(r.triple), r.degree) == ("(2,3,inf)", 6)

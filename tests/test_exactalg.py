@@ -130,6 +130,10 @@ def test_poly_basics():
     assert p.derivative() == 2 * x - 3
     assert (x + 1).compose(x - 1) == x
     assert Poly([], "x").degree() == -1
+    # trailing zeros are trimmed whatever field the zero lies in
+    for zero in (0, Fraction(0), QuadElement(0)):
+        assert Poly([1, 2, zero, zero]).coeffs == (1, 2)
+        assert Poly([zero]).is_zero()
 
 
 def test_poly_var_mismatch():
@@ -180,6 +184,10 @@ def test_ratfunc_reduction_and_poles():
     assert pole == PoleValue(order=1)
     g = RatFunc(Poly.const(1), (x - 3) ** 2)
     assert g.evaluate(Fraction(3)) == PoleValue(order=2)
+    # a pole at a point of Q(alpha) off the rationals: x^2 + 3 vanishes at alpha
+    h = RatFunc(Poly.const(1), (x ** 2 + 3) ** 2)
+    assert h.evaluate(ALPHA) == PoleValue(order=2)
+    assert h.evaluate(ALPHA + 1) == 1 / ((ALPHA + 1) ** 2 + 3) ** 2
 
 
 def test_ratfunc_calculus():
@@ -201,12 +209,20 @@ def test_bipoly_evaluate():
     assert F.coefficient(5, 5) == 0
     prod = F * F
     assert prod.evaluate(s, t) == F.evaluate(s, t) ** 2
+    for zero in (0, Fraction(0), QuadElement(0)):
+        G = BiPoly([[1, zero], [zero, zero]])
+        assert G.rows == ((1,),)
+        assert BiPoly([[zero]]).is_zero()
+        assert (BiPoly([[zero, 2]]) * G).rows == ((0, 2),)
 
 
 def test_resultant_and_discriminant():
     x = Poly.x()
     assert resultant(x ** 2 - 3, x ** 2 - 2) == 1
     assert resultant(x - 2, x ** 2 - 4) == 0
+    # a common root in Q(alpha): elimination ends on a zero column
+    assert resultant(x - ALPHA, x ** 2 + 3) == 0
+    assert resultant(x - ALPHA, x ** 2 + 1) == -2
     d = discriminant(x ** 2 - 3 * x + 2)
     assert d == 1 and isinstance(d, (int, Fraction))
     assert discriminant(x ** 2 + x + 1) == -3

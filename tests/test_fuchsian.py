@@ -10,8 +10,6 @@ from garnier.fuchsian import (
     SingularPoint,
     hypergeometric_signature,
     is_elementary,
-    is_listed_elementary,
-    normalize_exponent,
     orbifold_of,
     pullback_exponents,
     underlying_orbifold_of,
@@ -84,15 +82,6 @@ def test_integer_exponents_vanish_from_weights():
     assert orbifold_of(sig).n_points() == 2
 
 
-def test_normalize_exponent():
-    assert normalize_exponent(Exponent.of(Fraction(5, 3))).rational == Fraction(1, 3)
-    assert normalize_exponent(Exponent.of(Fraction(-1, 2))).rational == Fraction(1, 2)
-    assert normalize_exponent(Exponent.of(Fraction(9, 10))).rational == Fraction(1, 10)
-    assert normalize_exponent(Exponent.of(3)).rational == 0
-    th = Exponent.generic()
-    assert normalize_exponent(th) is th
-
-
 def test_pullback_exponents_degree_four():
     # indices (2,2 | 3,1 | 1,1,1,1) over (1/2, 1/3, theta)
     sig = hypergeometric_signature(Fraction(1, 2), Fraction(1, 3), Exponent.generic())
@@ -130,20 +119,6 @@ def test_pullback_exponents_validation():
         pullback_exponents(sig, [(2,), (2,), (2, 0)])
 
 
-def test_is_listed_elementary():
-    half = Exponent.of(Fraction(1, 2))
-    third = Exponent.of(Fraction(1, 3))
-    assert is_listed_elementary((half, half, Exponent.of(Fraction(3, 11))))
-    assert is_listed_elementary((third, third, third))
-    assert is_listed_elementary((third, Exponent.of(Fraction(2, 5)), half))
-    # normalization applies before the lookup
-    assert is_listed_elementary((Exponent.of(Fraction(4, 3)),) * 3)
-    assert not is_listed_elementary((half, third, Exponent.of(Fraction(1, 7))))
-    assert is_listed_elementary((half, third, Exponent.generic())) is None
-    with pytest.raises(ValueError):
-        is_listed_elementary((half, half))
-
-
 def test_is_elementary():
     assert not is_elementary(hypergeometric_signature(
         Fraction(1, 2), Fraction(1, 3), Fraction(1, 7)))
@@ -153,11 +128,22 @@ def test_is_elementary():
     # euclidean underlying structure
     assert is_elementary(hypergeometric_signature(
         Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)))
-    # hyperbolic but listed
+    # denominators (3,5,2): icosahedral, spherical underlying structure
     assert is_elementary(hypergeometric_signature(
-        Fraction(1, 3), Fraction(2, 5), Fraction(1, 2)))
+        Fraction(1, 3), Fraction(2, 5), Fraction(1, 2))) is True
     # two halves (dihedral monodromy, also spherical underlying)
     assert is_elementary(hypergeometric_signature(
-        Fraction(1, 2), Fraction(1, 2), Fraction(1, 7)))
+        Fraction(1, 2), Fraction(1, 2), Fraction(1, 7))) is True
+    assert is_elementary(hypergeometric_signature(
+        Fraction(1, 2), Fraction(1, 2), Fraction(3, 11))) is True
+    # denominators (3,3,3): euclidean underlying structure
+    assert is_elementary(hypergeometric_signature(
+        Fraction(1, 3), Fraction(1, 3), Fraction(1, 3))) is True
+    # 4/3 reduces to the same class as 1/3: the denominators are unchanged
+    assert is_elementary(hypergeometric_signature(
+        Fraction(4, 3), Fraction(4, 3), Fraction(4, 3))) is True
+    # a generic exponent is weight inf: (2,3,inf) is hyperbolic
+    assert is_elementary(hypergeometric_signature(
+        Fraction(1, 2), Fraction(1, 3), Exponent.generic())) is False
     with pytest.raises(ValueError):
         is_elementary(FuchsianSignature(1, (SingularPoint("p", Exponent.of(1)),)))

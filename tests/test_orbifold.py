@@ -14,11 +14,11 @@ from garnier.orbifold import (
     classify,
     covering_genus,
     euler_char,
-    format_weight,
     make_weight,
     min_neg_chi,
     pullback,
     underlying,
+    weight_reciprocal,
 )
 
 
@@ -34,8 +34,12 @@ def test_weight_parsing():
         make_weight(0)
     with pytest.raises(ValueError):
         make_weight(-3)
-    assert format_weight(INF) == "inf"
-    assert format_weight(Fraction(7, 2)) == "7/2"
+    assert str(INF) == "inf"
+    assert weight_reciprocal(INF) == 0
+    assert weight_reciprocal(Fraction(7, 2)) == Fraction(2, 7)
+    # int weights give an exact Fraction, never a float
+    assert type(weight_reciprocal(7)) is Fraction
+    assert weight_reciprocal(7) == Fraction(1, 7)
 
 
 def test_weight_one_points_dropped():

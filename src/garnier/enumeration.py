@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import product
 from math import gcd
 from typing import List, Optional, Sequence, Tuple
@@ -418,19 +418,35 @@ def multipoint_bases(k: int, weight_cap: int = 12) -> List[Tuple[Tuple[object, .
     """Hyperbolic genus-0 bases with k marked points whose negative Euler
     characteristic leaves any degree budget at all: d <= 1/(-chi), so only
     -chi <= 1/2 survives.  Finite weights above the cap behave like inf at
-    every admissible degree, so the pool is {2..cap, inf}."""
+    every admissible degree, so the pool is {2..cap, inf}.
+
+    The non-decreasing weight tuples are walked depth first in
+    lexicographic order.  With `left` entries still to pick, all of them
+    >= p, the least -chi a prefix can reach by choosing p next is
+    (k-2) - (reciprocal sum so far) - left * 1/p; it grows with p, so the
+    loop stops at the first p where it exceeds 1/2.  For k >= 6 that holds
+    at p = 2 already and nothing is visited.
+    """
+    if k < 0:
+        raise ValueError(f"k must be >= 0, got {k}")
     pool = list(range(2, weight_cap + 1)) + [INF]
+    half = Fraction(1, 2)
     out = []
-    for combo in product(range(len(pool)), repeat=k):
-        if any(combo[i] > combo[i + 1] for i in range(k - 1)):
-            continue
-        ws = tuple(pool[i] for i in combo)
-        neg_chi = (k - 2) - sum(weight_reciprocal(p) for p in ws)
-        if neg_chi <= 0:
-            continue
-        if neg_chi > Fraction(1, 2):
-            continue
-        out.append((ws, int(Fraction(1) / neg_chi)))
+
+    def walk(start: int, prefix: Tuple[object, ...], recip_sum: Fraction) -> None:
+        left = k - len(prefix)
+        if left == 0:
+            neg_chi = (k - 2) - recip_sum
+            if neg_chi > 0:
+                out.append((prefix, int(1 / neg_chi)))
+            return
+        for i in range(start, len(pool)):
+            r = weight_reciprocal(pool[i])
+            if (k - 2) - recip_sum - left * r > half:
+                break
+            walk(i, prefix + (pool[i],), recip_sum + r)
+
+    walk(0, (), Fraction(0))
     return out
 
 
@@ -460,51 +476,71 @@ def _fmt_exps(exps: Sequence[Exponent]) -> str:
     return "(" + ",".join(str(e) for e in exps) + ")"
 
 
+def _t1_table(d_max: int) -> Table:
+    rows = []
+    for t, d, profile in complete_profiles(5, d_max):
+        rows.append((str(t), str(d), str(profile),
+                     f"N={profile.free_points}", "COMPLETE"))
+    return Table("T1", "complete five-point pullback profiles",
+                 ("triple", "d", "branch data", "free", "verdict"), tuple(rows))
+
+
+def _family_table(table_id: str, n: int, extra, title: str, d_max: int) -> Table:
+    rows = []
+    for r in _family_rows(n, d_max, extra):
+        for base, pulled, napp in r.variants:
+            rows.append((str(r.triple), str(r.degree), str(r.profile),
+                         _fmt_exps(base), _fmt_exps(pulled),
+                         f"apparent={napp}", f"N={r.n_free}", str(r.verdict)))
+    return Table(table_id, title,
+                 ("triple", "d", "branch data", "base exponents",
+                  "exponents", "apparent", "free", "verdict"), tuple(rows))
+
+
+def _t3_table(d_max: int) -> Table:
+    rows = [(fr.family_name(), ",".join(str(d) for d in fr.degrees))
+            for fr in t3_rows(6, d_max)]
+    return Table("T3", "six-point candidate families", ("family", "degrees"), tuple(rows))
+
+
+def _intermediate_table(table_id: str, infinite: bool, d_max: int) -> Table:
+    rows = []
+    for r in intermediate_rows(5, d_max, infinite=infinite):
+        lams = " ".join("[" + ",".join(str(k) for k in lam) + "]"
+                        for lam in r.partitions)
+        rows.append((str(r.triple), str(r.degree), lams,
+                     f"n={r.n_points}", f"N={r.n_free}", r.status))
+    kind = "inf-weight" if infinite else "finite-weight"
+    return Table(table_id,
+                 f"five-point candidates over {kind} triples, maximal free count",
+                 ("triple", "d", "branch data", "points", "free", "status"),
+                 tuple(rows))
+
+
+def _n7_table(d_max: int) -> Table:
+    rows = [(str(n), str(c), "none" if c == 0 else "") for n, c in n7_summary(7, 12, d_max)]
+    return Table("N7", "complete profiles with seven or more points",
+                 ("n", "complete profiles", "note"), tuple(rows))
+
+
+# Upper-case table id -> builder taking d_max; the printed id may differ in case.
+_TABLES = {
+    "T1": _t1_table,
+    "T2": partial(_family_table, "T2", 5, _T2_EXTRA,
+                  "five-point pullback families with exponent data"),
+    "T3": _t3_table,
+    "T4": partial(_family_table, "T4", 6, (), "complete six-point pullback families"),
+    "N2A": partial(_intermediate_table, "N2a", True),
+    "N2B": partial(_intermediate_table, "N2b", False),
+    "N7": _n7_table,
+}
+
+
 def reproduce_table(table_id: str, d_max: int = DEFAULT_DMAX) -> Table:
-    tid = table_id.upper()
-    if tid == "T1":
-        rows = []
-        for t, d, profile in complete_profiles(5, d_max):
-            rows.append((str(t), str(d), str(profile),
-                         f"N={profile.free_points}", "COMPLETE"))
-        return Table("T1", "complete five-point pullback profiles",
-                     ("triple", "d", "branch data", "free", "verdict"), tuple(rows))
-    if tid in ("T2", "T4"):
-        if tid == "T2":
-            n, extra, title = 5, _T2_EXTRA, "five-point pullback families with exponent data"
-        else:
-            n, extra, title = 6, (), "complete six-point pullback families"
-        rows = []
-        for r in _family_rows(n, d_max, extra):
-            for base, pulled, napp in r.variants:
-                rows.append((str(r.triple), str(r.degree), str(r.profile),
-                             _fmt_exps(base), _fmt_exps(pulled),
-                             f"apparent={napp}", f"N={r.n_free}", str(r.verdict)))
-        return Table(tid, title,
-                     ("triple", "d", "branch data", "base exponents",
-                      "exponents", "apparent", "free", "verdict"), tuple(rows))
-    if tid == "T3":
-        rows = [(fr.family_name(), ",".join(str(d) for d in fr.degrees))
-                for fr in t3_rows(6, d_max)]
-        return Table("T3", "six-point candidate families",
-                     ("family", "degrees"), tuple(rows))
-    if tid in ("N2A", "N2B"):
-        rows = []
-        for r in intermediate_rows(5, d_max, infinite=(tid == "N2A")):
-            lams = " ".join("[" + ",".join(str(k) for k in lam) + "]"
-                            for lam in r.partitions)
-            rows.append((str(r.triple), str(r.degree), lams,
-                         f"n={r.n_points}", f"N={r.n_free}", r.status))
-        kind = "inf-weight" if tid == "N2A" else "finite-weight"
-        return Table("N2a" if tid == "N2A" else "N2b",
-                     f"five-point candidates over {kind} triples, maximal free count",
-                     ("triple", "d", "branch data", "points", "free", "status"),
-                     tuple(rows))
-    if tid == "N7":
-        rows = [(str(n), str(c), "none" if c == 0 else "") for n, c in n7_summary(7, 12, d_max)]
-        return Table("N7", "complete profiles with seven or more points",
-                     ("n", "complete profiles", "note"), tuple(rows))
-    raise ValueError(f"unknown table id {table_id!r}")
+    build = _TABLES.get(table_id.upper())
+    if build is None:
+        raise ValueError(f"unknown table id {table_id!r}")
+    return build(d_max)
 
 
 def render_table(table: Table) -> str:

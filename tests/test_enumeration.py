@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -298,17 +299,51 @@ def test_n7_summary_empty():
     assert n7_summary(7, 12) == [(n, 0) for n in range(7, 13)]
 
 
+def _sorted_product_sweep(k, weight_cap):
+    """Reference: every k-tuple of {2..cap, inf} from itertools.product, kept
+    when non-decreasing with 0 < -chi <= 1/2, with budget int(1/(-chi))."""
+    pool = list(range(2, weight_cap + 1)) + [INF]
+    out = []
+    for combo in product(range(len(pool)), repeat=k):
+        if any(combo[i] > combo[i + 1] for i in range(k - 1)):
+            continue
+        ws = tuple(pool[i] for i in combo)
+        neg_chi = (k - 2) - sum(Fraction(0) if w is INF else Fraction(1, w) for w in ws)
+        if 0 < neg_chi <= Fraction(1, 2):
+            out.append((ws, int(1 / neg_chi)))
+    return out
+
+
+def test_multipoint_bases_matches_product_sweep():
+    cases = [(k, cap) for k in range(6) for cap in (2, 3, 6)] + [(4, 12)]
+    for k, cap in cases:
+        assert multipoint_bases(k, cap) == _sorted_product_sweep(k, cap), (k, cap)
+
+
+def test_multipoint_bases_edge_k():
+    for k in (0, 1, 2):
+        assert multipoint_bases(k) == []
+    for k in (6, 7, 8):
+        assert multipoint_bases(k) == []
+    with pytest.raises(ValueError):
+        multipoint_bases(-1)
+
+
 def test_multipoint_bases_bounded():
-    for ws, budget in multipoint_bases(4):
-        neg_chi = 2 - sum(Fraction(0) if w is INF else Fraction(1, w) for w in ws)
-        assert 0 < neg_chi <= Fraction(1, 2)
-        assert budget == int(1 / neg_chi)
+    for k in (4, 5):
+        for ws, budget in multipoint_bases(k):
+            neg_chi = (k - 2) - sum(Fraction(0) if w is INF else Fraction(1, w) for w in ws)
+            assert 0 < neg_chi <= Fraction(1, 2)
+            assert budget == int(1 / neg_chi)
+            # no admissible degree reaches a finite weight above the cap
+            assert budget <= 12
     assert (tuple([2, 2, 2, 3]), 6) in multipoint_bases(4)
+    assert multipoint_bases(5) == [((2, 2, 2, 2, 2), 2)]
 
 
 def test_multipoint_complete_search_empty():
-    assert multipoint_complete_search(4) == []
-    assert multipoint_complete_search(5) == []
+    for k in (4, 5, 6):
+        assert multipoint_complete_search(k) == []
 
 
 def test_reproduce_table_ids():
@@ -317,6 +352,7 @@ def test_reproduce_table_ids():
         text = render_table(table)
         assert text.startswith(f"# {table.table_id}:")
         assert len(text.splitlines()) == 2 + len(table.rows)
+    assert reproduce_table("n2a").table_id == "N2a"
     with pytest.raises(ValueError):
         reproduce_table("T9")
 

@@ -14,13 +14,12 @@ from fractions import Fraction
 from importlib import resources
 
 from .covers import verify_family
-from .enumeration import (DEFAULT_DMAX, VerdictKind, enumerate_candidates,
-                          enumerate_profiles, render_table, reproduce_table,
+from .enumeration import (DEFAULT_DMAX, TABLE_IDS, VerdictKind,
+                          enumerate_candidates, enumerate_profiles,
+                          lookup_table_id, render_table, reproduce_table,
                           verdict)
 from .hurwitz import MAX_DEGREE, find_tuple, format_perm
 from .orbifold import INF, OrbifoldStructure, classify, euler_char, underlying
-
-TABLE_IDS = ("T1", "T2", "T3", "T4", "N2a", "N2b", "N7")
 
 
 def _parse_weight(tok: str):
@@ -38,6 +37,12 @@ def _parse_weights(text: str):
     if not toks:
         raise argparse.ArgumentTypeError("empty weight list")
     return [_parse_weight(t) for t in toks]
+
+
+def _table_id(text: str) -> str:
+    # any case maps to the printed id; an unknown id is left for argparse's
+    # choices check, which names the valid ones
+    return lookup_table_id(text) or text
 
 
 def _int_at_least(lo: int):
@@ -207,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("tables", help="reproduce a classification table")
-    p.add_argument("--id", required=True, choices=TABLE_IDS)
+    p.add_argument("--id", required=True, type=_table_id, choices=TABLE_IDS)
     p.add_argument("--dmax", type=_int_at_least(2), default=DEFAULT_DMAX)
     output = p.add_mutually_exclusive_group()
     output.add_argument("--json", action="store_true")
@@ -226,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-deg4",
                        help="verify the explicit degree-4 family exactly")
-    p.add_argument("--samples", type=int, default=10)
+    p.add_argument("--samples", type=_int_at_least(1), default=10)
     p.add_argument("--seed", type=int, default=_default_seed())
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_verify)

@@ -109,26 +109,30 @@ def params_from_st(pt: STPoint) -> DegFourParams:
     return DegFourParams(a0, a1, c)
 
 
-def t_quadratic_coeffs(pt: STPoint) -> Tuple[QuadElement, QuadElement]:
+def t_quadratic_coeffs(pt: STPoint, params: Optional[DegFourParams] = None
+                       ) -> Tuple[QuadElement, QuadElement]:
     """(sum, product) of the two extra points of the unit fiber, as a monic
-    quadratic T^2 - sum T + product in terms of (a0, s)."""
+    quadratic T^2 - sum T + product in terms of (a0, s).  params, when
+    given, must be params_from_st(pt); it saves rebuilding them."""
     s = pt.s
-    a0 = params_from_st(pt).a0
+    a0 = (params or params_from_st(pt)).a0
     total = a0 ** 2 * (s ** 2 - 1) ** 3 - 2 * a0 * (s ** 3 - 1) + 1
     prod = a0 * (2 - a0 * (2 * s ** 3 - 3 * s ** 2 + 1))
     return total, prod
 
 
-def branch_points_st(pt: STPoint) -> Tuple[QuadElement, QuadElement]:
+def branch_points_st(pt: STPoint, params: Optional[DegFourParams] = None
+                     ) -> Tuple[QuadElement, QuadElement]:
     """The points t1, t2 with phi(ti) = 1 besides 0 and 1, in closed form;
-    verified against the quadratic they must satisfy."""
+    verified against the quadratic they must satisfy.  params as in
+    t_quadratic_coeffs."""
     s, t = pt.s, pt.t
     am = s * t - t - 1 - s
     ap = s * t - t + 1 + s
     # am * ap = (s-1)^2 t^2 - (s+1)^2, nonzero on the chart
     t1 = -(t + 1) * (s * t - t - 1 - 3 * s) / (am ** 2 * (s + 1))
     t2 = -(t - 1) * (s * t - t + 1 + 3 * s) / (ap ** 2 * (s + 1))
-    total, prod = t_quadratic_coeffs(pt)
+    total, prod = t_quadratic_coeffs(pt, params)
     if t1 + t2 != total or t1 * t2 != prod:
         raise AssertionError("closed-form branch values fail their quadratic")
     return t1, t2
@@ -187,7 +191,7 @@ def check_f_factorization() -> Tuple[QuadElement, bool]:
     return kappa, scaled == f
 
 
-def free_critical_quadratic(pt: STPoint
+def free_critical_quadratic(pt: STPoint, params: Optional[DegFourParams] = None
                             ) -> Tuple[QuadElement, QuadElement, QuadElement,
                                        Optional[QuadElement]]:
     """(B, C, disc, rho) for the free critical points, roots of
@@ -195,6 +199,7 @@ def free_critical_quadratic(pt: STPoint
 
     The quadratic is also 2 p'(x)(x - c) - 3 p(x) for p = x^2 + a1 x + a0,
     which is asserted; rho is None only if the square identity fails.
+    params as in t_quadratic_coeffs.
     """
     s, t = pt.s, pt.t
     am = s * t - t - 1 - s
@@ -204,7 +209,7 @@ def free_critical_quadratic(pt: STPoint
     b = bnum / ((s - 1) * (s + 1) * ap * am)
     c_val = ((s * t - t + 1 + 3 * s) * (s * t - t - 1 - 3 * s)
              / ((s + 1) ** 2 * ap * am * (s - 1)))
-    p = params_from_st(pt)
+    p = params or params_from_st(pt)
     if b != p.a1 + 4 * p.c or c_val != 2 * p.a1 * p.c + 3 * p.a0:
         raise AssertionError("free-critical quadratic disagrees with 2p'(x-c)-3p")
     disc = b ** 2 + 4 * c_val
@@ -359,8 +364,8 @@ def solution_record(uv: UVPoint) -> SolutionRecord:
     params = params_from_st(st)
     phi = phi_from_params(params)
     dphi = phi.derivative()
-    t1, t2 = branch_points_st(st)
-    b, c_val, disc, rho = free_critical_quadratic(st)
+    t1, t2 = branch_points_st(st, params)
+    b, c_val, disc, rho = free_critical_quadratic(st, params)
     if rho is None or rho.is_zero():
         raise DegenerateInput("discriminant identity unavailable at this point")
     sq = exact_sqrt(disc)
@@ -382,7 +387,7 @@ def solution_record(uv: UVPoint) -> SolutionRecord:
                    and phi.evaluate(QuadElement(1)) == 1))
     checks.append(("branch_values_on_unit_fiber",
                    phi.evaluate(t1) == 1 and phi.evaluate(t2) == 1))
-    total, prod = t_quadratic_coeffs(st)
+    total, prod = t_quadratic_coeffs(st, params)
     checks.append(("t_quadratic_vieta", t1 + t2 == total and t1 * t2 == prod))
     checks.append(("free_critical_points",
                    not dphi.evaluate(q1) and not dphi.evaluate(q2)))
@@ -500,7 +505,9 @@ class VerifyReport:
 
 def verify_family(samples: int, seed: int) -> VerifyReport:
     """Verify the symbolic factorization once and the full construction at
-    random chart points."""
+    random chart points; samples must be at least 1."""
+    if samples < 1:
+        raise ValueError(f"verify_family needs samples >= 1, got {samples}")
     kappa, kappa_ok = check_f_factorization()
     rng = random.Random(seed)
     records = []

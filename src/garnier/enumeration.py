@@ -523,24 +523,31 @@ def _n7_table(d_max: int) -> Table:
                  ("n", "complete profiles", "note"), tuple(rows))
 
 
-# Upper-case table id -> builder taking d_max; the printed id may differ in case.
+# Printed table id -> builder taking d_max.
 _TABLES = {
     "T1": _t1_table,
     "T2": partial(_family_table, "T2", 5, _T2_EXTRA,
                   "five-point pullback families with exponent data"),
     "T3": _t3_table,
     "T4": partial(_family_table, "T4", 6, (), "complete six-point pullback families"),
-    "N2A": partial(_intermediate_table, "N2a", True),
-    "N2B": partial(_intermediate_table, "N2b", False),
+    "N2a": partial(_intermediate_table, "N2a", True),
+    "N2b": partial(_intermediate_table, "N2b", False),
     "N7": _n7_table,
 }
+TABLE_IDS = tuple(_TABLES)
+_TABLE_IDS_BY_UPPER = {tid.upper(): tid for tid in TABLE_IDS}
+
+
+def lookup_table_id(text: str) -> Optional[str]:
+    """The printed id of the table named text in any case, or None."""
+    return _TABLE_IDS_BY_UPPER.get(text.upper())
 
 
 def reproduce_table(table_id: str, d_max: int = DEFAULT_DMAX) -> Table:
-    build = _TABLES.get(table_id.upper())
-    if build is None:
+    tid = lookup_table_id(table_id)
+    if tid is None:
         raise ValueError(f"unknown table id {table_id!r}")
-    return build(d_max)
+    return _TABLES[tid](d_max)
 
 
 def render_table(table: Table) -> str:

@@ -5,11 +5,18 @@ provides the quadratic field Q(alpha) with alpha^2 = -3, dense univariate and
 bivariate polynomials over either coefficient field, reduced rational
 functions, Sylvester resultants and discriminants.  Everything is immutable
 and exact; no floats appear anywhere.
+
+An element of Q(alpha) is stored as integer numerators over one common
+denominator, (a + b*alpha)/d with d > 0 and gcd(a, b, d) == 1 (the usual
+representation of number-field elements, Cohen, *A Course in Computational
+Algebraic Number Theory*, 1993, ch. 4).  Its arithmetic runs on Python ints
+with one gcd per result and builds no Fraction; only the ``a``, ``b`` and
+``norm()`` accessors return Fractions.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt, lcm
 from typing import Optional, Union
 
 Rational = Fraction
@@ -25,6 +32,15 @@ def _as_fraction(x) -> Fraction:
     raise TypeError(f"not a rational scalar: {x!r}")
 
 
+def _num_den(x):
+    # (numerator, denominator) of an int or a Fraction
+    if isinstance(x, int):
+        return x, 1
+    if isinstance(x, Fraction):
+        return x.numerator, x.denominator
+    raise TypeError(f"not a rational scalar: {x!r}")
+
+
 def sqrt_fraction(x: Fraction) -> Optional[Fraction]:
     """Exact square root of a rational, or None if it is not a square."""
     if x < 0:
@@ -37,78 +53,107 @@ def sqrt_fraction(x: Fraction) -> Optional[Fraction]:
 
 
 class QuadElement:
-    """Element a + b*alpha of Q(alpha), alpha^2 = -3."""
+    """Element (a + b*alpha)/d of Q(alpha), alpha^2 = -3.
 
-    __slots__ = ("a", "b")
+    The value is held as three ints normalised to d > 0 and
+    gcd(a, b, d) == 1, so each value has exactly one representation.  Every
+    ring operation works on the ints and normalises its result with one
+    gcd; ``a`` and ``b`` read the rational coordinates back as Fractions.
+    """
+
+    __slots__ = ("_abd",)
 
     def __init__(self, a: Union[int, Fraction] = 0, b: Union[int, Fraction] = 0):
-        object.__setattr__(self, "a", _as_fraction(a))
-        object.__setattr__(self, "b", _as_fraction(b))
+        an, ad = _num_den(a)
+        bn, bd = _num_den(b)
+        # a and b are reduced, so over the lcm of their denominators
+        # gcd(a, b, d) is already 1
+        d = lcm(ad, bd)
+        _set_abd(self, (an * (d // ad), bn * (d // bd), d))
 
     def __setattr__(self, *_):
         raise AttributeError("QuadElement is immutable")
+
+    @property
+    def a(self) -> Fraction:
+        return Fraction(self._abd[0], self._abd[2])
+
+    @property
+    def b(self) -> Fraction:
+        return Fraction(self._abd[1], self._abd[2])
 
     @classmethod
     def coerce(cls, x: Scalar) -> "QuadElement":
         if isinstance(x, QuadElement):
             return x
-        return cls(_as_fraction(x))
-
-    @staticmethod
-    def _scalar(other) -> bool:
-        return isinstance(other, (int, Fraction, QuadElement))
+        return cls(x)
 
     def __add__(self, other):
-        if not QuadElement._scalar(other):
+        o = _operand(other)
+        if o is None:
             return NotImplemented
-        o = QuadElement.coerce(other)
-        return QuadElement(self.a + o.a, self.b + o.b)
+        a, b, d = self._abd
+        oa, ob, od = o
+        if d == od:
+            return _quad(a + oa, b + ob, d)
+        return _quad(a * od + oa * d, b * od + ob * d, d * od)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadElement(-self.a, -self.b)
+        a, b, d = self._abd
+        return _from_abd((-a, -b, d))
 
     def __sub__(self, other):
-        if not QuadElement._scalar(other):
+        o = _operand(other)
+        if o is None:
             return NotImplemented
-        return self + (-QuadElement.coerce(other))
+        a, b, d = self._abd
+        oa, ob, od = o
+        if d == od:
+            return _quad(a - oa, b - ob, d)
+        return _quad(a * od - oa * d, b * od - ob * d, d * od)
 
     def __rsub__(self, other):
-        if not QuadElement._scalar(other):
+        if _operand(other) is None:
             return NotImplemented
-        return QuadElement.coerce(other) + (-self)
+        return -self + other
 
     def __mul__(self, other):
-        if not QuadElement._scalar(other):
+        o = _operand(other)
+        if o is None:
             return NotImplemented
-        o = QuadElement.coerce(other)
-        # (a + b alpha)(c + d alpha) = (ac - 3bd) + (ad + bc) alpha
-        return QuadElement(self.a * o.a - 3 * self.b * o.b,
-                           self.a * o.b + self.b * o.a)
+        a, b, d = self._abd
+        oa, ob, od = o
+        # (a + b alpha)(c + e alpha) = (ac - 3be) + (ae + bc) alpha
+        return _quad(a * oa - 3 * b * ob, a * ob + b * oa, d * od)
 
     __rmul__ = __mul__
 
     def conj(self) -> "QuadElement":
-        return QuadElement(self.a, -self.b)
+        a, b, d = self._abd
+        return _from_abd((a, -b, d))
 
     def norm(self) -> Fraction:
-        # a^2 + 3 b^2, multiplicative over Q(alpha)
-        return self.a * self.a + 3 * self.b * self.b
+        # (a^2 + 3 b^2) / d^2, multiplicative over Q(alpha)
+        a, b, d = self._abd
+        return Fraction(a * a + 3 * b * b, d * d)
 
     def inverse(self) -> "QuadElement":
-        n = self.norm()
+        # d / (a + b alpha) = d (a - b alpha) / (a^2 + 3 b^2)
+        a, b, d = self._abd
+        n = a * a + 3 * b * b
         if n == 0:
             raise ZeroDivisionError("division by zero in Q(alpha)")
-        return QuadElement(self.a / n, -self.b / n)
+        return _quad(a * d, -b * d, n)
 
     def __truediv__(self, other):
-        if not QuadElement._scalar(other):
+        if _operand(other) is None:
             return NotImplemented
         return self * QuadElement.coerce(other).inverse()
 
     def __rtruediv__(self, other):
-        if not QuadElement._scalar(other):
+        if _operand(other) is None:
             return NotImplemented
         return QuadElement.coerce(other) * self.inverse()
 
@@ -125,30 +170,67 @@ class QuadElement:
         return out
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, QuadElement)):
-            o = QuadElement.coerce(other)
-            return self.a == o.a and self.b == o.b
-        return NotImplemented
+        o = _operand(other)
+        if o is None:
+            return NotImplemented
+        return self._abd == o
 
     def __hash__(self):
-        if self.b == 0:
-            return hash(self.a)
-        return hash((self.a, self.b))
+        a, b, d = self._abd
+        if b == 0:
+            # equal to the hash of the equal int or Fraction
+            return hash(a if d == 1 else Fraction(a, d))
+        return hash(self._abd)
 
     def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
+        return not self
 
     def is_rational(self) -> bool:
-        return self.b == 0
+        return self._abd[1] == 0
 
     def __bool__(self):
-        return not self.is_zero()
+        a, b, _ = self._abd
+        return a != 0 or b != 0
 
     def __repr__(self):
         return f"QuadElement({self.a!r}, {self.b!r})"
 
     def __str__(self):
         return format_quad(self)
+
+
+_new = object.__new__
+_set_abd = QuadElement._abd.__set__
+
+
+def _from_abd(abd) -> QuadElement:
+    # abd must already be normalised
+    z = _new(QuadElement)
+    _set_abd(z, abd)
+    return z
+
+
+def _quad(a: int, b: int, d: int) -> QuadElement:
+    """(a + b*alpha)/d for ints with d > 0, normalised."""
+    g = gcd(a, b, d)
+    if g != 1:
+        a //= g
+        b //= g
+        d //= g
+    z = _new(QuadElement)
+    _set_abd(z, (a, b, d))
+    return z
+
+
+def _operand(x):
+    """The (a, b, d) triple of a scalar operand; None for any other type."""
+    if type(x) is QuadElement:
+        return x._abd
+    if isinstance(x, int):
+        return (x, 0, 1)
+    if isinstance(x, Fraction):
+        return (x.numerator, 0, x.denominator)
+    return None
 
 
 ALPHA = QuadElement(0, 1)
@@ -342,7 +424,6 @@ class Poly:
 
     def content(self) -> Fraction:
         """gcd of rational coefficients (positive); rational polys only."""
-        from math import gcd, lcm
         if self.is_zero():
             return Fraction(0)
         fracs = []

@@ -73,6 +73,14 @@ def test_tables_golden_all_ids(capsys):
         assert out.startswith(f"OK: {tid} matches golden")
 
 
+def test_tables_id_any_case(capsys):
+    code, out, _ = run(capsys, "tables", "--id", "t1", "--golden")
+    assert (code, out) == (0, "OK: T1 matches golden t1.txt\n")
+    _, lower, _ = run(capsys, "tables", "--id", "n2b")
+    _, printed, _ = run(capsys, "tables", "--id", "N2b")
+    assert lower == printed
+
+
 def test_tables_output_deterministic(capsys):
     _, first, _ = run(capsys, "tables", "--id", "T2")
     _, second, _ = run(capsys, "tables", "--id", "T2")
@@ -108,6 +116,8 @@ def test_tables_json_golden_exclusive_exits_2(capsys):
     ["enumerate", "--n", "5", "--dmax", "1"],
     ["tables", "--id", "T1", "--dmax", "-5"],
     ["tables", "--id", "T1", "--dmax", "1"],
+    ["verify-deg4", "--samples", "0"],
+    ["verify-deg4", "--samples", "-3"],
 ])
 def test_out_of_range_counts_exit_2(capsys, argv):
     with pytest.raises(SystemExit) as exc:

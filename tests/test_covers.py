@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from garnier import covers
 from garnier.covers import (
     DegenerateInput,
     DegFourParams,
@@ -94,7 +95,10 @@ def test_branch_points_satisfy_quadratic():
     total, prod = t_quadratic_coeffs(st)
     assert t1 + t2 == total
     assert t1 * t2 == prod
-    phi = phi_from_params(params_from_st(st))
+    params = params_from_st(st)
+    assert branch_points_st(st, params) == (t1, t2)
+    assert t_quadratic_coeffs(st, params) == (total, prod)
+    phi = phi_from_params(params)
     assert phi.evaluate(t1) == 1
     assert phi.evaluate(t2) == 1
 
@@ -103,6 +107,7 @@ def test_free_critical_quadratic():
     st = uv_lift(UV)
     b, c_val, disc, rho = free_critical_quadratic(st)
     params = params_from_st(st)
+    assert free_critical_quadratic(st, params) == (b, c_val, disc, rho)
     assert b == params.a1 + 4 * params.c
     assert c_val == 2 * params.a1 * params.c + 3 * params.a0
     assert disc == b ** 2 + 4 * c_val
@@ -198,6 +203,26 @@ def test_verify_family():
     assert rep.to_dict() == rep2.to_dict()
     rep3 = verify_family(samples=4, seed=8)
     assert rep3.to_dict() != rep.to_dict()
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+def test_verify_family_needs_a_sample(samples):
+    # an empty report would read ok without checking anything
+    with pytest.raises(ValueError):
+        verify_family(samples=samples, seed=1)
+
+
+def test_solution_record_builds_params_once(monkeypatch):
+    calls = []
+    original = covers.params_from_st
+
+    def counting(pt):
+        calls.append(pt)
+        return original(pt)
+
+    monkeypatch.setattr(covers, "params_from_st", counting)
+    assert solution_record(UV).ok
+    assert len(calls) == 1
 
 
 def test_against_sympy_oracle():

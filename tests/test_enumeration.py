@@ -6,6 +6,7 @@ from itertools import product
 import pytest
 
 from garnier.enumeration import (
+    TABLE_IDS,
     FamilyRow,
     RamificationProfile,
     TripleSpec,
@@ -18,6 +19,7 @@ from garnier.enumeration import (
     enumerate_profiles,
     floor_identity_holds,
     intermediate_rows,
+    lookup_table_id,
     multipoint_bases,
     multipoint_complete_search,
     n7_summary,
@@ -347,12 +349,16 @@ def test_multipoint_complete_search_empty():
 
 
 def test_reproduce_table_ids():
-    for tid in ("T1", "T2", "T3", "T4", "N2a", "N2b", "N7"):
+    assert TABLE_IDS == ("T1", "T2", "T3", "T4", "N2a", "N2b", "N7")
+    for tid in TABLE_IDS:
         table = reproduce_table(tid)
+        assert table.table_id == tid
         text = render_table(table)
-        assert text.startswith(f"# {table.table_id}:")
+        assert text.startswith(f"# {tid}:")
         assert len(text.splitlines()) == 2 + len(table.rows)
+        assert lookup_table_id(tid.lower()) == lookup_table_id(tid.upper()) == tid
     assert reproduce_table("n2a").table_id == "N2a"
+    assert lookup_table_id("T9") is None
     with pytest.raises(ValueError):
         reproduce_table("T9")
 

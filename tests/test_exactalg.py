@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -84,6 +85,194 @@ def test_hash_consistent_with_equality():
     assert hash(q(5)) == hash(Fraction(5)) == hash(5)
     assert q(5) == 5
     assert len({q(2, 0), Fraction(2), 2}) == 1
+    assert hash(QuadElement(Fraction(1, 2))) == hash(Fraction(1, 2))
+    assert hash(q(3, 1) / 2) == hash(q(Fraction(3, 2), Fraction(1, 2)))
+    # the set solution_record builds to test the points against 0, 1 and c
+    c = q(3, 6) / 3 - 2 * ALPHA
+    assert c == 1
+    assert {QuadElement(0), QuadElement(1), c} == {0, 1}
+    assert len({QuadElement(0), QuadElement(1), q(1, 1) / 2}) == 3
+    assert Fraction(1) in {QuadElement(0), QuadElement(1), c}
+
+
+class FractionPairQuad:
+    """Reference: Q(alpha) as a pair of Fractions (a, b) for a + b*alpha,
+    the representation QuadElement had before it moved to integer
+    numerators over one denominator."""
+
+    __slots__ = ("a", "b")
+
+    def __init__(self, a=0, b=0):
+        self.a = Fraction(a)
+        self.b = Fraction(b)
+
+    @staticmethod
+    def coerce(x):
+        if isinstance(x, FractionPairQuad):
+            return x
+        return FractionPairQuad(x)
+
+    def __add__(self, other):
+        o = FractionPairQuad.coerce(other)
+        return FractionPairQuad(self.a + o.a, self.b + o.b)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return FractionPairQuad(-self.a, -self.b)
+
+    def __sub__(self, other):
+        return self + (-FractionPairQuad.coerce(other))
+
+    def __rsub__(self, other):
+        return FractionPairQuad.coerce(other) + (-self)
+
+    def __mul__(self, other):
+        o = FractionPairQuad.coerce(other)
+        return FractionPairQuad(self.a * o.a - 3 * self.b * o.b,
+                                self.a * o.b + self.b * o.a)
+
+    __rmul__ = __mul__
+
+    def conj(self):
+        return FractionPairQuad(self.a, -self.b)
+
+    def norm(self):
+        return self.a * self.a + 3 * self.b * self.b
+
+    def inverse(self):
+        n = self.norm()
+        if n == 0:
+            raise ZeroDivisionError("division by zero in Q(alpha)")
+        return FractionPairQuad(self.a / n, -self.b / n)
+
+    def __truediv__(self, other):
+        return self * FractionPairQuad.coerce(other).inverse()
+
+    def __rtruediv__(self, other):
+        return FractionPairQuad.coerce(other) * self.inverse()
+
+    def __pow__(self, n):
+        if n < 0:
+            return self.inverse() ** (-n)
+        out = FractionPairQuad(1)
+        for _ in range(n):
+            out = out * self
+        return out
+
+
+def _check_same(z, ref):
+    """z is a normalised QuadElement with the value of the reference."""
+    assert isinstance(z, QuadElement)
+    a, b, d = z._abd
+    assert d > 0 and gcd(a, b, d) == 1
+    assert all(type(v) is int for v in (a, b, d))
+    assert (z.a, z.b) == (ref.a, ref.b)
+    assert type(z.a) is Fraction and type(z.b) is Fraction
+
+
+def _rand_fraction(rng):
+    return Fraction(rng.randint(-30, 30), rng.randint(1, 12))
+
+
+def _rand_operand(rng):
+    """A QuadElement, an int or a Fraction, with the reference value."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        x = rng.randint(-9, 9)
+        return x, FractionPairQuad(x)
+    if kind == 1:
+        x = _rand_fraction(rng)
+        return x, FractionPairQuad(x)
+    a = _rand_fraction(rng) if kind == 2 else rng.randint(-9, 9)
+    b = _rand_fraction(rng) if rng.random() < 0.8 else 0
+    return QuadElement(a, b), FractionPairQuad(a, b)
+
+
+def test_matches_fraction_pair_reference():
+    rng = random.Random(2024)
+    for _ in range(400):
+        x, rx = _rand_operand(rng)
+        x = QuadElement.coerce(x)
+        y, ry = _rand_operand(rng)
+        _check_same(x, rx)
+        # the QuadElement on either side, the other operand of any scalar type
+        _check_same(x + y, rx + ry)
+        _check_same(y + x, ry + rx)
+        _check_same(x - y, rx - ry)
+        _check_same(y - x, ry - rx)
+        _check_same(x * y, rx * ry)
+        _check_same(y * x, ry * rx)
+        _check_same(-x, -rx)
+        _check_same(x.conj(), rx.conj())
+        assert x.norm() == rx.norm() and type(x.norm()) is Fraction
+        n = rng.randint(-3, 4)
+        if y != 0:
+            _check_same(x / y, rx / ry)
+        if x != 0:
+            _check_same(y / x, ry / rx)
+            _check_same(x.inverse(), rx.inverse())
+            _check_same(x ** n, rx ** n)
+        else:
+            with pytest.raises(ZeroDivisionError):
+                x.inverse()
+            _check_same(x ** abs(n), rx ** abs(n))
+        # equality and hashing follow the value, not how it was reached
+        assert (x == y) == ((rx.a, rx.b) == (ry.a, ry.b))
+        if x.is_rational():
+            assert x == rx.a and hash(x) == hash(rx.a)
+        assert parse_quad(format_quad(x)) == x
+        assert format_quad(x) == format_quad(QuadElement(rx.a, rx.b))
+
+
+def test_exact_sqrt_matches_reference():
+    rng = random.Random(5)
+    for _ in range(200):
+        w, rw = _rand_operand(rng)
+        w = QuadElement.coerce(w)
+        sq, rsq = w * w, rw * rw
+        _check_same(sq, rsq)
+        r = exact_sqrt(sq)
+        assert r is not None and r * r == sq and (r == w or r == -w)
+        # 2 is not a square in Q(alpha), so 2 w^2 is not one either
+        assert exact_sqrt(sq * 2) is None or sq == 0
+
+
+def test_normal_form_and_immutability():
+    assert QuadElement(Fraction(2, 4), 0) == QuadElement(Fraction(1, 2))
+    assert QuadElement(Fraction(2, 4), 0)._abd == (1, 0, 2)
+    assert q(1, 1) / 2 != q(1, 1) and Fraction(1, 2) != q(1) and q(1) != Fraction(1, 2)
+    assert QuadElement(Fraction(1, 6), Fraction(-3, 4))._abd == (2, -9, 12)
+    assert (q(1, 1) * 2 / 4)._abd == (1, 1, 2)
+    assert (ALPHA / -6)._abd == (0, -1, 6)
+    assert (q(Fraction(1, 3)) * 3)._abd == (1, 0, 1)
+    assert (q(Fraction(1, 2), Fraction(1, 2)) + q(Fraction(1, 2), Fraction(-1, 2)))._abd == (1, 0, 1)
+    assert ZERO._abd == (0, 0, 1) and (q(5, 3) * 0)._abd == (0, 0, 1)
+    assert repr(q(Fraction(1, 2), -3)) == "QuadElement(Fraction(1, 2), Fraction(-3, 1))"
+    z = q(1, 2)
+    for name in ("a", "b", "_abd", "c"):
+        with pytest.raises(AttributeError):
+            setattr(z, name, 1)
+    assert z == q(1, 2)
+    with pytest.raises(TypeError):
+        QuadElement(0.5)
+    assert z.__add__(0.5) is NotImplemented and z.__eq__("1") is NotImplemented
+
+
+def test_arithmetic_builds_no_fraction(monkeypatch):
+    x, y, h = q(Fraction(2, 3), 5), q(-1, Fraction(1, 7)), Fraction(3, 4)
+    built = []
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    _ = [x + y, x - y, x * y, x / y, x ** 3, x ** -2, -x, x.conj(),
+         x.inverse(), 2 - x, 3 * x, 1 / x, h * x, x + h, h - x, x / h,
+         x == y, x == h, hash(x), bool(x)]
+    assert built == []
 
 
 def test_format_parse_roundtrip():

@@ -231,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-deg4",
                        help="verify the explicit degree-4 family exactly")
-    p.add_argument("--samples", type=_int_at_least(1), default=10)
+    p.add_argument("--samples", type=_int_at_least(2), default=10)
     p.add_argument("--seed", type=int, default=_default_seed())
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_verify)

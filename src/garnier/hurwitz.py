@@ -11,7 +11,9 @@ The search normalizes away conjugation freedom: the largest class is frozen
 to one representative, the next-largest is solved for from the group
 relation, remaining classes run over explicit cosets (the first one only up
 to the centralizer of the frozen element), and the transposition block runs
-over products h of bounded Cayley norm, factored on demand.
+over products h of bounded Cayley norm.  For each h a closed-form rule
+decides whether transpositions multiplying to h can make the tuple
+transitive, and builds them directly when they can.
 """
 from __future__ import annotations
 
@@ -184,14 +186,10 @@ def orbit_reps(elements: Sequence[Perm], gens: Sequence[Perm]) -> List[Perm]:
     return reps
 
 
-def transpositions(d: int) -> List[Perm]:
-    out = []
-    for i in range(d):
-        for j in range(i + 1, d):
-            img = list(range(d))
-            img[i], img[j] = j, i
-            out.append(tuple(img))
-    return out
+def transposition(d: int, i: int, j: int) -> Perm:
+    img = list(range(d))
+    img[i], img[j] = j, i
+    return tuple(img)
 
 
 def h_set(d: int, k: int) -> List[Perm]:
@@ -205,32 +203,8 @@ def h_set(d: int, k: int) -> List[Perm]:
     return out
 
 
-def factor_into_transpositions(h: Perm, k: int) -> Optional[Tuple[Perm, ...]]:
-    """Some (t_1, ..., t_k) with compose(t_1, ..., t_k) = h, or None."""
-    d = len(h)
-    taus = transpositions(d)
-    acc: List[Perm] = []
-
-    def rec(cur: Perm, left: int) -> bool:
-        norm = cayley_norm(cur)
-        if norm > left or (left - norm) % 2 != 0:
-            return False
-        if left == 0:
-            return True
-        for t in taus:
-            acc.append(t)
-            if rec(compose(cur, t), left - 1):
-                return True
-            acc.pop()
-        return False
-
-    # compose(h^-1, t_1, ..., t_k) = id exactly when the t's multiply to h
-    if rec(inverse(h), k):
-        return tuple(acc)
-    return None
-
-
-def is_transitive(perms: Sequence[Perm], d: int) -> bool:
+def orbit_roots(perms: Sequence[Perm], d: int) -> List[int]:
+    """The least point of each orbit of the group the permutations generate."""
     parent = list(range(d))
 
     def find(x: int) -> int:
@@ -241,10 +215,38 @@ def is_transitive(perms: Sequence[Perm], d: int) -> bool:
 
     for p in perms:
         for i, j in enumerate(p):
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                parent[ri] = rj
-    return len({find(i) for i in range(d)}) == 1
+            ri, rj = sorted((find(i), find(j)))
+            parent[rj] = ri
+    return [i for i in range(d) if find(i) == i]
+
+
+def is_transitive(perms: Sequence[Perm], d: int) -> bool:
+    return len(orbit_roots(perms, d)) == 1
+
+
+def factor_into_transpositions(h: Perm, k: int,
+                               prefix: Sequence[Perm]) -> Optional[List[Perm]]:
+    """Transpositions t_1, ..., t_k with compose(t_1, ..., t_k) = h such that
+    prefix + [t_1, ..., t_k] is transitive, or None if there are none.
+
+    With c orbits of <prefix, h>, they exist iff k >= cayley_norm(h) +
+    2(c - 1) and k has the parity of cayley_norm(h).  Necessity is
+    Riemann-Hurwitz on each component of the transposition graph: one on v
+    points covering r cycles of h needs v + r - 2 edges, and the components
+    join the c orbits only if their r - 1 sum to c - 1 or more.  The
+    construction meets the bound: a star (c0 c1)(c0 c2)...(c0 cm) per cycle
+    (c0 c1 ... cm) of h, a cancelling pair from the first orbit root to each
+    other root, and cancelling pairs (0 1)(0 1) for the rest (0-based points).
+    """
+    d = len(h)
+    roots = orbit_roots(list(prefix) + [h], d)
+    spare = k - cayley_norm(h) - 2 * (len(roots) - 1)
+    if spare < 0 or spare % 2 or (spare and d < 2):
+        return None
+    out = [transposition(d, cyc[0], x) for cyc in cycles_of(h) for x in cyc[1:]]
+    for r in roots[1:]:
+        out += [transposition(d, roots[0], r)] * 2
+    return out + [transposition(d, 0, 1) for _ in range(spare)]
 
 
 @dataclass(frozen=True)
@@ -346,34 +348,17 @@ def find_tuple(types: Sequence[Sequence[int]], degree: int) -> RealizabilityCert
                   if not _is_transposition_type(t)),
                  key=lambda t: class_size(degree, t))
 
-    found: Optional[List[Perm]] = None
-
     def try_h(prefix: List[Perm], h: Perm) -> Optional[List[Perm]]:
         stats["h"] += 1
-        taus = factor_into_transpositions(h, n_tau)
-        if taus is None:
-            return None
-        cand = prefix + list(taus)
-        if not is_transitive(cand, degree):
-            return None
-        return cand
+        taus = factor_into_transpositions(h, n_tau, prefix)
+        return None if taus is None else prefix + taus
 
-    if not big:
-        # only transpositions (and identities): factor the identity itself
-        for h in [identity(degree)]:
-            if cayley_norm(h) <= n_tau and (n_tau - cayley_norm(h)) % 2 == 0:
-                got = try_h([], h)
-                if got is not None:
-                    found = got
-                    break
-    elif len(big) == 1:
-        anchor = canonical_perm(big[0])
-        h = inverse(anchor)
-        stats["outer"] += 1
-        if cayley_norm(h) <= n_tau and (n_tau - cayley_norm(h)) % 2 == 0:
-            got = try_h([anchor], h)
-            if got is not None:
-                found = got
+    if len(big) <= 1:
+        # freeze the one class, if any; the transpositions must multiply to
+        # the inverse of its representative (outer counts frozen anchors)
+        prefix = [canonical_perm(t) for t in big]
+        stats["outer"] += len(prefix)
+        found = try_h(prefix, inverse(compose(identity(degree), *prefix)))
     else:
         anchor_type = big[-1]
         derived_type = big[-2]
@@ -434,29 +419,3 @@ def realize_profile(profile) -> RealizabilityCertificate:
     types = list(profile.partitions)
     types += [tuple([2] + [1] * (d - 2))] * profile.free_points
     return find_tuple(types, d)
-
-
-def split_disjoint(p: Perm, parts_a: Sequence[int],
-                   parts_b: Sequence[int]) -> Tuple[Perm, Perm]:
-    """Split a permutation into two commuting factors with the given types by
-    distributing its disjoint cycles; the nontrivial cycle lengths of the
-    two types must partition those of p."""
-    d = len(p)
-    need_a = sorted((k for k in parts_a if k > 1), reverse=True)
-    need_b = sorted((k for k in parts_b if k > 1), reverse=True)
-    have = sorted((c for c in cycles_of(p) if len(c) > 1),
-                  key=len, reverse=True)
-    if sorted(need_a + need_b, reverse=True) != [len(c) for c in have]:
-        raise ValueError("cycle lengths do not split as requested")
-    img_a = list(range(d))
-    img_b = list(range(d))
-    pool = list(have)
-    for k in need_a:
-        c = next(c for c in pool if len(c) == k)
-        pool.remove(c)
-        for x, y in zip(c, c[1:] + (c[0],)):
-            img_a[x] = y
-    for c in pool:
-        for x, y in zip(c, c[1:] + (c[0],)):
-            img_b[x] = y
-    return tuple(img_a), tuple(img_b)

@@ -118,6 +118,7 @@ def test_tables_json_golden_exclusive_exits_2(capsys):
     ["tables", "--id", "T1", "--dmax", "1"],
     ["verify-deg4", "--samples", "0"],
     ["verify-deg4", "--samples", "-3"],
+    ["verify-deg4", "--samples", "1"],
 ])
 def test_out_of_range_counts_exit_2(capsys, argv):
     with pytest.raises(SystemExit) as exc:

@@ -205,9 +205,10 @@ def test_verify_family():
     assert rep3.to_dict() != rep.to_dict()
 
 
-@pytest.mark.parametrize("samples", [0, -3])
+@pytest.mark.parametrize("samples", [1, 0, -3])
 def test_verify_family_needs_a_sample(samples):
-    # an empty report would read ok without checking anything
+    # an empty report would read ok without checking anything, and one
+    # sample has no second cross ratio to show the deformation
     with pytest.raises(ValueError):
         verify_family(samples=samples, seed=1)
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from itertools import combinations_with_replacement, permutations
 
 import pytest
 
@@ -23,11 +24,12 @@ from garnier.hurwitz import (
     inverse,
     is_transitive,
     orbit_reps,
+    orbit_roots,
     realize_profile,
-    split_disjoint,
-    transpositions,
+    transposition,
     verify_tuple,
 )
+from garnier.enumeration import partitions_of
 
 
 def test_compose_left_to_right():
@@ -102,12 +104,6 @@ def test_orbit_reps():
     assert 1 <= len(reps) < class_size(4, [3, 1])
 
 
-def test_transpositions():
-    ts = transpositions(4)
-    assert len(ts) == 6
-    assert all(cycle_type(t) == (2, 1, 1) for t in ts)
-
-
 def test_h_set_parity_and_norm():
     for h in h_set(4, 2):
         assert cayley_norm(h) <= 2
@@ -117,15 +113,40 @@ def test_h_set_parity_and_norm():
 
 
 def test_factor_into_transpositions():
-    h = canonical_perm([3, 1])
-    fac = factor_into_transpositions(h, 2)
-    assert fac is not None and len(fac) == 2
-    assert compose(*fac) == h
-    assert all(cycle_type(t) == (2, 1, 1) for t in fac)
-    assert factor_into_transpositions(identity(4), 0) == ()
-    # parity obstruction
-    assert factor_into_transpositions(canonical_perm([2, 1, 1]), 2) is None
-    assert factor_into_transpositions(canonical_perm([3, 1]), 1) is None
+    # (h, prefix, orbits of <prefix, h>)
+    cases = [
+        (identity(4), [], 4),
+        (canonical_perm([3, 1]), [], 2),
+        (canonical_perm([2, 2]), [canonical_perm([2, 2])], 2),
+        (inverse(canonical_perm([4])), [canonical_perm([4])], 1),
+        (canonical_perm([2, 1, 1, 1]), [canonical_perm([3, 1, 1])], 3),
+        (inverse(canonical_perm([3, 1, 1])), [canonical_perm([3, 1, 1])], 3),
+    ]
+    for h, prefix, c in cases:
+        d = len(h)
+        assert len(orbit_roots(prefix + [h], d)) == c
+        least = cayley_norm(h) + 2 * (c - 1)
+        for k in (least, least + 2, least + 4):
+            taus = factor_into_transpositions(h, k, prefix)
+            assert len(taus) == k
+            assert all(cycle_type(t) == (2,) + (1,) * (d - 2) for t in taus)
+            assert compose(identity(d), *taus) == h
+            assert is_transitive(prefix + taus, d)
+        # one pair short of joining the orbits, or the wrong parity
+        for k in (least - 2, least - 1, least + 1):
+            assert factor_into_transpositions(h, k, prefix) is None, (h, prefix, k)
+
+
+def test_factor_into_transpositions_builds_stars():
+    # each h-cycle (c0 c1 ... cm) becomes (c0 c1)(c0 c2)...(c0 cm)
+    h = canonical_perm([3, 2])
+    assert factor_into_transpositions(h, 3, [transposition(5, 2, 3)]) == [
+        transposition(5, 0, 1), transposition(5, 0, 2), transposition(5, 3, 4)]
+    # then a cancelling pair joining the two orbits, then spare pairs (0 1)
+    assert factor_into_transpositions(h, 7, [])[3:] == [
+        transposition(5, 0, 3)] * 2 + [transposition(5, 0, 1)] * 2
+    assert factor_into_transpositions(identity(1), 0, []) == []
+    assert factor_into_transpositions(identity(1), 2, []) is None
 
 
 def test_is_transitive():
@@ -133,6 +154,7 @@ def test_is_transitive():
     assert not is_transitive([canonical_perm([2, 2])], 4)
     assert is_transitive([canonical_perm([2, 1, 1]), canonical_perm([1, 2, 1])], 4) is False
     assert is_transitive([(1, 0, 2, 3), (0, 2, 1, 3), (0, 1, 3, 2)], 4)
+    assert orbit_roots([canonical_perm([2, 2, 1])], 5) == [0, 2, 4]
 
 
 def test_verify_tuple():
@@ -162,6 +184,59 @@ def test_find_tuple_counterexample():
     cert = find_tuple([(2, 2), (2, 2), (3, 1)], 4)
     assert not cert.exists
     assert cert.tuple_ is None
+
+
+@pytest.mark.parametrize("degree, types", [
+    (3, [(2, 1)] * 4),
+    (4, [(2, 2)] + [(2, 1, 1)] * 4),
+    (5, [(3, 1, 1)] + [(2, 1, 1, 1)] * 6),
+    (5, [(2, 2, 1)] + [(2, 1, 1, 1)] * 6),
+    (5, [(2, 1, 1, 1)] * 8),
+])
+def test_find_tuple_transposition_blocks_that_must_join_orbits(degree, types):
+    # the first factorisation of h into transpositions is intransitive here;
+    # these were once answered NOT_EXISTS
+    cert = find_tuple(types, degree)
+    assert cert.exists
+    assert verify_tuple(cert.tuple_.perms, types, degree)
+
+
+def _exists_by_dp(d, types):
+    """Reference: exhaust every reachable (partial product, orbit labels),
+    labelling each orbit by its least point."""
+    ident = tuple(range(d))
+    by_type = {}
+    for p in permutations(ident):
+        by_type.setdefault(cycle_type(p), []).append(p)
+    states = {ident: {ident}}  # orbit labels -> partial products
+    for t in types:
+        nxt = {}
+        for labels, prods in states.items():
+            for g in by_type[t]:
+                out = list(labels)
+                for i, j in enumerate(g):
+                    lo, hi = sorted((out[i], out[j]))
+                    if lo != hi:
+                        out = [lo if x == hi else x for x in out]
+                nxt.setdefault(tuple(out), set()).update(compose(p, g) for p in prods)
+        states = nxt
+    return ident in states.get((0,) * d, ())
+
+
+def test_find_tuple_agrees_with_dp_oracle():
+    queries = []
+    for d in range(2, 6):
+        kinds = [lam for lam in partitions_of(d) if lam[0] > 1]
+        for k in range(1, 9):
+            for combo in combinations_with_replacement(kinds, k):
+                if sum(d - len(t) for t in combo) == 2 * d - 2:
+                    queries.append((d, combo))
+    assert len(queries) == 63
+    for d, types in queries:
+        cert = find_tuple(types, d)
+        assert cert.exists is _exists_by_dp(d, types), (d, types)
+        if cert.exists:
+            assert verify_tuple(cert.tuple_.perms, types, d)
 
 
 def test_find_tuple_parity_precheck():
@@ -200,11 +275,3 @@ def test_realize_profile_complete_rows():
         assert cert.exists, (str(t), d)
         want = list(profile.partitions) + [(2,) + (1,) * (d - 2)] * profile.free_points
         assert verify_tuple(cert.tuple_.perms, want, d)
-
-
-def test_split_disjoint():
-    p = canonical_perm([2, 2, 1])
-    a, b = split_disjoint(p, [2, 1, 1, 1], [2, 1, 1, 1])
-    assert compose(a, b) == p
-    assert cycle_type(a) == (2, 1, 1, 1)
-    assert cycle_type(b) == (2, 1, 1, 1)

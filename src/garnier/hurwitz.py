@@ -14,6 +14,12 @@ to the centralizer of the frozen element), and the transposition block runs
 over products h of bounded Cayley norm.  For each h a closed-form rule
 decides whether transpositions multiplying to h can make the tuple
 transitive, and builds them directly when they can.
+
+The pools the search walks (the products h, the remaining classes, orbit
+representatives for the first of them) are generated lazily in a fixed
+order, and each element is produced at most once per query: a pool walked
+again for each prefix is replayed from what the first walk drew, and
+nothing past the first hit is generated.
 """
 from __future__ import annotations
 
@@ -21,7 +27,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations, permutations
 from math import factorial
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .enumeration import partitions_of
 
@@ -101,18 +107,18 @@ def class_size(d: int, parts: Sequence[int]) -> int:
     return factorial(d) // denom
 
 
-def class_elements(d: int, parts: Sequence[int]) -> List[Perm]:
-    """Every permutation of the given cycle type.
+def class_elements(d: int, parts: Sequence[int]) -> Iterator[Perm]:
+    """Every permutation of the given cycle type, generated lazily.
 
     The smallest unplaced point always opens the next cycle, once per
-    distinct available length, so each permutation appears exactly once.
+    distinct available length, so each permutation appears exactly once and
+    the order is fixed by (d, parts).
     """
     img = list(range(d))
-    out: List[Perm] = []
 
-    def place(remaining: Dict[int, int], unused: List[int]):
+    def place(remaining: Dict[int, int], unused: List[int]) -> Iterator[Perm]:
         if not unused:
-            out.append(tuple(img))
+            yield tuple(img)
             return
         start = unused[0]
         rest = unused[1:]
@@ -122,7 +128,7 @@ def class_elements(d: int, parts: Sequence[int]) -> List[Perm]:
             remaining[k] -= 1
             if k == 1:
                 img[start] = start
-                place(remaining, rest)
+                yield from place(remaining, rest)
             else:
                 for body in combinations(range(len(rest)), k - 1):
                     chosen_sets = [rest[i] for i in body]
@@ -131,7 +137,7 @@ def class_elements(d: int, parts: Sequence[int]) -> List[Perm]:
                         for a, b in zip(cyc, cyc[1:] + (start,)):
                             img[a] = b
                         leftover = [x for x in rest if x not in order]
-                        place(remaining, leftover)
+                        yield from place(remaining, leftover)
                     for x in chosen_sets:
                         img[x] = x
                 img[start] = start
@@ -139,8 +145,7 @@ def class_elements(d: int, parts: Sequence[int]) -> List[Perm]:
 
     # a plain dict: subscripting a dict subclass such as Counter is
     # markedly slower in this recursion
-    place(dict(Counter(parts)), list(range(d)))
-    return out
+    return place(dict(Counter(parts)), list(range(d)))
 
 
 def centralizer_generators(p: Perm) -> List[Perm]:
@@ -165,25 +170,25 @@ def centralizer_generators(p: Perm) -> List[Perm]:
     return gens
 
 
-def orbit_reps(elements: Sequence[Perm], gens: Sequence[Perm]) -> List[Perm]:
+def orbit_reps(elements: Iterable[Perm], gens: Sequence[Perm]) -> Iterator[Perm]:
     """Representatives of the orbits of conjugation by the group the
-    generators produce (closure by breadth-first search)."""
-    pool = set(elements)
-    reps = []
+    generators produce: the first element of each orbit, in the order of
+    elements.  Each orbit is closed by breadth-first search only after its
+    representative has been consumed."""
+    seen = set()
     for e in elements:
-        if e not in pool:
+        if e in seen:
             continue
-        reps.append(e)
+        yield e
+        seen.add(e)
         frontier = [e]
-        pool.discard(e)
         while frontier:
             x = frontier.pop()
             for g in gens:
                 y = conjugate(x, g)
-                if y in pool:
-                    pool.discard(y)
+                if y not in seen:
+                    seen.add(y)
                     frontier.append(y)
-    return reps
 
 
 def transposition(d: int, i: int, j: int) -> Perm:
@@ -192,15 +197,14 @@ def transposition(d: int, i: int, j: int) -> Perm:
     return tuple(img)
 
 
-def h_set(d: int, k: int) -> List[Perm]:
-    """All permutations expressible as a product of exactly k transpositions:
-    Cayley norm <= k with the same parity."""
-    out = []
+def h_set(d: int, k: int) -> Iterator[Perm]:
+    """All permutations expressible as a product of exactly k transpositions
+    (Cayley norm <= k with the same parity), generated lazily class by
+    class in the order of partitions_of(d)."""
     for parts in partitions_of(d):
         norm = d - len(parts)
         if norm <= k and (k - norm) % 2 == 0:
-            out.extend(class_elements(d, parts))
-    return out
+            yield from class_elements(d, parts)
 
 
 def orbit_roots(perms: Sequence[Perm], d: int) -> List[int]:
@@ -304,6 +308,29 @@ def _reorder_to(perms: List[Perm], want_types: Sequence[Tuple[int, ...]]) -> Lis
     return cur
 
 
+class _Pool:
+    """A re-iterable view of a lazy pool: each item is drawn from the source
+    the first time any walk reaches it and replayed from a list after, so a
+    pool walked once per prefix is generated once, and only up to the point
+    the search stops."""
+
+    def __init__(self, source: Iterable[Perm]):
+        self._source = iter(source)
+        self._drawn: List[Perm] = []
+
+    def __iter__(self) -> Iterator[Perm]:
+        drawn = self._drawn
+        i = 0
+        while True:
+            if i == len(drawn):
+                item = next(self._source, None)
+                if item is None:
+                    return
+                drawn.append(item)
+            yield drawn[i]
+            i += 1
+
+
 def verify_tuple(perms: Sequence[Perm], types: Sequence[Sequence[int]],
                  degree: int) -> bool:
     """Product identity, requested cycle types, transitivity."""
@@ -323,7 +350,10 @@ def find_tuple(types: Sequence[Sequence[int]], degree: int) -> RealizabilityCert
     global conjugation makes the canonical anchor representative free, and
     conjugating by the anchor's centralizer reduces the first remaining
     class to orbit representatives; the second-largest class never needs
-    enumeration because the product relation determines it.
+    enumeration because the product relation determines it.  The pools are
+    generated lazily in a fixed order, each element at most once per query,
+    so the walk, its first hit, stats and reason do not depend on how far
+    the pools have been generated.
     """
     if degree < 1:
         raise ValueError("degree must be >= 1")
@@ -364,13 +394,13 @@ def find_tuple(types: Sequence[Sequence[int]], degree: int) -> RealizabilityCert
         derived_type = big[-2]
         middle_types = big[:-2]
         anchor = canonical_perm(anchor_type)
-        h_pool = h_set(degree, n_tau)
-        middle_pools: List[List[Perm]] = []
+        h_pool = _Pool(h_set(degree, n_tau))
+        middle_pools: List[_Pool] = []
         for i, mt in enumerate(middle_types):
             elems = class_elements(degree, mt)
             if i == 0:
                 elems = orbit_reps(elems, centralizer_generators(anchor))
-            middle_pools.append(elems)
+            middle_pools.append(_Pool(elems))
 
         def walk(i: int, prefix: List[Perm], prefix_prod: Perm) -> Optional[List[Perm]]:
             if i == len(middle_pools):

@@ -1,10 +1,14 @@
 from __future__ import annotations
 
 import math
-from itertools import combinations_with_replacement, permutations
+import random
+from collections import Counter
+from itertools import combinations, combinations_with_replacement, permutations
 
 import pytest
 
+from garnier import hurwitz
+from garnier.enumeration import RamificationProfile
 from garnier.hurwitz import (
     MAX_DEGREE,
     canonical_perm,
@@ -72,10 +76,24 @@ def test_class_size():
 
 def test_class_elements():
     for d, lam in [(4, [2, 2]), (4, [3, 1]), (5, [2, 2, 1]), (5, [5])]:
-        els = class_elements(d, lam)
+        els = list(class_elements(d, lam))
         assert len(els) == class_size(d, lam)
         assert len(set(els)) == len(els)
         assert all(cycle_type(p) == tuple(sorted(lam, reverse=True)) for p in els)
+
+
+def _group(gens, d):
+    """Every element of the group the generators produce."""
+    seen = {identity(d)}
+    frontier = [identity(d)]
+    while frontier:
+        cur = frontier.pop()
+        for g in gens:
+            nxt = compose(cur, g)
+            if nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
+    return seen
 
 
 def test_centralizer_generators():
@@ -84,24 +102,20 @@ def test_centralizer_generators():
     for g in gens:
         assert compose(g, p) == compose(p, g)
     # closure of the generators has the full centralizer order d!/|class|
-    seen = {identity(len(p))}
-    frontier = [identity(len(p))]
-    while frontier:
-        cur = frontier.pop()
-        for g in gens:
-            nxt = compose(cur, g)
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-    assert len(seen) == math.factorial(4) // class_size(4, [2, 2])
+    assert len(_group(gens, 4)) == math.factorial(4) // class_size(4, [2, 2])
 
 
 def test_orbit_reps():
     p = canonical_perm([2, 2])
     gens = centralizer_generators(p)
-    reps = orbit_reps(class_elements(4, [3, 1]), gens)
-    # conjugation orbits partition the class
+    reps = list(orbit_reps(class_elements(4, [3, 1]), gens))
     assert 1 <= len(reps) < class_size(4, [3, 1])
+    assert reps[0] == next(class_elements(4, [3, 1]))
+    # the centralizer conjugates each rep around its orbit; the orbits are
+    # disjoint and together cover the class
+    orbits = [{conjugate(r, c) for c in _group(gens, 4)} for r in reps]
+    assert all(a.isdisjoint(b) for a, b in combinations(orbits, 2))
+    assert sum(len(o) for o in orbits) == class_size(4, [3, 1])
 
 
 def test_h_set_parity_and_norm():
@@ -223,7 +237,9 @@ def _exists_by_dp(d, types):
     return ident in states.get((0,) * d, ())
 
 
-def test_find_tuple_agrees_with_dp_oracle():
+def _genus0_queries():
+    """Every genus-0 multiset of non-identity types with d <= 5 and at most
+    8 classes."""
     queries = []
     for d in range(2, 6):
         kinds = [lam for lam in partitions_of(d) if lam[0] > 1]
@@ -232,7 +248,11 @@ def test_find_tuple_agrees_with_dp_oracle():
                 if sum(d - len(t) for t in combo) == 2 * d - 2:
                     queries.append((d, combo))
     assert len(queries) == 63
-    for d, types in queries:
+    return queries
+
+
+def test_find_tuple_agrees_with_dp_oracle():
+    for d, types in _genus0_queries():
         cert = find_tuple(types, d)
         assert cert.exists is _exists_by_dp(d, types), (d, types)
         if cert.exists:
@@ -275,3 +295,143 @@ def test_realize_profile_complete_rows():
         assert cert.exists, (str(t), d)
         want = list(profile.partitions) + [(2,) + (1,) * (d - 2)] * profile.free_points
         assert verify_tuple(cert.tuple_.perms, want, d)
+
+
+# the T1/T4 rows the benchmark realises; the d = 12 row has 2 free points
+PROFILE_ROWS = [
+    (4, [(2, 2), (3, 1), (1, 1, 1, 1)]),
+    (6, [(2, 2, 2), (3, 3), (2, 1, 1, 1, 1)]),
+    (6, [(2, 2, 2), (3, 3), (1,) * 6]),
+    (12, [(2,) * 6, (3,) * 4, (7,) + (1,) * 5]),
+]
+
+
+def _eager_class_elements(d, parts):
+    """Reference: the whole class as a list, in the order class_elements
+    generates it."""
+    img = list(range(d))
+    out = []
+
+    def place(remaining, unused):
+        if not unused:
+            out.append(tuple(img))
+            return
+        start = unused[0]
+        rest = unused[1:]
+        for k in sorted(remaining):
+            if remaining[k] == 0:
+                continue
+            remaining[k] -= 1
+            if k == 1:
+                img[start] = start
+                place(remaining, rest)
+            else:
+                for body in combinations(range(len(rest)), k - 1):
+                    chosen_sets = [rest[i] for i in body]
+                    for order in permutations(chosen_sets):
+                        cyc = (start,) + order
+                        for a, b in zip(cyc, cyc[1:] + (start,)):
+                            img[a] = b
+                        leftover = [x for x in rest if x not in order]
+                        place(remaining, leftover)
+                    for x in chosen_sets:
+                        img[x] = x
+                img[start] = start
+            remaining[k] += 1
+
+    place(dict(Counter(parts)), list(range(d)))
+    return out
+
+
+def _eager_h_set(d, k):
+    out = []
+    for parts in partitions_of(d):
+        norm = d - len(parts)
+        if norm <= k and (k - norm) % 2 == 0:
+            out.extend(_eager_class_elements(d, parts))
+    return out
+
+
+def _eager_orbit_reps(elements, gens):
+    pool = set(elements)
+    reps = []
+    for e in elements:
+        if e not in pool:
+            continue
+        reps.append(e)
+        frontier = [e]
+        pool.discard(e)
+        while frontier:
+            x = frontier.pop()
+            for g in gens:
+                y = conjugate(x, g)
+                if y in pool:
+                    pool.discard(y)
+                    frontier.append(y)
+    return reps
+
+
+def _three_fibre_sample(seed, per_degree):
+    """Seeded three-fibre queries at d = 6..8 with up to 3 free points."""
+    rng = random.Random(seed)
+    out = []
+    for d in (6, 7, 8):
+        kinds = [lam for lam in partitions_of(d) if lam[0] > 1]
+        population = []
+        for combo in combinations_with_replacement(kinds, 3):
+            n_free = sum(len(t) for t in combo) - d - 2
+            if 0 <= n_free <= 3:
+                population.append(combo + ((2,) + (1,) * (d - 2),) * n_free)
+        out += [(d, t) for t in rng.sample(population, per_degree)]
+    return out
+
+
+def test_lazy_pools_generate_the_eager_order():
+    for d in range(1, 7):
+        for lam in partitions_of(d):
+            assert list(class_elements(d, lam)) == _eager_class_elements(d, lam)
+        for k in range(5):
+            assert list(h_set(d, k)) == _eager_h_set(d, k)
+    gens = centralizer_generators(canonical_perm([3, 2, 1]))
+    for lam in partitions_of(6):
+        assert (list(orbit_reps(class_elements(6, lam), gens))
+                == _eager_orbit_reps(_eager_class_elements(6, lam), gens))
+
+
+def test_lazy_pools_match_eager_search(monkeypatch):
+    queries = list(_genus0_queries())
+    for d, parts in PROFILE_ROWS:
+        profile = RamificationProfile(d, parts)
+        queries.append((d, tuple(profile.partitions)
+                        + ((2,) + (1,) * (d - 2),) * profile.free_points))
+    queries += _three_fibre_sample(7, 20)
+    lazy = [find_tuple(types, d) for d, types in queries]
+    monkeypatch.setattr(hurwitz, "class_elements", _eager_class_elements)
+    monkeypatch.setattr(hurwitz, "h_set", _eager_h_set)
+    monkeypatch.setattr(hurwitz, "orbit_reps", _eager_orbit_reps)
+    for (d, types), got in zip(queries, lazy):
+        # equal exists, perms, stats and reason
+        assert got == find_tuple(types, d), (d, types)
+
+
+def test_pools_stop_at_the_first_hit(monkeypatch):
+    made = []
+    generate = hurwitz.class_elements
+
+    def counted(d, parts):
+        for p in generate(d, parts):
+            made.append(p)
+            yield p
+
+    monkeypatch.setattr(hurwitz, "class_elements", counted)
+    d, parts = PROFILE_ROWS[-1]
+    profile = RamificationProfile(d, parts)
+    assert profile.free_points == 2
+    cert = realize_profile(profile)
+    assert cert.exists
+    # eager pools: h_set(12, 2) (identity, 3-cycles, double transpositions)
+    # plus the whole [2^6] class
+    eager = sum(class_size(12, lam) for lam in
+                [(1,) * 12, (3,) + (1,) * 9, (2, 2) + (1,) * 8, (2,) * 6])
+    assert eager == 12321
+    assert len(made) < eager / 5, len(made)

@@ -22,7 +22,7 @@ from .enumeration import (CandidateVerdict, RamificationProfile, TripleSpec,
                           enumerate_profiles, reproduce_table, verdict)
 from .hurwitz import (PermutationTuple, RealizabilityCertificate, find_tuple,
                       realize_profile, verify_tuple)
-from .exactalg import (BiPoly, Poly, QuadElement, RatFunc, Rational,
-                       discriminant, exact_sqrt, resultant)
+from .exactalg import (BiPoly, Poly, QuadElement, RatFunc, discriminant,
+                       exact_sqrt, resultant)
 from .covers import (DegFourParams, STPoint, SolutionRecord, UVPoint,
                      solution_record, uv_lift, verify_family)

@@ -16,13 +16,6 @@ v' = 2 alpha (1 + v^2)/(1 - v^2); rational points of C are then reached
 from a parameter u by t = (u^2-1)/(v'+2u) and s = (g+8+4(t-u))/g with
 g = t^2 + v' t - 3.  On such points F is a perfect square and both free
 critical points are rational over Q(alpha).
-
-The closed-form (u, v) expressions quoted for s, t, t1, t2, q1, q2 in the
-source of this family do not satisfy the constraints in this chart (they
-appear to use an undocumented reparametrization, and the quoted (s, t)
-chart map fails its own conic); solution_record evaluates them and reports
-the comparison as flags, separate from the construction checks, which are
-all exact.
 """
 from __future__ import annotations
 
@@ -163,30 +156,17 @@ def f1_poly() -> BiPoly:
 
 
 def f2_poly() -> BiPoly:
-    a = ALPHA
-    terms = {
-        (0, 2): _q(1), (0, 1): -2 * a, (0, 0): _q(-3),
-        (1, 2): _q(-2), (1, 1): 4 * a, (1, 0): _q(-10),
-        (2, 2): _q(1), (2, 1): -2 * a, (2, 0): _q(-3),
-    }
-    return BiPoly.from_terms(terms, ("s", "t"))
+    """The Galois conjugate of F1, alpha -> -alpha in every coefficient."""
+    f1 = f1_poly()
+    return BiPoly([[c.conj() for c in row] for row in f1.rows], f1.vars)
 
 
 def check_f_factorization() -> Tuple[QuadElement, bool]:
-    """Measured constant kappa with F = kappa * F1 * F2, coefficientwise."""
+    """Constant kappa with F = kappa * F1 * F2: read off the leading
+    coefficients, then checked coefficientwise."""
     f = f_poly()
     prod = f1_poly() * f2_poly()
-    kappa = None
-    for i, row in enumerate(prod.rows):
-        for j, cl in enumerate(row):
-            cq = _q(cl)
-            if not cq.is_zero():
-                kappa = _q(f.coefficient(i, j)) / cq
-                break
-        if kappa is not None:
-            break
-    if kappa is None:
-        return QuadElement(0), False
+    kappa = _q(f.rows[-1][-1]) / prod.rows[-1][-1]
     scaled = BiPoly([[_q(cc) * kappa for cc in row] for row in prod.rows], prod.vars)
     return kappa, scaled == f
 
@@ -261,59 +241,6 @@ def uv_lift(uv: UVPoint) -> STPoint:
     return pt
 
 
-def printed_lift(uv: UVPoint) -> Optional[Tuple[QuadElement, QuadElement]]:
-    """The (s, t) chart map as quoted in the source family; kept as data for
-    comparison, returns None at its poles."""
-    u, vp = uv.u, uv.vprime
-    den = u ** 2 - 3 - u * vp
-    if den.is_zero():
-        return None
-    s = -4 * u * (vp * u + 2) / den
-    t = -(3 * u ** 2 + vp * u - 1) / den
-    return s, t
-
-
-def printed_solution(uv: UVPoint) -> Optional[Tuple[QuadElement, ...]]:
-    """The quoted closed forms for (t1, t2, q1, q2); None at their poles."""
-    u, v = uv.u, uv.v
-    a = ALPHA
-    d0 = (u ** 2 * v ** 2 - u ** 2 - 2 * a * u * v ** 2 - 2 * a * u
-          + v ** 2 - 1)
-    p1 = (-4 * a * u ** 2 + 2 * u * v ** 2 - 2 * u - v ** 2 + 1
-          + 13 * u ** 2 * v ** 2 + 11 * u ** 2 + 4 * a * u * v ** 2
-          - 4 * a * u - 2 * a * v ** 2 + 2 * a)
-    p2 = (-v ** 2 + 1 + 13 * u ** 2 * v ** 2 + 11 * u ** 2 + 4 * a * u ** 2
-          - 2 * u * v ** 2 + 2 * u + 2 * a * v ** 2 - 2 * a
-          + 4 * a * u * v ** 2 - 4 * a * u)
-    t1_den = ((u + 1) * d0 * (v + 1) * (v - 1)
-              * (a * v - 2 * v + a - 2 + 7 * u * v + u - 4 * a * u) ** 2
-              * (a * v - 2 * v + 2 - a + 7 * u * v - u + 4 * a * u) ** 2)
-    t2_den = ((u - 1) * d0 * (v + 1) * (v - 1)
-              * (2 * v + a * v - 2 - a + 7 * u * v - u - 4 * a * u) ** 2
-              * (2 * v + a * v + 2 + a + 7 * u * v + u + 4 * a * u) ** 2)
-    q1_den = (d0 * (a * v - 2 * v + 2 - a + 7 * u * v - u + 4 * a * u)
-              * (2 * v + a * v - 2 - a + 7 * u * v - u - 4 * a * u) * (v + 1))
-    q2_den = (d0 * (2 * v + a * v + 2 + a + 7 * u * v + u + 4 * a * u)
-              * (a * v - 2 * v + a - 2 + 7 * u * v + u - 4 * a * u) * (v - 1))
-    if any(x.is_zero() for x in (t1_den, t2_den, q1_den, q2_den)):
-        return None
-    t1 = (-Fraction(1, 52) * (353 + 9 * a) * p1 * u
-          * (2 * v - 1 + a) * (2 * v + 1 - a)
-          * (u * v + u + a * v - a) ** 2 * (u * v - u + a * v + a) ** 2
-          / t1_den)
-    t2 = (Fraction(1, 52) * (9 * a - 353) * p2 * u
-          * (2 * v - 1 - a) * (2 * v + 1 + a)
-          * (u * v + u + a * v - a) ** 2 * (u * v - u + a * v + a) ** 2
-          / t2_den)
-    q1 = (-Fraction(7, 2) * (u * v - u + a * v + a) * u
-          * (2 * v + 1 - a) * (2 * v + 1 + a)
-          * (u * v + u + a * v - a) ** 2 / q1_den)
-    q2 = (-Fraction(7, 2) * (u * v + u + a * v - a) * u
-          * (2 * v - 1 + a) * (2 * v - 1 - a)
-          * (u * v - u + a * v + a) ** 2 / q2_den)
-    return t1, t2, q1, q2
-
-
 @dataclass(frozen=True)
 class SolutionRecord:
     """One exactly verified member of the algebraic solution family."""
@@ -327,7 +254,6 @@ class SolutionRecord:
     q2: QuadElement
     rho: QuadElement
     checks: Tuple[Tuple[str, bool], ...]
-    printed_flags: Tuple[Tuple[str, Optional[bool]], ...]
 
     @property
     def ok(self) -> bool:
@@ -348,7 +274,6 @@ class SolutionRecord:
             "q2": format_quad(self.q2),
             "rho": format_quad(self.rho),
             "checks": {k: v for k, v in self.checks},
-            "printed_formula_flags": {k: v for k, v in self.printed_flags},
             "ok": self.ok,
         }
 
@@ -357,8 +282,7 @@ def solution_record(uv: UVPoint) -> SolutionRecord:
     """Build and exactly verify one member of the family over a chart point.
 
     Raises DegenerateInput off the open locus; all recorded checks are exact
-    field identities.  The printed_flags entries compare the quoted closed
-    forms and the quoted chart map; they are reported, not required.
+    field identities.
     """
     st = uv_lift(uv)
     params = params_from_st(st)
@@ -426,25 +350,7 @@ def solution_record(uv: UVPoint) -> SolutionRecord:
                and dphi.den.monic() == Poly([-params.c, QuadElement(1)], "x") ** 4)
     checks.append(("branching_balance_2d-2", dnum_ok))
 
-    flags: List[Tuple[str, Optional[bool]]] = []
-    quoted_st = printed_lift(uv)
-    if quoted_st is None:
-        flags.append(("quoted_chart_on_conic", None))
-    else:
-        qs, qt = quoted_st
-        g = qt ** 2 + uv.vprime * qt - 3
-        flags.append(("quoted_chart_on_conic", ((qs - 1) ** 2 * g - 16 * qs).is_zero()))
-    quoted = printed_solution(uv)
-    if quoted is None:
-        flags.append(("quoted_t1_t2_match", None))
-        flags.append(("quoted_q1_q2_match", None))
-    else:
-        qt1, qt2, qq1, qq2 = quoted
-        flags.append(("quoted_t1_t2_match", {qt1, qt2} == {t1, t2}))
-        flags.append(("quoted_q1_q2_match", {qq1, qq2} == {q1, q2}))
-
-    return SolutionRecord(uv, st, params, t1, t2, q1, q2, rho,
-                          tuple(checks), tuple(flags))
+    return SolutionRecord(uv, st, params, t1, t2, q1, q2, rho, tuple(checks))
 
 
 def cross_ratio(t1: QuadElement, t2: QuadElement) -> QuadElement:

@@ -19,8 +19,6 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 from typing import Optional, Union
 
-Rational = Fraction
-
 Scalar = Union[int, Fraction, "QuadElement"]
 
 
@@ -416,28 +414,6 @@ class Poly:
     def derivative(self) -> "Poly":
         return Poly([i * c for i, c in enumerate(self.coeffs)][1:], self.var)
 
-    def compose(self, g: "Poly") -> "Poly":
-        out = Poly([], g.var)
-        for c in reversed(self.coeffs):
-            out = out * g + Poly.const(c, g.var)
-        return out
-
-    def content(self) -> Fraction:
-        """gcd of rational coefficients (positive); rational polys only."""
-        if self.is_zero():
-            return Fraction(0)
-        fracs = []
-        for c in self.coeffs:
-            if isinstance(c, QuadElement):
-                raise TypeError("content is defined here for rational coefficients")
-            fracs.append(_as_fraction(c))
-        num = 0
-        den = 1
-        for f in fracs:
-            num = gcd(num, f.numerator)
-            den = lcm(den, f.denominator)
-        return Fraction(num, den)
-
     def monic(self) -> "Poly":
         if self.is_zero():
             return self
@@ -464,20 +440,9 @@ class Poly:
             a, b = b, a.divmod(b)[1]
         return a.monic() if not a.is_zero() else a
 
-    def serialize(self) -> str:
-        body = ",".join(format_quad(QuadElement.coerce(c)) for c in self.coeffs)
-        return f"{self.var}:[{body}]"
-
-    @classmethod
-    def parse(cls, text: str) -> "Poly":
-        var, _, body = text.partition(":")
-        body = body.strip()[1:-1]
-        if not body:
-            return cls([], var.strip())
-        return cls([parse_quad(tok) for tok in body.split(",")], var.strip())
-
     def __repr__(self):
-        return f"Poly({self.serialize()})"
+        body = ",".join(format_quad(QuadElement.coerce(c)) for c in self.coeffs)
+        return f"Poly({self.var}:[{body}])"
 
 
 class PoleValue:
@@ -528,44 +493,8 @@ class RatFunc:
     def __setattr__(self, *_):
         raise AttributeError("RatFunc is immutable")
 
-    @classmethod
-    def from_poly(cls, p: Poly) -> "RatFunc":
-        return cls(p, Poly.const(1, p.var))
-
     def degree(self) -> int:
         return max(self.num.degree(), self.den.degree())
-
-    def __add__(self, other):
-        if not isinstance(other, RatFunc):
-            other = RatFunc.from_poly(Poly.const(other, self.num.var))
-        return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RatFunc(-self.num, self.den)
-
-    def __sub__(self, other):
-        if not isinstance(other, RatFunc):
-            other = RatFunc.from_poly(Poly.const(other, self.num.var))
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if not isinstance(other, RatFunc):
-            other = RatFunc.from_poly(Poly.const(other, self.num.var))
-        return RatFunc(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if not isinstance(other, RatFunc):
-            other = RatFunc.from_poly(Poly.const(other, self.num.var))
-        if other.num.is_zero():
-            raise ZeroDivisionError("division by the zero rational function")
-        return RatFunc(self.num * other.den, self.den * other.num)
 
     def __eq__(self, other):
         if not isinstance(other, RatFunc):
@@ -584,20 +513,8 @@ class RatFunc:
         nv = self.num.evaluate(x)
         return nv / dv
 
-    def compose(self, g: "RatFunc") -> "RatFunc":
-        # f(g) via homogenization: sum a_i gn^i gd^(m-i) over gd^m
-        m = max(self.num.degree(), self.den.degree(), 0)
-
-        def lift(p: Poly) -> Poly:
-            out = Poly([], g.num.var)
-            for i, c in enumerate(p.coeffs):
-                out = out + Poly.const(c, g.num.var) * (g.num ** i) * (g.den ** (m - i))
-            return out
-
-        return RatFunc(lift(self.num), lift(self.den))
-
     def __repr__(self):
-        return f"RatFunc({self.num.serialize()} / {self.den.serialize()})"
+        return f"RatFunc({self.num!r} / {self.den!r})"
 
 
 class BiPoly:
@@ -638,24 +555,6 @@ class BiPoly:
         if i < len(self.rows) and j < len(self.rows[i]):
             return self.rows[i][j]
         return 0
-
-    def __add__(self, other: "BiPoly") -> "BiPoly":
-        self._check_vars(other)
-        ni = max(len(self.rows), len(other.rows))
-        out = []
-        for i in range(ni):
-            a = self.rows[i] if i < len(self.rows) else ()
-            b = other.rows[i] if i < len(other.rows) else ()
-            nj = max(len(a), len(b))
-            out.append([(a[j] if j < len(a) else 0) + (b[j] if j < len(b) else 0)
-                        for j in range(nj)])
-        return BiPoly(out, self.vars)
-
-    def __neg__(self):
-        return BiPoly([[-c for c in r] for r in self.rows], self.vars)
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def __mul__(self, other: "BiPoly") -> "BiPoly":
         self._check_vars(other)

@@ -258,9 +258,6 @@ class PermutationTuple:
     degree: int
     perms: Tuple[Perm, ...]
 
-    def to_text(self) -> str:
-        return "\n".join(format_perm(p) for p in self.perms)
-
 
 @dataclass(frozen=True)
 class RealizabilityCertificate:

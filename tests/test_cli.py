@@ -193,3 +193,18 @@ def test_verify_deg4_seed_env(capsys, monkeypatch):
     monkeypatch.delenv("GARNIER_SEED")
     _, explicit, _ = run(capsys, "verify-deg4", "--samples", "2", "--seed", "5")
     assert via_env == explicit
+
+
+def test_verify_deg4_bad_seed_env_exits_2(capsys, monkeypatch):
+    monkeypatch.setenv("GARNIER_SEED", "abc")
+    code, out, err = run(capsys, "verify-deg4", "--samples", "2")
+    assert (code, out) == (2, "")
+    assert "GARNIER_SEED" in err
+    # an explicit --seed and the other subcommands never read the variable
+    code, out, _ = run(capsys, "verify-deg4", "--samples", "2", "--seed", "1")
+    assert code == 0 and out.endswith("verify-deg4: PASS\n")
+    assert run(capsys, "classify", "--weights", "2,3,5") == (0, "SPHERICAL\n", "")
+    # unset, the seed is 1
+    monkeypatch.delenv("GARNIER_SEED")
+    _, unset, _ = run(capsys, "verify-deg4", "--samples", "2")
+    assert unset == out

@@ -21,8 +21,6 @@ from garnier.covers import (
     free_critical_quadratic,
     params_from_st,
     phi_from_params,
-    printed_lift,
-    printed_solution,
     solution_record,
     t_quadratic_coeffs,
     uv_lift,
@@ -146,6 +144,7 @@ def test_f1_f2_conjugate():
         for j in range(3):
             c1 = QuadElement.coerce(F1.coefficient(i, j))
             assert c1.conj() == QuadElement.coerce(F2.coefficient(i, j))
+    assert F2.coefficient(1, 1) == 4 * ALPHA and F2.coefficient(1, 0) == -10
 
 
 def test_pencil_ratio_on_lift():
@@ -169,15 +168,62 @@ def test_solution_record_checks_pass():
     assert parse_quad(d["t1"]) == rec.t1
 
 
-def test_quoted_forms_are_flagged_not_required():
+@pytest.fixture
+def quoted_at_uv():
+    """The (s, t) chart map and the closed forms for (t1, t2, q1, q2) quoted
+    in the family's original presentation, evaluated at UV."""
+    u, v, vp = UV.u, UV.v, UV.vprime
+    a = ALPHA
+    den = u ** 2 - 3 - u * vp
+    s = -4 * u * (vp * u + 2) / den
+    t = -(3 * u ** 2 + vp * u - 1) / den
+    d0 = (u ** 2 * v ** 2 - u ** 2 - 2 * a * u * v ** 2 - 2 * a * u
+          + v ** 2 - 1)
+    p1 = (-4 * a * u ** 2 + 2 * u * v ** 2 - 2 * u - v ** 2 + 1
+          + 13 * u ** 2 * v ** 2 + 11 * u ** 2 + 4 * a * u * v ** 2
+          - 4 * a * u - 2 * a * v ** 2 + 2 * a)
+    p2 = (-v ** 2 + 1 + 13 * u ** 2 * v ** 2 + 11 * u ** 2 + 4 * a * u ** 2
+          - 2 * u * v ** 2 + 2 * u + 2 * a * v ** 2 - 2 * a
+          + 4 * a * u * v ** 2 - 4 * a * u)
+    t1_den = ((u + 1) * d0 * (v + 1) * (v - 1)
+              * (a * v - 2 * v + a - 2 + 7 * u * v + u - 4 * a * u) ** 2
+              * (a * v - 2 * v + 2 - a + 7 * u * v - u + 4 * a * u) ** 2)
+    t2_den = ((u - 1) * d0 * (v + 1) * (v - 1)
+              * (2 * v + a * v - 2 - a + 7 * u * v - u - 4 * a * u) ** 2
+              * (2 * v + a * v + 2 + a + 7 * u * v + u + 4 * a * u) ** 2)
+    q1_den = (d0 * (a * v - 2 * v + 2 - a + 7 * u * v - u + 4 * a * u)
+              * (2 * v + a * v - 2 - a + 7 * u * v - u - 4 * a * u) * (v + 1))
+    q2_den = (d0 * (2 * v + a * v + 2 + a + 7 * u * v + u + 4 * a * u)
+              * (a * v - 2 * v + a - 2 + 7 * u * v + u - 4 * a * u) * (v - 1))
+    t1 = (-Fraction(1, 52) * (353 + 9 * a) * p1 * u
+          * (2 * v - 1 + a) * (2 * v + 1 - a)
+          * (u * v + u + a * v - a) ** 2 * (u * v - u + a * v + a) ** 2
+          / t1_den)
+    t2 = (Fraction(1, 52) * (9 * a - 353) * p2 * u
+          * (2 * v - 1 - a) * (2 * v + 1 + a)
+          * (u * v + u + a * v - a) ** 2 * (u * v - u + a * v + a) ** 2
+          / t2_den)
+    q1 = (-Fraction(7, 2) * (u * v - u + a * v + a) * u
+          * (2 * v + 1 - a) * (2 * v + 1 + a)
+          * (u * v + u + a * v - a) ** 2 / q1_den)
+    q2 = (-Fraction(7, 2) * (u * v + u + a * v - a) * u
+          * (2 * v - 1 + a) * (2 * v - 1 - a)
+          * (u * v - u + a * v + a) ** 2 / q2_den)
+    return s, t, t1, t2, q1, q2
+
+
+def test_quoted_forms_disagree_with_the_chart(quoted_at_uv):
+    # the quoted forms do not hold in this chart (they appear to assume an
+    # undocumented reparametrization), so the package does not carry them
+    s, t, t1, t2, q1, q2 = quoted_at_uv
+    g = t ** 2 + UV.vprime * t - 3
+    assert (s - 1) ** 2 * g - 16 * s != 0  # the quoted (s, t) leaves the conic
     rec = solution_record(UV)
-    flags = dict(rec.printed_flags)
-    assert set(flags) == {"quoted_chart_on_conic", "quoted_t1_t2_match", "quoted_q1_q2_match"}
-    # the quoted chart and closed forms do not hold in this chart; they are
-    # recorded as comparison data and must not gate rec.ok
     assert rec.ok
-    assert printed_lift(UV) is not None
-    assert printed_solution(UV) is not None
+    assert {t1, t2} != {rec.t1, rec.t2}
+    assert {q1, q2} != {rec.q1, rec.q2}
+    st = uv_lift(UV)
+    assert (st.s - 1) ** 2 * (st.t ** 2 + UV.vprime * st.t - 3) == 16 * st.s
 
 
 def test_cross_ratio():

@@ -100,6 +100,9 @@ def _golden_text(name: str) -> str:
 
 
 def _cmd_tables(args) -> int:
+    if args.golden and args.dmax != DEFAULT_DMAX:
+        raise ValueError(f"the goldens are the --dmax {DEFAULT_DMAX} tables; "
+                         f"--golden cannot check --dmax {args.dmax}")
     table = reproduce_table(args.id, args.dmax)
     if args.json:
         payload = {"id": table.table_id, "title": table.title,

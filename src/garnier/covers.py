@@ -22,6 +22,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
 from .exactalg import (ALPHA, BiPoly, Poly, QuadElement, RatFunc,
@@ -131,6 +132,9 @@ def branch_points_st(pt: STPoint, params: Optional[DegFourParams] = None
     return t1, t2
 
 
+# F, F1 and F2 are fixed and BiPoly is immutable, so each is built once
+# and shared by every caller.
+@lru_cache(maxsize=None)
 def f_poly() -> BiPoly:
     """Discriminant factor F(s, t): disc of the free-critical quadratic is
     s^2 (s+1)^2 F(s, t) times a square."""
@@ -145,6 +149,7 @@ def f_poly() -> BiPoly:
     return BiPoly.from_terms(terms, ("s", "t"))
 
 
+@lru_cache(maxsize=None)
 def f1_poly() -> BiPoly:
     a = ALPHA
     terms = {
@@ -155,6 +160,7 @@ def f1_poly() -> BiPoly:
     return BiPoly.from_terms(terms, ("s", "t"))
 
 
+@lru_cache(maxsize=None)
 def f2_poly() -> BiPoly:
     """The Galois conjugate of F1, alpha -> -alpha in every coefficient."""
     f1 = f1_poly()

@@ -20,6 +20,17 @@ from .orbifold import INF, weight_reciprocal
 DEFAULT_DMAX = 42
 
 
+def _neg_chi(weights: Sequence[object]) -> Tuple[int, int]:
+    """-chi = 1 - sum of 1/p over the weights as num/den with integers:
+    den is the product of the finite weights, num = den - sum of den/p, and
+    1/inf reads as 0."""
+    den = 1
+    for p in weights:
+        if p is not INF:
+            den *= p
+    return den - sum(den // p for p in weights if p is not INF), den
+
+
 @dataclass(frozen=True)
 class TripleSpec:
     """Weights (p0 <= p1 <= pinf) of a hyperbolic genus-0 triple; entries are
@@ -32,7 +43,7 @@ class TripleSpec:
             if p is not INF and (not isinstance(p, int) or p < 2):
                 raise ValueError(f"weight must be an integer >= 2 or inf, got {p!r}")
         es = sorted((p0, p1, pinf))
-        if sum(weight_reciprocal(p) for p in es) >= 1:
+        if _neg_chi(es)[0] <= 0:
             raise ValueError(f"triple {es} is not hyperbolic")
         object.__setattr__(self, "entries", tuple(es))
 
@@ -60,8 +71,10 @@ def floor_identity_holds(t: TripleSpec, d: int) -> bool:
 
 def chi_inequality_holds(t: TripleSpec, d: int, n: int) -> bool:
     """d * (-chi of the triple) <= 1 - n/pinf, reading n/inf as 0."""
-    neg_chi = 1 - sum(weight_reciprocal(p) for p in t.entries)
-    return d * neg_chi <= 1 - n * weight_reciprocal(t.pinf)
+    num, den = _neg_chi(t.entries)
+    if t.pinf is INF:
+        return d * num <= den
+    return d * num * t.pinf <= den * (t.pinf - n)
 
 
 @lru_cache(maxsize=None)
@@ -71,28 +84,32 @@ def _candidate_pairs(d_max: int) -> Tuple[Tuple[TripleSpec, int], ...]:
     implies for every n >= 0.
 
     -chi = 1 - 1/p0 - 1/p1 - 1/pinf grows along each entry, so each loop
-    stops at the first entry whose least possible -chi exceeds 1/d.
+    stops at the first entry whose least possible -chi exceeds 1/d.  The
+    bounds are cross-multiplied into integers: 1 - 3/p0 > 1/d reads
+    d(p0 - 3) > p0, and 1 - 1/p0 - 2/p1 > 1/d reads
+    d(p0 p1 - p1 - 2 p0) > p0 p1, or d(p0 - 1) > p0 at p1 = inf.  An inf
+    p0 always stops the sweep, since -chi = 1 > 1/d there.
     """
     out = []
     for d in range(2, d_max + 1):
-        bound = Fraction(1, d)
         pool = list(range(2, d + 1)) + [INF]
         for i, p0 in enumerate(pool):
-            if 1 - 3 * weight_reciprocal(p0) > bound:
+            if p0 is INF or d * (p0 - 3) > p0:
                 break
             for j, p1 in enumerate(pool[i:], i):
-                if 1 - weight_reciprocal(p0) - 2 * weight_reciprocal(p1) > bound:
-                    break
-                for pinf in pool[j:]:
-                    neg_chi = (1 - weight_reciprocal(p0) - weight_reciprocal(p1)
-                               - weight_reciprocal(pinf))
-                    if neg_chi > bound:
+                if p1 is INF:
+                    if d * (p0 - 1) > p0:
                         break
-                    if neg_chi <= 0:
+                elif d * (p0 * p1 - p1 - 2 * p0) > p0 * p1:
+                    break
+                floors = d - d // p0 - (0 if p1 is INF else d // p1)
+                for pinf in pool[j:]:
+                    num, den = _neg_chi((p0, p1, pinf))
+                    if d * num > den:
+                        break
+                    if num <= 0 or floors - (0 if pinf is INF else d // pinf) != 1:
                         continue
-                    t = TripleSpec(p0, p1, pinf)
-                    if floor_identity_holds(t, d):
-                        out.append((t, d))
+                    out.append((TripleSpec(p0, p1, pinf), d))
     out.sort(key=lambda e: (e[0].entries, e[1]))
     return tuple(out)
 

@@ -391,7 +391,9 @@ def find_tuple(types: Sequence[Sequence[int]], degree: int) -> RealizabilityCert
         derived_type = big[-2]
         middle_types = big[:-2]
         anchor = canonical_perm(anchor_type)
-        h_pool = _Pool(h_set(degree, n_tau))
+        # every replay needs the inverse of each h, and h itself only on a
+        # type hit, so the pool holds the inverses
+        h_inv_pool = _Pool(inverse(h) for h in h_set(degree, n_tau))
         middle_pools: List[_Pool] = []
         for i, mt in enumerate(middle_types):
             elems = class_elements(degree, mt)
@@ -402,13 +404,13 @@ def find_tuple(types: Sequence[Sequence[int]], degree: int) -> RealizabilityCert
         def walk(i: int, prefix: List[Perm], prefix_prod: Perm) -> Optional[List[Perm]]:
             if i == len(middle_pools):
                 inv_prefix = inverse(prefix_prod)
-                for h in h_pool:
+                for h_inv in h_inv_pool:
                     stats["outer"] += 1
-                    derived = compose(inv_prefix, inverse(h))
+                    derived = compose(inv_prefix, h_inv)
                     if cycle_type(derived) != derived_type:
                         continue
                     stats["typehits"] += 1
-                    got = try_h(prefix + [derived], h)
+                    got = try_h(prefix + [derived], inverse(h_inv))
                     if got is not None:
                         return got
                 return None

@@ -111,6 +111,17 @@ def test_tables_json_golden_exclusive_exits_2(capsys):
     assert "not allowed with argument" in capsys.readouterr().err
 
 
+def test_tables_golden_other_dmax_exits_2(capsys):
+    # the goldens are the d_max = 42 tables, so another d_max is a usage
+    # error and not a failed verification; an explicit 42 still checks
+    code, out, err = run(capsys, "tables", "--id", "T2", "--dmax", "8", "--golden")
+    assert (code, out) == (2, "")
+    assert err == ("error: the goldens are the --dmax 42 tables; "
+                   "--golden cannot check --dmax 8\n")
+    code, out, _ = run(capsys, "tables", "--id", "T2", "--dmax", "42", "--golden")
+    assert (code, out) == (0, "OK: T2 matches golden t2.txt\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["enumerate", "--n", "-3"],
     ["enumerate", "--n", "5", "--dmax", "1"],

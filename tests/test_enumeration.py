@@ -74,6 +74,58 @@ def test_chi_inequality():
     assert chi_inequality_holds(t, 6, 100)  # rhs is 1 when pinf = inf
 
 
+def _fraction_neg_chi(es):
+    return 1 - sum(Fraction(0) if p is INF else Fraction(1, p) for p in es)
+
+
+SMALL_TRIPLES = [es for es in product(list(range(2, 14)) + [INF], repeat=3)
+                 if list(es) == sorted(es)]
+
+
+def test_triple_spec_raises_exactly_off_hyperbolic():
+    for es in SMALL_TRIPLES:
+        if _fraction_neg_chi(es) > 0:
+            assert TripleSpec(*es).entries == es
+        else:
+            with pytest.raises(ValueError, match="not hyperbolic"):
+                TripleSpec(*es)
+
+
+def test_chi_inequality_matches_fraction_definition():
+    # the integer cross-multiplied form against d * (-chi) <= 1 - n/pinf
+    # computed with Fraction, on every hyperbolic triple over {2..13, inf}
+    for es in SMALL_TRIPLES:
+        neg_chi = _fraction_neg_chi(es)
+        if neg_chi <= 0:
+            continue
+        t = TripleSpec(*es)
+        rhs = [1 - (0 if es[2] is INF else Fraction(n, es[2])) for n in range(14)]
+        for d in range(2, 43):
+            lhs = d * neg_chi
+            for n in range(14):
+                assert chi_inequality_holds(t, d, n) == (lhs <= rhs[n]), (es, d, n)
+
+
+def test_chi_inequality_equality_boundary():
+    # d * (-chi) = 42 * 1/42 = 1 exactly, and the inequality is not strict
+    assert chi_inequality_holds(TripleSpec(2, 3, 7), 42, 0)
+    assert not chi_inequality_holds(TripleSpec(2, 3, 7), 43, 0)
+
+
+def test_chi_inequality_negative_rhs_fails():
+    # 1 - 8/7 < 0 <= d * (-chi) at every degree
+    t = TripleSpec(2, 3, 7)
+    assert not any(chi_inequality_holds(t, d, 8) for d in range(2, 43))
+
+
+@pytest.mark.parametrize("es", [(2, 3, 6), (2, 4, 4), (3, 3, 3), (2, 2, INF)]
+                         + [(2, 2, p) for p in range(2, 14)])
+def test_triple_spec_rejects_non_hyperbolic(es):
+    # the Euclidean triples (chi = 0) and the spherical (2, 2, p) (chi > 0)
+    with pytest.raises(ValueError, match="not hyperbolic"):
+        TripleSpec(*es)
+
+
 EXPECTED_N5_CANDIDATES = [
     ("(2,3,7)", 7), ("(2,3,7)", 8), ("(2,3,7)", 9), ("(2,3,7)", 10), ("(2,3,7)", 12),
     ("(2,3,8)", 8), ("(2,3,8)", 9),

@@ -25,7 +25,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
-from .exactalg import (ALPHA, BiPoly, Poly, QuadElement, RatFunc,
+from .exactalg import (ALPHA, ONE, ZERO, BiPoly, Poly, QuadElement,
                        discriminant, exact_sqrt, format_quad)
 
 
@@ -49,11 +49,11 @@ class DegFourParams:
         object.__setattr__(self, "a0", _q(self.a0))
         object.__setattr__(self, "a1", _q(self.a1))
         object.__setattr__(self, "c", _q(self.c))
-        if self.a0.is_zero():
+        if not self.a0:
             raise DegenerateInput("a0 = 0 collapses the double fiber")
         if self.c == 0 or self.c == 1:
             raise DegenerateInput("pole position c must avoid 0 and 1")
-        if not surface_residual(self.a0, self.a1, self.c).is_zero():
+        if surface_residual(self.a0, self.a1, self.c):
             raise DegenerateInput("parameters are off the phi(1)=1 surface")
 
 
@@ -61,19 +61,22 @@ def surface_residual(a0: QuadElement, a1: QuadElement, c: QuadElement) -> QuadEl
     return a0 ** 2 / c ** 3 + (1 + a1 + a0) ** 2 / (1 - c) ** 3
 
 
-def phi_from_params(p: DegFourParams) -> RatFunc:
-    """The covering as a reduced rational function of x; degree must be 4."""
-    quad = Poly([p.a0, p.a1, QuadElement(1)], "x")
-    scale = -(p.c ** 3) / (p.a0 ** 2)
-    num = quad * quad * scale
-    den = Poly([-p.c, QuadElement(1)], "x") ** 3
-    phi = RatFunc(num, den)
-    if phi.degree() != 4:
+def phi_from_params(p: DegFourParams) -> Tuple[Poly, Poly]:
+    """The covering phi = num/den as the pair (num, den), den = (x-c)^3.
+
+    The pair is reduced exactly when p(c) != 0 for p = x^2 + a1 x + a0;
+    where p(c) = 0 a factor x - c cancels and phi drops below degree 4.
+    """
+    quad = Poly([p.a0, p.a1, ONE])
+    if not quad.evaluate(p.c):
         raise DegenerateInput("covering degenerates below degree 4")
-    for base in (QuadElement(0), QuadElement(1)):
-        if phi.evaluate(base) != 1:
+    num = quad * quad * (-(p.c ** 3) / (p.a0 ** 2))
+    den = Poly([-p.c, ONE]) ** 3
+    # den vanishes only at c, so off c phi(x) = 1 means num(x) = den(x)
+    for base in (ZERO, ONE):
+        if num.evaluate(base) != den.evaluate(base):
             raise AssertionError("phi must fix 0 and 1")
-    return phi
+    return num, den
 
 
 @dataclass(frozen=True)
@@ -91,7 +94,7 @@ class STPoint:
             raise DegenerateInput("s must avoid 0, 1, -1")
         if t ** 2 == 1:
             raise DegenerateInput("t = +-1 gives a0 = 0")
-        if ((s - 1) ** 2 * t ** 2 - (s + 1) ** 2).is_zero():
+        if not ((s - 1) ** 2 * t ** 2 - (s + 1) ** 2):
             raise DegenerateInput("pole of the a0 chart")
 
 
@@ -146,7 +149,7 @@ def f_poly() -> BiPoly:
         (1, 4): _q(-4), (1, 2): _q(-56), (1, 0): _q(60),
         (0, 4): one, (0, 2): _q(6), (0, 0): _q(9),
     }
-    return BiPoly.from_terms(terms, ("s", "t"))
+    return BiPoly.from_terms(terms)
 
 
 @lru_cache(maxsize=None)
@@ -157,14 +160,13 @@ def f1_poly() -> BiPoly:
         (1, 2): _q(-2), (1, 1): -4 * a, (1, 0): _q(-10),
         (2, 2): _q(1), (2, 1): 2 * a, (2, 0): _q(-3),
     }
-    return BiPoly.from_terms(terms, ("s", "t"))
+    return BiPoly.from_terms(terms)
 
 
 @lru_cache(maxsize=None)
 def f2_poly() -> BiPoly:
     """The Galois conjugate of F1, alpha -> -alpha in every coefficient."""
-    f1 = f1_poly()
-    return BiPoly([[c.conj() for c in row] for row in f1.rows], f1.vars)
+    return BiPoly([[c.conj() for c in row] for row in f1_poly().rows])
 
 
 def check_f_factorization() -> Tuple[QuadElement, bool]:
@@ -173,7 +175,7 @@ def check_f_factorization() -> Tuple[QuadElement, bool]:
     f = f_poly()
     prod = f1_poly() * f2_poly()
     kappa = _q(f.rows[-1][-1]) / prod.rows[-1][-1]
-    scaled = BiPoly([[_q(cc) * kappa for cc in row] for row in prod.rows], prod.vars)
+    scaled = BiPoly([[_q(cc) * kappa for cc in row] for row in prod.rows])
     return kappa, scaled == f
 
 
@@ -200,7 +202,7 @@ def free_critical_quadratic(pt: STPoint, params: Optional[DegFourParams] = None
         raise AssertionError("free-critical quadratic disagrees with 2p'(x-c)-3p")
     disc = b ** 2 + 4 * c_val
     fval = f_poly().evaluate(s, t)
-    if fval.is_zero():
+    if not fval:
         raise DegenerateInput("F(s,t) = 0: the two free critical points collide "
                               "with the square-root locus")
     rho = exact_sqrt(disc / (s ** 2 * (s + 1) ** 2 * fval))
@@ -220,7 +222,7 @@ class UVPoint:
         u, v = _q(self.u), _q(self.v)
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "v", v)
-        if v.is_zero() or v ** 2 == 1:
+        if not v or v ** 2 == 1:
             raise DegenerateInput("v in {0, 1, -1} degenerates the conic pencil")
         object.__setattr__(self, "vprime", 2 * ALPHA * (1 + v ** 2) / (1 - v ** 2))
 
@@ -230,11 +232,11 @@ def uv_lift(uv: UVPoint) -> STPoint:
     ratio F1/F2 = v^2 asserted exactly."""
     u, v, vp = uv.u, uv.v, uv.vprime
     den = vp + 2 * u
-    if den.is_zero():
+    if not den:
         raise DegenerateInput("u sits over the vertex of the conic chart")
     t = (u ** 2 - 1) / den
     g = t ** 2 + vp * t - 3
-    if g.is_zero():
+    if not g:
         raise DegenerateInput("conic chart pole: t^2 + v't - 3 = 0")
     s = (g + 8 + 4 * (t - u)) / g
     if ((s - 1) ** 2 * g - 16 * s) != 0:
@@ -292,11 +294,10 @@ def solution_record(uv: UVPoint) -> SolutionRecord:
     """
     st = uv_lift(uv)
     params = params_from_st(st)
-    phi = phi_from_params(params)
-    dphi = phi.derivative()
+    num, den = phi_from_params(params)
     t1, t2 = branch_points_st(st, params)
     b, c_val, disc, rho = free_critical_quadratic(st, params)
-    if rho is None or rho.is_zero():
+    if not rho:
         raise DegenerateInput("discriminant identity unavailable at this point")
     sq = exact_sqrt(disc)
     if sq is None:
@@ -305,55 +306,52 @@ def solution_record(uv: UVPoint) -> SolutionRecord:
     q2 = (b - sq) / 2
 
     s, t = st.s, st.t
-    p_poly = Poly([params.a0, params.a1, QuadElement(1)], "x")
-    x_poly = Poly.x("x")
-    q_poly = x_poly * x_poly - b * x_poly - Poly.const(c_val, "x")
-    norm_poly = (p_poly.derivative() * Poly([-params.c, QuadElement(1)], "x") * 2
-                 - p_poly * 3)
+    p_poly = Poly([params.a0, params.a1, ONE])
+    x_c = Poly([-params.c, ONE])
+    q_poly = Poly([-c_val, -b, ONE])  # x^2 - Bx - C
+    norm_poly = p_poly.derivative() * x_c * 2 - p_poly * 3
+    # phi = 1 exactly where num - den vanishes (den is zero only at c, where
+    # num is not), and phi' = dnum / (x-c)^4
+    unit_num = num - den
+    dnum = num.derivative() * x_c - num * 3
 
     checks: List[Tuple[str, bool]] = []
     checks.append(("phi_fixes_0_and_1",
-                   phi.evaluate(QuadElement(0)) == 1
-                   and phi.evaluate(QuadElement(1)) == 1))
+                   not unit_num.evaluate(ZERO) and not unit_num.evaluate(ONE)))
     checks.append(("branch_values_on_unit_fiber",
-                   phi.evaluate(t1) == 1 and phi.evaluate(t2) == 1))
+                   not unit_num.evaluate(t1) and not unit_num.evaluate(t2)))
     total, prod = t_quadratic_coeffs(st, params)
     checks.append(("t_quadratic_vieta", t1 + t2 == total and t1 * t2 == prod))
     checks.append(("free_critical_points",
-                   not dphi.evaluate(q1) and not dphi.evaluate(q2)))
+                   not dnum.evaluate(q1) and not dnum.evaluate(q2)))
     checks.append(("q_quadratic_vieta", q1 + q2 == b and q1 * q2 == -c_val))
     checks.append(("q_quadratic_normalization", q_poly == norm_poly))
     fval = f_poly().evaluate(s, t)
     checks.append(("discriminant_identity",
-                   disc == s ** 2 * (s + 1) ** 2 * fval * rho ** 2
-                   and not rho.is_zero()))
+                   disc == s ** 2 * (s + 1) ** 2 * fval * rho ** 2 and bool(rho)))
     f1v = f1_poly().evaluate(s, t)
     f2v = f2_poly().evaluate(s, t)
     checks.append(("pencil_ratio_v_squared", f1v == uv.v ** 2 * f2v))
-    special = {QuadElement(0), QuadElement(1), params.c}
+    special = {ZERO, ONE, params.c}
     pts = {t1, t2, q1, q2}
     checks.append(("points_distinct",
                    len(pts) == 4 and not (pts & special)))
 
     # branch data: double points over 0, simple unit fiber {0,1,t1,t2},
     # pole orders (3,1) over infinity
-    disc_p = discriminant(p_poly)
-    over0_ok = (not _q(disc_p).is_zero()
-                and not p_poly.evaluate(params.c).is_zero())
-    unit_num = phi.num - phi.den
+    over0_ok = bool(discriminant(p_poly)) and bool(p_poly.evaluate(params.c))
     over1_ok = (unit_num.degree() == 4
-                and not any(unit_num.evaluate(x)
-                            for x in (QuadElement(0), QuadElement(1), t1, t2)))
-    overinf_ok = (phi.den == Poly([-params.c, QuadElement(1)], "x") ** 3
-                  and phi.num.degree() == 4
-                  and not phi.num.evaluate(params.c).is_zero())
+                and not any(unit_num.evaluate(x) for x in (ZERO, ONE, t1, t2)))
+    overinf_ok = (den == x_c ** 3 and num.degree() == 4
+                  and bool(num.evaluate(params.c)))
     checks.append(("ramification_profile_2+2_1+1+1+1_3+1",
                    over0_ok and over1_ok and overinf_ok))
 
-    # total branching audit: phi' reduces to p * (x^2 - Bx - C) over (x-c)^4,
-    # so branching = 2 (double fiber) + 2 (triple pole) + 2 (free) = 2d - 2
-    dnum_ok = (dphi.num.monic() == (p_poly * q_poly).monic()
-               and dphi.den.monic() == Poly([-params.c, QuadElement(1)], "x") ** 4)
+    # total branching audit: dnum = p * (x^2 - Bx - C) up to a constant and
+    # dnum(c) != 0, so phi' has a pole of order exactly 4 at c and
+    # branching = 2 (double fiber) + 2 (triple pole) + 2 (free) = 2d - 2
+    dnum_ok = (dnum.monic() == (p_poly * q_poly).monic()
+               and bool(dnum.evaluate(params.c)))
     checks.append(("branching_balance_2d-2", dnum_ok))
 
     return SolutionRecord(uv, st, params, t1, t2, q1, q2, rho, tuple(checks))
@@ -433,7 +431,7 @@ def verify_family(samples: int, seed: int) -> VerifyReport:
             continue
     ratios = set()
     for r in records:
-        if r.t2.is_zero() or r.t1 == 1:
+        if not r.t2 or r.t1 == 1:
             continue
         ratios.add(cross_ratio(r.t1, r.t2))
     nontrivial = len(ratios) > 1

@@ -1,10 +1,10 @@
 """Exact arithmetic substrate.
 
 Rationals are stdlib ``fractions.Fraction``.  On top of those this module
-provides the quadratic field Q(alpha) with alpha^2 = -3, dense univariate and
-bivariate polynomials over either coefficient field, reduced rational
-functions, Sylvester resultants and discriminants.  Everything is immutable
-and exact; no floats appear anywhere.
+provides the quadratic field Q(alpha) with alpha^2 = -3, dense univariate
+polynomials in x and bivariate polynomials in (s, t) over either coefficient
+field, Sylvester resultants and discriminants.  Everything is immutable and
+exact; no floats appear anywhere.
 
 An element of Q(alpha) is stored as integer numerators over one common
 denominator, (a + b*alpha)/d with d > 0 and gcd(a, b, d) == 1 (the usual
@@ -180,9 +180,6 @@ class QuadElement:
             return hash(a if d == 1 else Fraction(a, d))
         return hash(self._abd)
 
-    def is_zero(self) -> bool:
-        return not self
-
     def is_rational(self) -> bool:
         return self._abd[1] == 0
 
@@ -280,7 +277,7 @@ def exact_sqrt(z: QuadElement) -> Optional[QuadElement]:
     No field extension is ever constructed: the result exists iff
     norm(z) is a rational square and the induced rational pieces are squares.
     """
-    if z.is_zero():
+    if not z:
         return ZERO
     if z.b == 0:
         r = sqrt_fraction(z.a)
@@ -316,27 +313,26 @@ def _zero_like(c):
 
 
 class Poly:
-    """Dense univariate polynomial over Fraction or QuadElement."""
+    """Dense univariate polynomial in x over Fraction or QuadElement."""
 
-    __slots__ = ("var", "coeffs")
+    __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs, var: str = "x"):
+    def __init__(self, coeffs):
         cs = list(coeffs)
         while cs and not cs[-1]:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
-        object.__setattr__(self, "var", var)
 
     def __setattr__(self, *_):
         raise AttributeError("Poly is immutable")
 
     @classmethod
-    def const(cls, c, var: str = "x") -> "Poly":
-        return cls([c], var)
+    def const(cls, c) -> "Poly":
+        return cls([c])
 
     @classmethod
-    def x(cls, var: str = "x") -> "Poly":
-        return cls([0, 1], var)
+    def x(cls) -> "Poly":
+        return cls([0, 1])
 
     def degree(self) -> int:
         # degree of the zero polynomial is -1 by convention
@@ -350,48 +346,42 @@ class Poly:
             raise ValueError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
 
-    def _check_var(self, other: "Poly"):
-        if self.var != other.var:
-            raise ValueError(f"variable mismatch: {self.var} vs {other.var}")
-
     def __add__(self, other):
         if not isinstance(other, Poly):
-            other = Poly.const(other, self.var)
-        self._check_var(other)
+            other = Poly.const(other)
         n = max(len(self.coeffs), len(other.coeffs))
         a = list(self.coeffs) + [0] * (n - len(self.coeffs))
         b = list(other.coeffs) + [0] * (n - len(other.coeffs))
-        return Poly([x + y for x, y in zip(a, b)], self.var)
+        return Poly([x + y for x, y in zip(a, b)])
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly([-c for c in self.coeffs], self.var)
+        return Poly([-c for c in self.coeffs])
 
     def __sub__(self, other):
         if not isinstance(other, Poly):
-            other = Poly.const(other, self.var)
+            other = Poly.const(other)
         return self + (-other)
 
     def __rsub__(self, other):
-        return Poly.const(other, self.var) + (-self)
+        return Poly.const(other) + (-self)
 
     def __mul__(self, other):
         if not isinstance(other, Poly):
-            return Poly([c * other for c in self.coeffs], self.var)
-        self._check_var(other)
+            return Poly([c * other for c in self.coeffs])
         if self.is_zero() or other.is_zero():
-            return Poly([], self.var)
+            return Poly([])
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, ci in enumerate(self.coeffs):
             for j, cj in enumerate(other.coeffs):
                 out[i + j] = out[i + j] + ci * cj
-        return Poly(out, self.var)
+        return Poly(out)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "Poly":
-        out = Poly.const(1, self.var)
+        out = Poly.const(1)
         for _ in range(n):
             out = out * self
         return out
@@ -399,11 +389,10 @@ class Poly:
     def __eq__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.var == other.var and len(self.coeffs) == len(other.coeffs) and all(
-            a == b for a, b in zip(self.coeffs, other.coeffs))
+        return self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash((self.var, self.coeffs))
+        return hash(self.coeffs)
 
     def evaluate(self, x):
         out = _zero_like(x)
@@ -412,117 +401,24 @@ class Poly:
         return out
 
     def derivative(self) -> "Poly":
-        return Poly([i * c for i, c in enumerate(self.coeffs)][1:], self.var)
+        return Poly([i * c for i, c in enumerate(self.coeffs)][1:])
 
     def monic(self) -> "Poly":
         if self.is_zero():
             return self
         return self * _inv_coeff(self.lc())
 
-    def divmod(self, other: "Poly"):
-        self._check_var(other)
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        q = Poly([], self.var)
-        r = self
-        dinv = _inv_coeff(other.lc())
-        while not r.is_zero() and r.degree() >= other.degree():
-            shift = r.degree() - other.degree()
-            coef = r.lc() * dinv
-            term = Poly([0] * shift + [coef], self.var)
-            q = q + term
-            r = r - term * other
-        return q, r
-
-    def gcd(self, other: "Poly") -> "Poly":
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a.divmod(b)[1]
-        return a.monic() if not a.is_zero() else a
-
     def __repr__(self):
         body = ",".join(format_quad(QuadElement.coerce(c)) for c in self.coeffs)
-        return f"Poly({self.var}:[{body}])"
-
-
-class PoleValue:
-    """Marker for rational-function evaluation at a pole."""
-
-    __slots__ = ("order",)
-
-    def __init__(self, order: int):
-        object.__setattr__(self, "order", order)
-
-    def __setattr__(self, *_):
-        raise AttributeError("PoleValue is immutable")
-
-    def __eq__(self, other):
-        return isinstance(other, PoleValue) and self.order == other.order
-
-    def __repr__(self):
-        return f"PoleValue(order={self.order})"
-
-
-def _root_multiplicity(p: Poly, x) -> int:
-    m = 0
-    while not p.is_zero():
-        if p.evaluate(x):
-            break
-        m += 1
-        p = p.divmod(Poly([-x, 1], p.var))[0]
-    return m
-
-
-class RatFunc:
-    """Reduced rational function; denominator monic and coprime to numerator."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: Poly, den: Poly):
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator")
-        num._check_var(den)
-        g = num.gcd(den)
-        if not g.is_zero() and g.degree() > 0:
-            num = num.divmod(g)[0]
-            den = den.divmod(g)[0]
-        inv = _inv_coeff(den.lc())
-        object.__setattr__(self, "num", num * inv)
-        object.__setattr__(self, "den", den * inv)
-
-    def __setattr__(self, *_):
-        raise AttributeError("RatFunc is immutable")
-
-    def degree(self) -> int:
-        return max(self.num.degree(), self.den.degree())
-
-    def __eq__(self, other):
-        if not isinstance(other, RatFunc):
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
-
-    def derivative(self) -> "RatFunc":
-        return RatFunc(self.num.derivative() * self.den - self.num * self.den.derivative(),
-                       self.den * self.den)
-
-    def evaluate(self, x):
-        dv = self.den.evaluate(x)
-        if not dv:
-            # reduced, so the numerator cannot vanish here too
-            return PoleValue(_root_multiplicity(self.den, x))
-        nv = self.num.evaluate(x)
-        return nv / dv
-
-    def __repr__(self):
-        return f"RatFunc({self.num!r} / {self.den!r})"
+        return f"Poly([{body}])"
 
 
 class BiPoly:
-    """Dense bivariate polynomial; rows indexed by the first variable's degree."""
+    """Dense bivariate polynomial in (s, t); rows indexed by the degree in s."""
 
-    __slots__ = ("vars", "rows")
+    __slots__ = ("rows",)
 
-    def __init__(self, rows, variables=("s", "t")):
+    def __init__(self, rows):
         trimmed = [list(r) for r in rows]
         for r in trimmed:
             while r and not r[-1]:
@@ -530,26 +426,21 @@ class BiPoly:
         while trimmed and not trimmed[-1]:
             trimmed.pop()
         object.__setattr__(self, "rows", tuple(tuple(r) for r in trimmed))
-        object.__setattr__(self, "vars", tuple(variables))
 
     def __setattr__(self, *_):
         raise AttributeError("BiPoly is immutable")
 
     @classmethod
-    def from_terms(cls, terms, variables=("s", "t")) -> "BiPoly":
-        """terms: mapping (i, j) -> coefficient, exponents of (vars[0], vars[1])."""
+    def from_terms(cls, terms) -> "BiPoly":
+        """terms: mapping (i, j) -> coefficient of s^i t^j."""
         if not terms:
-            return cls([], variables)
+            return cls([])
         imax = max(i for i, _ in terms)
         jmax = max(j for _, j in terms)
         rows = [[0] * (jmax + 1) for _ in range(imax + 1)]
         for (i, j), c in terms.items():
             rows[i][j] = c
-        return cls(rows, variables)
-
-    def _check_vars(self, other: "BiPoly"):
-        if self.vars != other.vars:
-            raise ValueError(f"variable mismatch: {self.vars} vs {other.vars}")
+        return cls(rows)
 
     def coefficient(self, i: int, j: int):
         if i < len(self.rows) and j < len(self.rows[i]):
@@ -557,9 +448,8 @@ class BiPoly:
         return 0
 
     def __mul__(self, other: "BiPoly") -> "BiPoly":
-        self._check_vars(other)
         if not self.rows or not other.rows:
-            return BiPoly([], self.vars)
+            return BiPoly([])
         ni = len(self.rows) + len(other.rows) - 1
         nj = max(len(r) for r in self.rows) + max(len(r) for r in other.rows) - 1
         out = [[0] * nj for _ in range(ni)]
@@ -570,12 +460,12 @@ class BiPoly:
                 for k, rb in enumerate(other.rows):
                     for l, cb in enumerate(rb):
                         out[i + k][j + l] = out[i + k][j + l] + ca * cb
-        return BiPoly(out, self.vars)
+        return BiPoly(out)
 
     def __eq__(self, other):
         if not isinstance(other, BiPoly):
             return NotImplemented
-        return self.vars == other.vars and self.rows == other.rows
+        return self.rows == other.rows
 
     def is_zero(self) -> bool:
         return not self.rows
@@ -590,7 +480,7 @@ class BiPoly:
         return out
 
     def __repr__(self):
-        return f"BiPoly(vars={self.vars}, rows={self.rows!r})"
+        return f"BiPoly(rows={self.rows!r})"
 
 
 def _det(matrix):

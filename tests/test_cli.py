@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -196,6 +197,19 @@ def test_verify_deg4_json(capsys):
     assert payload["kappa"] == "1"
     assert len(payload["records"]) == 2
     assert payload["records"][0]["checks"]["branching_balance_2d-2"] is True
+
+
+@pytest.mark.parametrize("argv, sha256", [
+    (("verify-deg4", "--samples", "10", "--seed", "7", "--json"),
+     "8085e0b37fa303cae9d6d8d2e9c4744345877f125cfa0cb5f27ebb2b82a92221"),
+    (("verify-deg4", "--samples", "3", "--seed", "1"),
+     "3a8165d479a9b44071646901081de11669d0a33405962e053b265b9730590fbe"),
+], ids=["json-seed7", "text-seed1"])
+def test_verify_deg4_stdout_pinned(capsys, argv, sha256):
+    # the digests pin every printed point, q1, q2, rho and check verdict
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
 
 def test_verify_deg4_seed_env(capsys, monkeypatch):

@@ -26,7 +26,7 @@ from garnier.covers import (
     uv_lift,
     verify_family,
 )
-from garnier.exactalg import ALPHA, QuadElement, parse_quad
+from garnier.exactalg import ALPHA, Poly, QuadElement, parse_quad
 
 
 def q(a, b=0):
@@ -81,10 +81,20 @@ def test_uv_lift_chart_pole():
 
 def test_phi_fixes_unit_fiber():
     params = params_from_st(uv_lift(UV))
-    phi = phi_from_params(params)
-    assert phi.degree() == 4
-    assert phi.evaluate(q(0)) == 1
-    assert phi.evaluate(q(1)) == 1
+    num, den = phi_from_params(params)
+    assert den == (Poly.x() - params.c) ** 3
+    assert num.degree() == 4 and num.evaluate(params.c) != 0
+    # phi(x) = 1 where num(x) = den(x) != 0
+    assert num.evaluate(q(0)) == den.evaluate(q(0)) != 0
+    assert num.evaluate(q(1)) == den.evaluate(q(1)) != 0
+
+
+def test_phi_degree_drop_is_degenerate():
+    # on the phi(1) = 1 surface, but p = x^2 + 4/3 x + 1/3 vanishes at
+    # c = -1/3: x - c cancels and phi falls to degree 2
+    params = DegFourParams(q(Fraction(1, 3)), q(Fraction(4, 3)), q(Fraction(-1, 3)))
+    with pytest.raises(DegenerateInput, match="below degree 4"):
+        phi_from_params(params)
 
 
 def test_branch_points_satisfy_quadratic():
@@ -96,9 +106,9 @@ def test_branch_points_satisfy_quadratic():
     params = params_from_st(st)
     assert branch_points_st(st, params) == (t1, t2)
     assert t_quadratic_coeffs(st, params) == (total, prod)
-    phi = phi_from_params(params)
-    assert phi.evaluate(t1) == 1
-    assert phi.evaluate(t2) == 1
+    num, den = phi_from_params(params)
+    assert num.evaluate(t1) == den.evaluate(t1) != 0
+    assert num.evaluate(t2) == den.evaluate(t2) != 0
 
 
 def test_free_critical_quadratic():

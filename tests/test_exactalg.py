@@ -11,10 +11,8 @@ from garnier.exactalg import (
     ONE,
     ZERO,
     BiPoly,
-    PoleValue,
     Poly,
     QuadElement,
-    RatFunc,
     discriminant,
     exact_sqrt,
     format_quad,
@@ -317,27 +315,11 @@ def test_poly_basics():
     assert p.evaluate(Fraction(2)) == 0
     assert p.evaluate(Fraction(0)) == 2
     assert p.derivative() == 2 * x - 3
-    assert Poly([], "x").degree() == -1
+    assert Poly([]).degree() == -1
     # trailing zeros are trimmed whatever field the zero lies in
     for zero in (0, Fraction(0), QuadElement(0)):
         assert Poly([1, 2, zero, zero]).coeffs == (1, 2)
         assert Poly([zero]).is_zero()
-
-
-def test_poly_var_mismatch():
-    with pytest.raises(ValueError):
-        Poly.x("x") + Poly.x("y")
-
-
-def test_poly_divmod_gcd():
-    x = Poly.x()
-    p = (x - 1) * (x - 2) * (x + 5)
-    d, r = p.divmod(x - 2)
-    assert r.is_zero()
-    assert d == (x - 1) * (x + 5)
-    g = p.gcd((x - 2) * (x + 7))
-    assert g == x - 2
-    assert p.gcd(Poly.const(3)).degree() == 0
 
 
 def test_poly_monic():
@@ -345,16 +327,14 @@ def test_poly_monic():
     p = 4 * x ** 2 - 2 * x
     assert p.monic() == x ** 2 - Fraction(1, 2) * x
     assert (ALPHA * x + 2).monic() == x - Fraction(2, 3) * ALPHA
-    assert Poly([], "x").monic().is_zero()
+    assert Poly([]).monic().is_zero()
 
 
-def test_poly_and_ratfunc_repr():
-    x = Poly.x("t")
+def test_poly_repr():
+    x = Poly.x()
     p = x ** 3 + ALPHA * x - Fraction(1, 2)
-    assert repr(p) == "Poly(t:[-1/2,alpha,0,1])"
-    assert repr(Poly([], "x")) == "Poly(x:[])"
-    f = RatFunc(x, 2 * x ** 2 + 2)
-    assert repr(f) == "RatFunc(Poly(t:[0,1/2]) / Poly(t:[1,0,1]))"
+    assert repr(p) == "Poly([-1/2,alpha,0,1])"
+    assert repr(Poly([])) == "Poly([])"
 
 
 def test_poly_quad_coefficients():
@@ -362,31 +342,6 @@ def test_poly_quad_coefficients():
     p = (x - ALPHA) * (x + ALPHA)
     assert p == x ** 2 + 3
     assert p.evaluate(ALPHA) == ZERO
-
-
-def test_ratfunc_reduction_and_poles():
-    x = Poly.x()
-    f = RatFunc((x - 1) * (x - 2), (x - 1) * x)
-    assert f.num == x - 2
-    assert f.den == x
-    assert f.evaluate(Fraction(2)) == 0
-    pole = f.evaluate(Fraction(0))
-    assert pole == PoleValue(order=1)
-    g = RatFunc(Poly.const(1), (x - 3) ** 2)
-    assert g.evaluate(Fraction(3)) == PoleValue(order=2)
-    # a pole at a point of Q(alpha) off the rationals: x^2 + 3 vanishes at alpha
-    h = RatFunc(Poly.const(1), (x ** 2 + 3) ** 2)
-    assert h.evaluate(ALPHA) == PoleValue(order=2)
-    assert h.evaluate(ALPHA + 1) == 1 / ((ALPHA + 1) ** 2 + 3) ** 2
-
-
-def test_ratfunc_calculus():
-    x = Poly.x()
-    f = RatFunc(x ** 2, x + 1)
-    df = f.derivative()
-    # (x^2/(x+1))' = (x^2 + 2x)/(x+1)^2
-    assert df == RatFunc(x ** 2 + 2 * x, (x + 1) ** 2)
-    assert f.degree() == 2
 
 
 def test_bipoly_evaluate():

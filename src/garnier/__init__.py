@@ -12,14 +12,14 @@ covers (the degree-4 family), cli (the garnier command).
 __version__ = "0.1.0"
 
 from .orbifold import (CurvatureClass, INF, OrbifoldStructure,
-                       RamificationData, classify, euler_char, min_neg_chi,
+                       RamificationProfile, classify, euler_char, min_neg_chi,
                        pullback, underlying)
 from .fuchsian import (Exponent, FuchsianSignature, PulledBackSignature,
                        SingularPoint, is_elementary, orbifold_of,
                        pullback_exponents, underlying_orbifold_of)
-from .enumeration import (CandidateVerdict, RamificationProfile, TripleSpec,
-                          VerdictKind, enumerate_candidates,
-                          enumerate_profiles, reproduce_table, verdict)
+from .enumeration import (CandidateVerdict, TripleSpec, VerdictKind,
+                          enumerate_candidates, enumerate_profiles,
+                          reproduce_table, verdict)
 from .hurwitz import (PermutationTuple, RealizabilityCertificate, find_tuple,
                       realize_profile, verify_tuple)
 from .exactalg import (BiPoly, Poly, QuadElement, discriminant, exact_sqrt,

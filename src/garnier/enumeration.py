@@ -15,7 +15,8 @@ from math import gcd
 from typing import List, Optional, Sequence, Tuple
 
 from .fuchsian import Exponent, hypergeometric_signature, is_elementary, pullback_exponents
-from .orbifold import INF, weight_reciprocal
+from .orbifold import (INF, OrbifoldStructure, RamificationProfile, pullback,
+                       underlying, weight_reciprocal)
 
 DEFAULT_DMAX = 42
 
@@ -140,62 +141,7 @@ def partitions_of(r: int, max_part: Optional[int] = None) -> List[Tuple[int, ...
     return out
 
 
-def _free_count(partitions: Sequence[Tuple[int, ...]], d: int) -> int:
-    """Free simple branch points of a genus-0 cover of the line with the
-    given fibers over k marked points: N = sum(len) - (k-2)d - 2."""
-    return sum(len(lam) for lam in partitions) - (len(partitions) - 2) * d - 2
-
-
-@dataclass(frozen=True)
-class RamificationProfile:
-    """Branch data over k >= 3 marked points plus free simple branch points.
-
-    The free count N is pinned by the genus balance (_free_count) and must
-    be >= 0 for the profile to describe an actual covering.
-    """
-
-    degree: int
-    partitions: Tuple[Tuple[int, ...], ...]
-
-    def __init__(self, degree: int, partitions):
-        parts = tuple(tuple(sorted(lam, reverse=True)) for lam in partitions)
-        if len(parts) < 3:
-            raise ValueError("need at least three marked fibers")
-        for lam in parts:
-            if not lam or any(k < 1 for k in lam):
-                raise ValueError(f"invalid partition {lam}")
-            if sum(lam) != degree:
-                raise ValueError(f"partition {lam} does not sum to {degree}")
-        n_free = _free_count(parts, degree)
-        if n_free < 0:
-            raise ValueError(f"free branch point count {n_free} is negative")
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "partitions", parts)
-
-    @property
-    def free_points(self) -> int:
-        return _free_count(self.partitions, self.degree)
-
-    def __str__(self):
-        return " ".join("[" + ",".join(str(k) for k in lam) + "]"
-                        for lam in self.partitions)
-
-
-def nonapparent_counts(weights: Sequence[object],
-                       profile: RamificationProfile) -> Tuple[int, ...]:
-    """Per-fiber counts of preimages carrying essential exponent data: parts
-    not divisible by the finite weight, or every part over weight inf."""
-    if len(weights) != len(profile.partitions):
-        raise ValueError("need one weight per fiber")
-    out = []
-    for p, lam in zip(weights, profile.partitions):
-        if p is INF:
-            out.append(len(lam))
-        else:
-            out.append(sum(1 for k in lam if k % p != 0))
-    return tuple(out)
-
-
+@lru_cache(maxsize=None)
 def _fiber_options(p, d: int):
     """(partition, nonapparent count) choices over one marked point.
 
@@ -204,11 +150,11 @@ def _fiber_options(p, d: int):
     being essential.  Weight inf allows any partition, all parts essential.
     """
     if p is INF:
-        return [(lam, len(lam)) for lam in partitions_of(d)]
+        return tuple((lam, len(lam)) for lam in partitions_of(d))
     q, r = divmod(d, p)
     forced = (p,) * q
-    return [(tuple(sorted(forced + lam, reverse=True)), len(lam))
-            for lam in partitions_of(r)]
+    return tuple((tuple(sorted(forced + lam, reverse=True)), len(lam))
+                 for lam in partitions_of(r))
 
 
 def enumerate_profiles(weights: Sequence[object], d: int,
@@ -218,13 +164,13 @@ def enumerate_profiles(weights: Sequence[object], d: int,
     options = [_fiber_options(p, d) for p in weights]
     out = []
     for combo in product(*options):
-        lams = tuple(c[0] for c in combo)
         n_total = sum(c[1] for c in combo)
         if n is not None and n_total != n:
             continue
-        if _free_count(lams, d) < 0:
+        profile = RamificationProfile(d, (c[0] for c in combo))
+        if profile.free_points < 0:
             continue
-        out.append((RamificationProfile(d, lams), n_total))
+        out.append((profile, n_total))
     out.sort(key=lambda e: e[0].partitions)
     return out
 
@@ -247,20 +193,17 @@ class CandidateVerdict:
         return self.kind.value
 
 
-def _verdict_from_counts(n: int, n_free: int) -> CandidateVerdict:
+def verdict(profile: RamificationProfile, n: int) -> CandidateVerdict:
+    """Completeness of an n-essential-point profile: the deformation space
+    has dimension n-3 and the free branch points supply N parameters."""
     if n <= 2:
         return CandidateVerdict(VerdictKind.IMPOSSIBLE)
     if n == 3:
         return CandidateVerdict(VerdictKind.DEGENERATE_HYPERGEOMETRIC)
-    if n_free >= n - 3:
+    deficit = (n - 3) - profile.free_points
+    if deficit <= 0:
         return CandidateVerdict(VerdictKind.COMPLETE)
-    return CandidateVerdict(VerdictKind.PARTIAL, deficit=(n - 3) - n_free)
-
-
-def verdict(profile: RamificationProfile, n: int) -> CandidateVerdict:
-    """Completeness of an n-essential-point profile: the deformation space
-    has dimension n-3 and the free branch points supply N parameters."""
-    return _verdict_from_counts(n, profile.free_points)
+    return CandidateVerdict(VerdictKind.PARTIAL, deficit=deficit)
 
 
 def complete_profiles(n: int, d_max: int = DEFAULT_DMAX
@@ -281,9 +224,8 @@ class IntermediateRow:
 
     triple: TripleSpec
     degree: int
-    partitions: Tuple[Tuple[int, ...], ...]
+    profile: RamificationProfile
     n_points: int
-    n_free: int
     status: str
 
 
@@ -298,11 +240,11 @@ def _max_free_row(t: TripleSpec, d: int, n_target: int) -> IntermediateRow:
             q, r = divmod(d, p)
             lams.append((p,) * q + (1,) * r)
             n_points += r
-    n_free = _free_count(lams, d)
+    profile = RamificationProfile(d, lams)
     # a row with at most three essential points is degenerate on its own;
     # otherwise its free count is measured against the target
-    status = _verdict_from_counts(n_points if n_points <= 3 else n_target, n_free)
-    return IntermediateRow(t, d, tuple(lams), n_points, n_free, str(status))
+    status = verdict(profile, n_points if n_points <= 3 else n_target)
+    return IntermediateRow(t, d, profile, n_points, str(status))
 
 
 def intermediate_rows(n_target: int = 5, d_max: int = DEFAULT_DMAX,
@@ -348,7 +290,6 @@ class PullbackFamilyRow:
     profile: RamificationProfile
     variants: Tuple[Tuple[Tuple[Exponent, ...], Tuple[Exponent, ...], int], ...]
     n_points: int
-    n_free: int
     verdict: CandidateVerdict
 
 
@@ -386,12 +327,14 @@ def _family_rows(n: int, d_max: int = DEFAULT_DMAX,
             sig = _base_signature(t, k)
             if is_elementary(sig):
                 continue
-            pulled = pullback_exponents(sig, profile.partitions)
+            pulled = pullback_exponents(sig, profile)
             base = tuple(p.exponent for p in sig.points)
             variants.append((base, pulled.exponents, pulled.apparent_count))
-        n_pts = sum(nonapparent_counts(t.entries, profile))
-        rows.append(PullbackFamilyRow(t, d, profile, tuple(variants),
-                                      n_pts, profile.free_points,
+        # essential points: the weights other than 1 upstairs, free points
+        # included, by the refined Riemann-Hurwitz pullback
+        base = OrbifoldStructure(0, enumerate(t.entries))
+        n_pts = underlying(pullback(base, profile.with_free_points())).n_points()
+        rows.append(PullbackFamilyRow(t, d, profile, tuple(variants), n_pts,
                                       verdict(profile, n_pts)))
     return rows
 
@@ -508,7 +451,8 @@ def _family_table(table_id: str, n: int, extra, title: str, d_max: int) -> Table
         for base, pulled, napp in r.variants:
             rows.append((str(r.triple), str(r.degree), str(r.profile),
                          _fmt_exps(base), _fmt_exps(pulled),
-                         f"apparent={napp}", f"N={r.n_free}", str(r.verdict)))
+                         f"apparent={napp}", f"N={r.profile.free_points}",
+                         str(r.verdict)))
     return Table(table_id, title,
                  ("triple", "d", "branch data", "base exponents",
                   "exponents", "apparent", "free", "verdict"), tuple(rows))
@@ -523,10 +467,8 @@ def _t3_table(d_max: int) -> Table:
 def _intermediate_table(table_id: str, infinite: bool, d_max: int) -> Table:
     rows = []
     for r in intermediate_rows(5, d_max, infinite=infinite):
-        lams = " ".join("[" + ",".join(str(k) for k in lam) + "]"
-                        for lam in r.partitions)
-        rows.append((str(r.triple), str(r.degree), lams,
-                     f"n={r.n_points}", f"N={r.n_free}", r.status))
+        rows.append((str(r.triple), str(r.degree), str(r.profile),
+                     f"n={r.n_points}", f"N={r.profile.free_points}", r.status))
     kind = "inf-weight" if infinite else "finite-weight"
     return Table(table_id,
                  f"five-point candidates over {kind} triples, maximal free count",

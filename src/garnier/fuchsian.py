@@ -9,9 +9,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
-from .orbifold import INF, CurvatureClass, OrbifoldStructure, classify
+from .orbifold import (INF, CurvatureClass, OrbifoldStructure, RamificationProfile,
+                       classify)
 
 
 @dataclass(frozen=True)
@@ -128,25 +129,21 @@ class PulledBackSignature:
 
 
 def pullback_exponents(sig: FuchsianSignature,
-                       partitions: Sequence[Sequence[int]]) -> PulledBackSignature:
+                       profile: RamificationProfile) -> PulledBackSignature:
     """Exponent data of the pullback along a covering with the given local
-    indices over each singular point (partitions aligned with sig.points).
+    indices over each singular point (profile.partitions aligned with
+    sig.points).
 
     A point of index k over exponent theta carries exponent k*theta; it is
     apparent exactly when that is a positive integer at a non-logarithmic
     point.  Apparent points are counted, not listed.
     """
-    if len(partitions) != len(sig.points):
+    if len(profile.partitions) != len(sig.points):
         raise ValueError("need one partition per singular point")
-    degrees = {sum(parts) for parts in partitions}
-    if len(degrees) != 1:
-        raise ValueError("partitions have unequal sizes")
     kept = []
     apparent = 0
-    for p, parts in zip(sig.points, partitions):
-        for k in sorted(parts, reverse=True):
-            if k < 1:
-                raise ValueError(f"invalid local index {k}")
+    for p, parts in zip(sig.points, profile.partitions):
+        for k in parts:
             e = p.exponent.scaled(k)
             if (not p.logarithmic and e.is_rational()
                     and e.rational.denominator == 1 and e.rational >= 1):

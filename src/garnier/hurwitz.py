@@ -444,7 +444,4 @@ def find_tuple(types: Sequence[Sequence[int]], degree: int) -> RealizabilityCert
 def realize_profile(profile) -> RealizabilityCertificate:
     """Certificate for a RamificationProfile, free points included as
     transpositions."""
-    d = profile.degree
-    types = list(profile.partitions)
-    types += [tuple([2] + [1] * (d - 2))] * profile.free_points
-    return find_tuple(types, d)
+    return find_tuple(profile.with_free_points().partitions, profile.degree)

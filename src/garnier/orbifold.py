@@ -114,39 +114,49 @@ def euler_char(o: OrbifoldStructure) -> Fraction:
 
 
 @dataclass(frozen=True)
-class RamificationData:
-    """Combinatorial covering: degree and one partition of d per base point.
+class RamificationProfile:
+    """Branch data of a covering of the line: the degree d and one partition
+    of d per marked base point, in order.
 
-    The base point set must contain the support of any structure being
-    pulled back; extra points are free branch points of the covering.
+    free_points is the number N = 2d - 2 - branching of further simple
+    branch points that a genus-0 cover needs; it is negative when the marked
+    fibers already branch too much.
     """
 
     degree: int
-    fibers: Tuple[Tuple[object, Tuple[int, ...]], ...]
+    partitions: Tuple[Tuple[int, ...], ...]
 
-    def __init__(self, degree: int, fibers):
+    def __init__(self, degree: int, partitions):
         if degree < 1:
             raise ValueError("degree must be >= 1")
-        seen = set()
-        norm = []
-        for pt, parts in fibers:
-            if pt in seen:
-                raise ValueError(f"duplicate base point {pt!r}")
-            seen.add(pt)
-            parts = tuple(sorted(parts, reverse=True))
-            if not parts or any(k < 1 for k in parts):
-                raise ValueError(f"invalid partition over {pt!r}: {parts}")
-            if sum(parts) != degree:
-                raise ValueError(f"partition over {pt!r} sums to {sum(parts)}, not {degree}")
-            norm.append((pt, parts))
+        parts = tuple(tuple(sorted(lam, reverse=True)) for lam in partitions)
+        for lam in parts:
+            if not lam or lam[-1] < 1 or sum(lam) != degree:
+                raise ValueError(f"{lam} is not a partition of {degree}")
         object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "fibers", tuple(norm))
+        object.__setattr__(self, "partitions", parts)
 
     def branching(self) -> int:
-        return sum(self.degree - len(parts) for _, parts in self.fibers)
+        return sum(self.degree - len(lam) for lam in self.partitions)
+
+    @property
+    def free_points(self) -> int:
+        return 2 * self.degree - 2 - self.branching()
+
+    def with_free_points(self) -> "RamificationProfile":
+        """The profile with its N free points appended as [2,1,...,1] fibers."""
+        n_free = self.free_points
+        if n_free < 0:
+            raise ValueError(f"free branch point count {n_free} is negative")
+        d = self.degree
+        return RamificationProfile(d, self.partitions + ((2,) + (1,) * (d - 2),) * n_free)
+
+    def __str__(self):
+        return " ".join("[" + ",".join(str(k) for k in lam) + "]"
+                        for lam in self.partitions)
 
 
-def covering_genus(base_genus: int, cover: RamificationData) -> int:
+def covering_genus(base_genus: int, cover: RamificationProfile) -> int:
     """Upstairs genus from the degree/branching balance; must be an integer >= 0."""
     d = cover.degree
     b = cover.branching()
@@ -159,24 +169,23 @@ def covering_genus(base_genus: int, cover: RamificationData) -> int:
     return g
 
 
-def pullback(o: OrbifoldStructure, cover: RamificationData) -> OrbifoldStructure:
+def pullback(o: OrbifoldStructure, cover: RamificationProfile) -> OrbifoldStructure:
     """Pull the weighted structure back along the covering.
 
-    Each point of local index k over a base point of weight p acquires
-    weight p/k (inf stays inf).  Base points outside the support count as
-    weight 1, so their ramified preimages get weight 1/k.
+    Partition i lies over the i-th point of o.support (in its sorted order);
+    any further partitions lie over weight-1 points.  Each point of local
+    index k over a base point of weight p acquires weight p/k (inf stays
+    inf), so the ramified preimages of a weight-1 point get weight 1/k.
     """
-    cover_pts = {pt for pt, _ in cover.fibers}
-    for pt, _ in o.support:
-        if pt not in cover_pts:
-            raise ValueError(f"support point {pt!r} is not a base point of the cover")
+    extra = len(cover.partitions) - len(o.support)
+    if extra < 0:
+        raise ValueError("need a partition over every support point")
     g = covering_genus(o.genus, cover)
+    weights = [w for _, w in o.support] + [Fraction(1)] * extra
     support = []
-    for pt, parts in cover.fibers:
-        w = o.weight_at(pt)
-        for i, k in enumerate(parts):
-            up = INF if w is INF else w / k
-            support.append(((pt, i), up))
+    for i, (w, parts) in enumerate(zip(weights, cover.partitions)):
+        for j, k in enumerate(parts):
+            support.append(((i, j), INF if w is INF else w / k))
     return OrbifoldStructure(g, support)
 
 

@@ -25,7 +25,7 @@ from garnier.hurwitz import find_tuple, realize_profile, verify_tuple
 from garnier.orbifold import (
     INF,
     OrbifoldStructure,
-    RamificationData,
+    RamificationProfile,
     euler_char,
     pullback,
 )
@@ -75,11 +75,11 @@ def test_criterion_02_riemann_hurwitz_property():
         n = rng.randint(0, 4)
         o = OrbifoldStructure(genus, [(i, rng.choice(pool)) for i in range(n)])
         d = rng.randint(1, 8)
-        fibers = [(pt, _random_partition(rng, d)) for pt, _ in o.support]
+        fibers = [_random_partition(rng, d) for _ in o.support]
         if rng.random() < 0.5:
-            fibers.append(("extra", _random_partition(rng, d)))
+            fibers.append(_random_partition(rng, d))
         try:
-            up = pullback(o, RamificationData(d, fibers))
+            up = pullback(o, RamificationProfile(d, fibers))
         except ValueError:
             continue
         if euler_char(up) != d * euler_char(o):

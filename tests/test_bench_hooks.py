@@ -3,13 +3,15 @@ must still resolve, or ``perfbench/run.py --trace 1`` fails to install."""
 from __future__ import annotations
 
 import importlib
+import json
 import runpy
 from pathlib import Path
 
 import garnier
 import garnier.cli  # noqa: F401  (the tracer installs after importing the cli)
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+TRACER = PERFBENCH / "tracer.py"
 
 
 def test_spanned_functions_resolve():
@@ -23,3 +25,18 @@ def test_spanned_functions_resolve():
     assert callable(garnier.enumeration.verdict)
     quad = garnier.exactalg.QuadElement
     assert callable(quad.__mul__) and callable(quad.inverse)
+
+
+def test_worker_profile_contract():
+    # the hurwitz workload builds its profiles through garnier.enumeration
+    # from the reference rows (lists of lists) and reads these attributes
+    assert garnier.enumeration.RamificationProfile is garnier.orbifold.RamificationProfile
+    rows = json.loads((PERFBENCH / "reference.json").read_text("utf-8"))["hurwitz_profiles"]
+    row = next(r for r in rows if r["degree"] == 4)
+    profile = garnier.enumeration.RamificationProfile(row["degree"], row["partitions"])
+    assert profile.degree == 4
+    assert profile.partitions == ((2, 2), (3, 1), (1, 1, 1, 1))
+    assert profile.free_points == 2
+    cert = garnier.hurwitz.realize_profile(profile)
+    types = list(profile.partitions) + [(2, 1, 1)] * profile.free_points
+    assert cert.exists and garnier.hurwitz.verify_tuple(cert.tuple_.perms, types, 4)

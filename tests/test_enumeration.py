@@ -23,14 +23,13 @@ from garnier.enumeration import (
     multipoint_bases,
     multipoint_complete_search,
     n7_summary,
-    nonapparent_counts,
     partitions_of,
     render_table,
     reproduce_table,
     t3_rows,
     verdict,
 )
-from garnier.orbifold import INF
+from garnier.orbifold import INF, OrbifoldStructure, pullback, underlying
 
 
 def test_triple_spec_canonical_order():
@@ -215,19 +214,41 @@ def test_profile_validation():
     assert p.free_points == 2
     assert str(p) == "[2,2] [3,1] [1,1,1,1]"
     with pytest.raises(ValueError):
-        RamificationProfile(4, [(2, 2), (3, 1)])  # fewer than three fibers
-    with pytest.raises(ValueError):
-        RamificationProfile(4, [(2, 2), (3, 1), (4,), (4,)])  # N < 0
-    with pytest.raises(ValueError):
         RamificationProfile(4, [(2, 1), (3, 1), (1, 1, 1, 1)])
+    assert p.with_free_points().partitions == p.partitions + ((2, 1, 1),) * 2
+    # a negative free count is a profile, but no covering of the line
+    q = RamificationProfile(4, [(2, 2), (3, 1), (4,), (4,)])
+    assert q.free_points == -4
+    with pytest.raises(ValueError):
+        q.with_free_points()
 
 
 def test_nonapparent_counts():
+    # essential points are the weights other than 1 in the underlying
+    # structure of the pullback: index 2 over weight 2 and index 3 over
+    # weight 3 become apparent, the free points get weight 1/2 -> 1
     p = RamificationProfile(4, [(2, 2), (3, 1), (1, 1, 1, 1)])
-    assert nonapparent_counts([2, 3, INF], p) == (0, 1, 4)
-    assert sum(nonapparent_counts([2, 3, INF], p)) == 5
+    base = OrbifoldStructure(0, enumerate([2, 3, INF]))
+    up = underlying(pullback(base, p.with_free_points()))
+    assert up.weights() == (3, INF, INF, INF, INF)
+    assert up.n_points() == 5
     with pytest.raises(ValueError):
-        nonapparent_counts([2, 3], p)
+        pullback(base, RamificationProfile(4, [(2, 2), (3, 1)]))
+
+
+def test_essential_counts_match_orbifold_pullback():
+    # every profile the enumeration gives over the n = 3..8 candidates: its
+    # essential-point total from _fiber_options equals the number of
+    # weighted points of the underlying pulled-back structure, on genus 0
+    checked = 0
+    for n in range(3, 9):
+        for t, d in enumerate_candidates(n, 42):
+            base = OrbifoldStructure(0, enumerate(t.entries))
+            for profile, n_total in enumerate_profiles(t.entries, d):
+                up = underlying(pullback(base, profile.with_free_points()))
+                assert (up.n_points(), up.genus) == (n_total, 0), (str(t), d, str(profile))
+                checked += 1
+    assert checked == 154
 
 
 def test_enumerate_profiles_forced_parts():
@@ -277,17 +298,17 @@ def test_complete_profiles_n6_unique():
 def test_intermediate_rows_finite():
     rows = intermediate_rows(5, infinite=False)
     by_key = {(str(r.triple), r.degree): r for r in rows}
-    assert by_key[("(2,3,7)", 7)].n_free == -1
+    assert by_key[("(2,3,7)", 7)].profile.free_points == -1
     assert by_key[("(2,3,7)", 7)].status == "IMPOSSIBLE"
-    assert by_key[("(2,3,7)", 8)].n_free == 0
+    assert by_key[("(2,3,7)", 8)].profile.free_points == 0
     assert by_key[("(2,3,7)", 8)].status == "DEGENERATE_HYPERGEOMETRIC"
-    assert by_key[("(2,3,7)", 9)].n_free == 0
-    assert by_key[("(2,3,7)", 10)].n_free == 1
+    assert by_key[("(2,3,7)", 9)].profile.free_points == 0
+    assert by_key[("(2,3,7)", 10)].profile.free_points == 1
     assert by_key[("(2,3,7)", 10)].status == "PARTIAL(deficit=1)"
-    assert by_key[("(2,3,7)", 12)].n_free == 2
+    assert by_key[("(2,3,7)", 12)].profile.free_points == 2
     assert by_key[("(2,3,7)", 12)].status == "COMPLETE"
-    assert by_key[("(2,3,8)", 8)].n_free == -1
-    assert by_key[("(2,3,8)", 9)].n_free == -1
+    assert by_key[("(2,3,8)", 8)].profile.free_points == -1
+    assert by_key[("(2,3,8)", 9)].profile.free_points == -1
     assert set(by_key) == {("(2,3,7)", d) for d in (7, 8, 9, 10, 12)} | {
         ("(2,3,8)", 8), ("(2,3,8)", 9)}
 
@@ -298,7 +319,7 @@ def test_intermediate_rows_infinite():
     assert by_key[("(2,3,inf)", 3)].status == "PARTIAL(deficit=1)"
     assert by_key[("(2,3,inf)", 4)].status == "COMPLETE"
     assert by_key[("(2,3,inf)", 6)].status == "COMPLETE"
-    assert by_key[("(2,3,inf)", 6)].n_free == 3  # max-free profile splits the 2
+    assert by_key[("(2,3,inf)", 6)].profile.free_points == 3  # max-free profile splits the 2
     assert by_key[("(2,4,inf)", 4)].status == "PARTIAL(deficit=1)"
     assert by_key[("(2,inf,inf)", 2)].status == "PARTIAL(deficit=1)"
     assert by_key[("(3,3,inf)", 3)].status == "DEGENERATE_HYPERGEOMETRIC"
@@ -334,7 +355,7 @@ def test_t4_rows():
     base, pulled, napp = r.variants[0]
     assert tuple(str(e) for e in pulled) == ("theta",) * 6
     assert napp == 5
-    assert r.n_free == 3
+    assert r.profile.free_points == 3
 
 
 def test_t3_rows():

@@ -14,7 +14,7 @@ from garnier.fuchsian import (
     pullback_exponents,
     underlying_orbifold_of,
 )
-from garnier.orbifold import INF, classify, CurvatureClass
+from garnier.orbifold import INF, classify, CurvatureClass, RamificationProfile
 
 
 def test_exponent_construction():
@@ -85,14 +85,14 @@ def test_integer_exponents_vanish_from_weights():
 def test_pullback_exponents_degree_four():
     # indices (2,2 | 3,1 | 1,1,1,1) over (1/2, 1/3, theta)
     sig = hypergeometric_signature(Fraction(1, 2), Fraction(1, 3), Exponent.generic())
-    out = pullback_exponents(sig, [(2, 2), (3, 1), (1, 1, 1, 1)])
+    out = pullback_exponents(sig, RamificationProfile(4, [(2, 2), (3, 1), (1, 1, 1, 1)]))
     assert out.apparent_count == 3
     assert tuple(str(e) for e in out.exponents) == ("1/3", "theta", "theta", "theta", "theta")
 
 
 def test_pullback_exponents_degree_twelve():
     sig = hypergeometric_signature(Fraction(1, 2), Fraction(1, 3), Fraction(2, 7))
-    out = pullback_exponents(sig, [(2,) * 6, (3,) * 4, (7, 1, 1, 1, 1, 1)])
+    out = pullback_exponents(sig, RamificationProfile(12, [(2,) * 6, (3,) * 4, (7, 1, 1, 1, 1, 1)]))
     assert out.apparent_count == 11
     assert tuple(str(e) for e in out.exponents) == ("2/7",) * 5
 
@@ -103,7 +103,7 @@ def test_pullback_exponents_logarithmic_kept():
         SingularPoint("1", Exponent.of(Fraction(1, 2))),
         SingularPoint("inf", Exponent.of(Fraction(1, 2))),
     ))
-    out = pullback_exponents(sig, [(2,), (2,), (1, 1)])
+    out = pullback_exponents(sig, RamificationProfile(2, [(2,), (2,), (1, 1)]))
     # the logarithmic point scales to exponent 2 but stays non-apparent
     assert out.apparent_count == 1
     assert Exponent.of(2) in out.exponents
@@ -112,11 +112,12 @@ def test_pullback_exponents_logarithmic_kept():
 def test_pullback_exponents_validation():
     sig = hypergeometric_signature(1, 1, 1)
     with pytest.raises(ValueError):
-        pullback_exponents(sig, [(2,), (2,)])
+        pullback_exponents(sig, RamificationProfile(2, [(2,), (2,)]))
+    # unequal sizes and non-positive local indices are not a profile at all
     with pytest.raises(ValueError):
-        pullback_exponents(sig, [(2,), (2,), (3,)])
+        pullback_exponents(sig, RamificationProfile(2, [(2,), (2,), (3,)]))
     with pytest.raises(ValueError):
-        pullback_exponents(sig, [(2,), (2,), (2, 0)])
+        pullback_exponents(sig, RamificationProfile(2, [(2,), (2,), (2, 0)]))
 
 
 def test_is_elementary():

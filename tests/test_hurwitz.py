@@ -8,7 +8,6 @@ from itertools import combinations, combinations_with_replacement, permutations
 import pytest
 
 from garnier import hurwitz
-from garnier.enumeration import RamificationProfile
 from garnier.hurwitz import (
     MAX_DEGREE,
     canonical_perm,
@@ -34,6 +33,7 @@ from garnier.hurwitz import (
     verify_tuple,
 )
 from garnier.enumeration import partitions_of
+from garnier.orbifold import RamificationProfile
 
 
 def test_compose_left_to_right():
@@ -295,6 +295,15 @@ def test_realize_profile_complete_rows():
         assert cert.exists, (str(t), d)
         want = list(profile.partitions) + [(2,) + (1,) * (d - 2)] * profile.free_points
         assert verify_tuple(cert.tuple_.perms, want, d)
+
+
+def test_realize_profile_rejects_negative_free_count():
+    # too much branching over the marked points for a genus-0 cover: the
+    # search must not run without the transpositions the balance asks for
+    profile = RamificationProfile(4, [(2, 2), (3, 1), (4,), (4,)])
+    assert profile.free_points == -4
+    with pytest.raises(ValueError):
+        realize_profile(profile)
 
 
 # the T1/T4 rows the benchmark realises; the d = 12 row has 2 free points

@@ -10,7 +10,7 @@ from garnier.orbifold import (
     INF,
     CurvatureClass,
     OrbifoldStructure,
-    RamificationData,
+    RamificationProfile,
     classify,
     covering_genus,
     euler_char,
@@ -83,34 +83,35 @@ def test_is_integral():
 def test_covering_genus():
     # degree 12 cover of the sphere with total branching 2d - 2 stays genus 0;
     # the two simple branch points are needed to reach 22 = 2d - 2
-    cover = RamificationData(12, [("a", [2] * 6), ("b", [3] * 4), ("c", [7, 1, 1, 1, 1, 1]),
-                                  ("f1", [2] + [1] * 10), ("f2", [2] + [1] * 10)])
+    cover = RamificationProfile(12, [[2] * 6, [3] * 4, [7, 1, 1, 1, 1, 1],
+                                     [2] + [1] * 10, [2] + [1] * 10])
     assert covering_genus(0, cover) == 0
-    # double cover of the sphere branched over six points: genus 2
-    cover = RamificationData(2, [(i, [2]) for i in range(6)])
+    # double cover of the sphere branched over six points: genus 2, and the
+    # genus-0 balance would ask for N = -4 free points
+    cover = RamificationProfile(2, [[2]] * 6)
     assert covering_genus(0, cover) == 2
+    assert cover.free_points == -4
     with pytest.raises(ValueError):
-        covering_genus(0, RamificationData(2, [(0, [2])]))  # odd total branching
+        covering_genus(0, RamificationProfile(2, [[2]]))  # odd total branching
     with pytest.raises(ValueError):
-        covering_genus(0, RamificationData(3, [(0, [2, 1]), (1, [2, 1])]))  # genus < 0
+        covering_genus(0, RamificationProfile(3, [[2, 1], [2, 1]]))  # genus < 0
 
 
 def test_ramification_data_validation():
     with pytest.raises(ValueError):
-        RamificationData(4, [(0, [3, 2])])  # parts must sum to the degree
+        RamificationProfile(4, [[3, 2]])  # parts must sum to the degree
     with pytest.raises(ValueError):
-        RamificationData(4, [(0, [4, 0])])
+        RamificationProfile(4, [[4, 0]])
     with pytest.raises(ValueError):
-        RamificationData(4, [(0, [4]), (0, [2, 2])])
-    d = RamificationData(6, [(0, [1, 2, 3])])
-    assert d.fibers[0][1] == (3, 2, 1)
+        RamificationProfile(0, [])
+    d = RamificationProfile(6, [[1, 2, 3]])
+    assert d.partitions[0] == (3, 2, 1)
     assert d.branching() == 3
 
 
 def test_pullback_weights_divide():
     base = structure([2, 3, INF])
-    cover = RamificationData(4, [(0, [2, 2]), (1, [3, 1]), (2, [1, 1, 1, 1]),
-                                 ("f1", [2, 1, 1]), ("f2", [2, 1, 1])])
+    cover = RamificationProfile(4, [[2, 2], [3, 1], [1, 1, 1, 1], [2, 1, 1], [2, 1, 1]])
     up = pullback(base, cover)
     # weight p/k at a point of index k; weight-1 preimages disappear, and the
     # free simple branch points acquire weight 1/2 upstairs
@@ -121,9 +122,9 @@ def test_pullback_weights_divide():
 
 def test_pullback_fractional_weights():
     base = structure([Fraction(7)])
-    up = pullback(base, RamificationData(2, [(0, [2]), ("free", [2])]))
+    up = pullback(base, RamificationProfile(2, [[2], [2]]))
     assert up.weights() == (Fraction(1, 2), Fraction(7, 2))
-    cover = RamificationData(3, [(0, [2, 1]), ("f1", [2, 1]), ("f2", [2, 1]), ("f3", [2, 1])])
+    cover = RamificationProfile(3, [[2, 1]] * 4)
     up = pullback(base, cover)
     assert Fraction(7, 2) in up.weights()
     assert Fraction(7) in up.weights()
@@ -133,7 +134,7 @@ def test_pullback_fractional_weights():
 def test_pullback_requires_known_points():
     base = structure([2, 3, 7])
     with pytest.raises(ValueError):
-        pullback(base, RamificationData(2, [(0, [2]), (1, [2])]))
+        pullback(base, RamificationProfile(2, [[2], [2]]))
 
 
 def _random_partition(rng, d):
@@ -157,11 +158,11 @@ def test_riemann_hurwitz_property_random():
         n = rng.randint(0, 4)
         o = OrbifoldStructure(genus, [(i, rng.choice(pool)) for i in range(n)])
         d = rng.randint(1, 8)
-        fibers = [(pt, _random_partition(rng, d)) for pt, _ in o.support]
+        fibers = [_random_partition(rng, d) for _ in o.support]
         if rng.random() < 0.5:
-            fibers.append(("extra", _random_partition(rng, d)))
+            fibers.append(_random_partition(rng, d))
         try:
-            up = pullback(o, RamificationData(d, fibers))
+            up = pullback(o, RamificationProfile(d, fibers))
         except ValueError:
             continue  # parity or genus constraint failed for this draw
         assert euler_char(up) == d * euler_char(o)

@@ -49,14 +49,6 @@ class TripleSpec:
         object.__setattr__(self, "entries", tuple(es))
 
     @property
-    def p0(self):
-        return self.entries[0]
-
-    @property
-    def p1(self):
-        return self.entries[1]
-
-    @property
     def pinf(self):
         return self.entries[2]
 
@@ -230,16 +222,9 @@ class IntermediateRow:
 
 
 def _max_free_row(t: TripleSpec, d: int, n_target: int) -> IntermediateRow:
-    lams = []
-    n_points = 0
-    for p in t.entries:
-        if p is INF:
-            lams.append((1,) * d)
-            n_points += d
-        else:
-            q, r = divmod(d, p)
-            lams.append((p,) * q + (1,) * r)
-            n_points += r
+    # the last option over each fiber splits its remainder into ones
+    lams, counts = zip(*(_fiber_options(p, d)[-1] for p in t.entries))
+    n_points = sum(counts)
     profile = RamificationProfile(d, lams)
     # a row with at most three essential points is degenerate on its own;
     # otherwise its free count is measured against the target

@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Optional, Tuple
 
 from .orbifold import (INF, CurvatureClass, OrbifoldStructure, RamificationProfile,
-                       classify)
+                       classify, underlying)
 
 
 @dataclass(frozen=True)
@@ -91,7 +91,7 @@ def hypergeometric_signature(e0, e1, einf) -> FuchsianSignature:
     ))
 
 
-def _weight_of_point(p: SingularPoint, underlying_weights: bool):
+def _weight_of_point(p: SingularPoint):
     e = p.exponent
     if p.logarithmic or not e.is_rational():
         return INF
@@ -99,27 +99,23 @@ def _weight_of_point(p: SingularPoint, underlying_weights: bool):
         # exponent difference zero without logarithm: still a weight-inf point,
         # the local monodromy cannot be of finite order independent of it
         return INF
-    theta = abs(e.rational)
-    if underlying_weights:
-        return Fraction(theta.denominator)
-    return 1 / theta
+    return 1 / abs(e.rational)
 
 
 def orbifold_of(sig: FuchsianSignature) -> OrbifoldStructure:
     """Weight 1/|theta| at rational non-logarithmic points, inf elsewhere.
 
-    Integer theta gives weight <= 1: such points are apparent and vanish
-    from the support.
+    Integer theta gives weight 1/|theta| <= 1: such points are apparent and
+    vanish from the underlying structure.
     """
     return OrbifoldStructure(sig.genus, tuple(
-        (p.point_id, _weight_of_point(p, False)) for p in sig.points))
+        (p.point_id, _weight_of_point(p)) for p in sig.points))
 
 
 def underlying_orbifold_of(sig: FuchsianSignature) -> OrbifoldStructure:
     """Weight = denominator of theta in lowest terms, inf at generic or
-    logarithmic points."""
-    return OrbifoldStructure(sig.genus, tuple(
-        (p.point_id, _weight_of_point(p, True)) for p in sig.points))
+    logarithmic points: the underlying structure of orbifold_of(sig)."""
+    return underlying(orbifold_of(sig))
 
 
 @dataclass(frozen=True)

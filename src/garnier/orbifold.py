@@ -65,8 +65,9 @@ class CurvatureClass(Enum):
 class OrbifoldStructure:
     """Genus plus a finite support of weighted points.
 
-    Points carry abstract hashable ids; weight-1 points are dropped at
-    construction since they carry no data.
+    Points carry abstract hashable ids and keep the order they are given
+    in; weight-1 points are dropped at construction since they carry no
+    data.
     """
 
     genus: int
@@ -85,18 +86,11 @@ class OrbifoldStructure:
             if w == 1:
                 continue
             kept.append((pt, w))
-        kept.sort(key=lambda e: repr(e[0]))
         object.__setattr__(self, "genus", genus)
         object.__setattr__(self, "support", tuple(kept))
 
     def weights(self) -> Tuple[Weight, ...]:
         return tuple(sorted(w for _, w in self.support))
-
-    def weight_at(self, pt) -> Weight:
-        for p, w in self.support:
-            if p == pt:
-                return w
-        return Fraction(1)
 
     def n_points(self) -> int:
         return len(self.support)
@@ -172,7 +166,7 @@ def covering_genus(base_genus: int, cover: RamificationProfile) -> int:
 def pullback(o: OrbifoldStructure, cover: RamificationProfile) -> OrbifoldStructure:
     """Pull the weighted structure back along the covering.
 
-    Partition i lies over the i-th point of o.support (in its sorted order);
+    Partition i lies over the i-th point of o.support (in the order given);
     any further partitions lie over weight-1 points.  Each point of local
     index k over a base point of weight p acquires weight p/k (inf stays
     inf), so the ramified preimages of a weight-1 point get weight 1/k.

@@ -199,6 +199,23 @@ def test_verify_deg4_json(capsys):
     assert payload["records"][0]["checks"]["branching_balance_2d-2"] is True
 
 
+def test_verify_deg4_names_failed_identity(capsys, monkeypatch):
+    from garnier import covers
+
+    original = covers.t_quadratic_coeffs
+
+    def wrong_sum(s, a0):
+        total, prod = original(s, a0)
+        return total + 1, prod
+
+    monkeypatch.setattr(covers, "t_quadratic_coeffs", wrong_sum)
+    code, out, _ = run(capsys, "verify-deg4", "--samples", "2")
+    assert code == 1
+    lines = out.splitlines()
+    assert lines.count("  failed: t_quadratic_vieta") == 2
+    assert lines[-1] == "verify-deg4: FAIL"
+
+
 @pytest.mark.parametrize("argv, sha256", [
     (("verify-deg4", "--samples", "10", "--seed", "7", "--json"),
      "8085e0b37fa303cae9d6d8d2e9c4744345877f125cfa0cb5f27ebb2b82a92221"),

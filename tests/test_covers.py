@@ -26,7 +26,7 @@ from garnier.covers import (
     uv_lift,
     verify_family,
 )
-from garnier.exactalg import ALPHA, Poly, QuadElement, parse_quad
+from garnier.exactalg import ALPHA, BiPoly, Poly, QuadElement, parse_quad
 
 
 def q(a, b=0):
@@ -100,12 +100,10 @@ def test_phi_degree_drop_is_degenerate():
 def test_branch_points_satisfy_quadratic():
     st = uv_lift(UV)
     t1, t2 = branch_points_st(st)
-    total, prod = t_quadratic_coeffs(st)
+    params = params_from_st(st)
+    total, prod = t_quadratic_coeffs(st.s, params.a0)
     assert t1 + t2 == total
     assert t1 * t2 == prod
-    params = params_from_st(st)
-    assert branch_points_st(st, params) == (t1, t2)
-    assert t_quadratic_coeffs(st, params) == (total, prod)
     num, den = phi_from_params(params)
     assert num.evaluate(t1) == den.evaluate(t1) != 0
     assert num.evaluate(t2) == den.evaluate(t2) != 0
@@ -113,14 +111,13 @@ def test_branch_points_satisfy_quadratic():
 
 def test_free_critical_quadratic():
     st = uv_lift(UV)
-    b, c_val, disc, rho = free_critical_quadratic(st)
+    b, c_val, disc, fval, rho = free_critical_quadratic(st)
     params = params_from_st(st)
-    assert free_critical_quadratic(st, params) == (b, c_val, disc, rho)
     assert b == params.a1 + 4 * params.c
     assert c_val == 2 * params.a1 * params.c + 3 * params.a0
     assert disc == b ** 2 + 4 * c_val
     assert rho is not None
-    fval = f_poly().evaluate(st.s, st.t)
+    assert fval == f_poly().evaluate(st.s, st.t)
     assert disc == st.s ** 2 * (st.s + 1) ** 2 * fval * rho ** 2
 
 
@@ -280,6 +277,41 @@ def test_solution_record_builds_params_once(monkeypatch):
     monkeypatch.setattr(covers, "params_from_st", counting)
     assert solution_record(UV).ok
     assert len(calls) == 1
+
+
+def test_failed_identity_is_recorded_not_raised(monkeypatch):
+    # each identity is checked once, in solution_record: a wrong helper gives
+    # a record naming the failed check instead of an exception
+    original = covers.t_quadratic_coeffs
+
+    def wrong_sum(s, a0):
+        total, prod = original(s, a0)
+        return total + 1, prod
+
+    monkeypatch.setattr(covers, "t_quadratic_coeffs", wrong_sum)
+    rec = solution_record(UV)
+    assert not rec.ok
+    assert [name for name, good in rec.checks if not good] == ["t_quadratic_vieta"]
+    monkeypatch.undo()
+
+    monkeypatch.setattr(covers, "f1_poly", covers.f_poly)  # F in place of F1
+    rec = solution_record(UV)
+    assert not rec.ok
+    assert [name for name, good in rec.checks if not good] == ["pencil_ratio_v_squared"]
+
+
+def test_solution_record_evaluates_each_bipoly_once(monkeypatch):
+    # F, F1 and F2, each once at the lifted point
+    calls = []
+    original = BiPoly.evaluate
+
+    def counting(self, x, y):
+        calls.append(self)
+        return original(self, x, y)
+
+    monkeypatch.setattr(BiPoly, "evaluate", counting)
+    assert solution_record(UV).ok
+    assert len(calls) == 3
 
 
 def test_against_sympy_oracle():

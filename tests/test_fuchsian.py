@@ -14,7 +14,8 @@ from garnier.fuchsian import (
     pullback_exponents,
     underlying_orbifold_of,
 )
-from garnier.orbifold import INF, classify, CurvatureClass, RamificationProfile
+from garnier.orbifold import (INF, classify, CurvatureClass, OrbifoldStructure,
+                              RamificationProfile)
 
 
 def test_exponent_construction():
@@ -62,11 +63,11 @@ def test_orbifold_of_special_points():
         SingularPoint("c", Exponent.of(3), logarithmic=True),
         SingularPoint("d", Exponent.of(Fraction(-2, 5))),
     ))
-    o = orbifold_of(sig)
-    assert o.weight_at("a") is INF
-    assert o.weight_at("b") is INF
-    assert o.weight_at("c") is INF
-    assert o.weight_at("d") == Fraction(5, 2)  # 1/|theta|
+    weights = dict(orbifold_of(sig).support)
+    assert weights["a"] is INF
+    assert weights["b"] is INF
+    assert weights["c"] is INF
+    assert weights["d"] == Fraction(5, 2)  # 1/|theta|
 
 
 def test_underlying_orbifold_of():
@@ -75,6 +76,11 @@ def test_underlying_orbifold_of():
     assert u.weights() == (Fraction(2), Fraction(7), Fraction(7))
     sig = hypergeometric_signature(Fraction(1, 2), Fraction(1, 3), Exponent.generic())
     assert underlying_orbifold_of(sig).weights() == (Fraction(2), Fraction(3), INF)
+    # theta = 3 keeps weight 1/3 in orbifold_of but drops from the underlying
+    # structure, whose weights are the denominators of theta
+    sig = hypergeometric_signature(3, Fraction(-7, 3), Fraction(2, 5))
+    assert orbifold_of(sig).weights() == (Fraction(1, 3), Fraction(3, 7), Fraction(5, 2))
+    assert underlying_orbifold_of(sig) == OrbifoldStructure(0, (("1", 3), ("inf", 5)))
 
 
 def test_integer_exponents_vanish_from_weights():

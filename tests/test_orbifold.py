@@ -131,6 +131,14 @@ def test_pullback_fractional_weights():
     assert euler_char(up) == 3 * euler_char(base)
 
 
+def test_pullback_keeps_support_order_past_ten_points():
+    # ids 0..10 stay in the given order, so partition 10 lies over point 10
+    # (a sort by repr would put it over point 2)
+    base = OrbifoldStructure(0, enumerate([2] * 10 + [3]))
+    up = pullback(base, RamificationProfile(3, [(2, 1)] * 10 + [(3,)]))
+    assert up.weights() == (Fraction(2),) * 10
+
+
 def test_pullback_requires_known_points():
     base = structure([2, 3, 7])
     with pytest.raises(ValueError):

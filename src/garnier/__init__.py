@@ -12,8 +12,8 @@ covers (the degree-4 family), cli (the garnier command).
 __version__ = "0.1.0"
 
 from .orbifold import (CurvatureClass, INF, OrbifoldStructure,
-                       RamificationProfile, classify, euler_char, min_neg_chi,
-                       pullback, underlying)
+                       RamificationProfile, classify, euler_char, pullback,
+                       underlying)
 from .fuchsian import (Exponent, FuchsianSignature, PulledBackSignature,
                        SingularPoint, is_elementary, orbifold_of,
                        pullback_exponents, underlying_orbifold_of)
@@ -22,7 +22,6 @@ from .enumeration import (CandidateVerdict, TripleSpec, VerdictKind,
                           reproduce_table, verdict)
 from .hurwitz import (PermutationTuple, RealizabilityCertificate, find_tuple,
                       realize_profile, verify_tuple)
-from .exactalg import (BiPoly, Poly, QuadElement, discriminant, exact_sqrt,
-                       resultant)
+from .exactalg import Poly, QuadElement, discriminant, exact_sqrt, resultant
 from .covers import (DegFourParams, STPoint, SolutionRecord, UVPoint,
                      solution_record, uv_lift, verify_family)

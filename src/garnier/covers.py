@@ -6,7 +6,8 @@ phi(0) = phi(1) = 1, branch data [2,2] over 0, [1,1,1,1] over 1 (the fiber
 points q1, q2.  The parameter surface is rational in (s, t); extracting
 q1, q2 exactly requires the discriminant quartic F(s, t) to become a
 square, which happens on a double cover rationalized over Q(alpha),
-alpha^2 = -3, where F splits into two conics F1 F2.
+alpha^2 = -3, where F splits into two conics F1 F2.  F, F1 and F2 are Polys
+in s whose coefficients are Polys in t; evaluate_st takes them at a point.
 
 The (u, v) chart implemented here parametrizes that double cover through
 the pencil of conics through the four points F1 = F2 = 0: the conic
@@ -28,8 +29,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
-from .exactalg import (ALPHA, ONE, ZERO, BiPoly, Poly, QuadElement,
-                       discriminant, exact_sqrt, format_quad)
+from .exactalg import (ALPHA, ONE, ZERO, Poly, QuadElement, discriminant,
+                       exact_sqrt, format_quad)
 
 
 class DegenerateInput(ValueError):
@@ -126,38 +127,32 @@ def branch_points_st(pt: STPoint) -> Tuple[QuadElement, QuadElement]:
     return t1, t2
 
 
-# F, F1 and F2 are fixed and BiPoly is immutable, so each is built once
-# and shared by every caller.
+# F, F1 and F2 are fixed and Poly is immutable, so each is built once, from
+# one row of t-coefficients per s-degree, and shared by every caller.
 @lru_cache(maxsize=None)
-def f_poly() -> BiPoly:
+def f_poly() -> Poly:
     """Discriminant factor F(s, t): disc of the free-critical quadratic is
     s^2 (s+1)^2 F(s, t) times a square."""
-    one = QuadElement(1)
-    terms = {
-        (4, 4): one, (4, 2): _q(6), (4, 0): _q(9),
-        (3, 4): _q(-4), (3, 2): _q(-56), (3, 0): _q(60),
-        (2, 4): _q(6), (2, 2): _q(100), (2, 0): _q(118),
-        (1, 4): _q(-4), (1, 2): _q(-56), (1, 0): _q(60),
-        (0, 4): one, (0, 2): _q(6), (0, 0): _q(9),
-    }
-    return BiPoly.from_terms(terms)
+    rows = ([9, 0, 6, 0, 1], [60, 0, -56, 0, -4], [118, 0, 100, 0, 6],
+            [60, 0, -56, 0, -4], [9, 0, 6, 0, 1])
+    return Poly([Poly(map(_q, row)) for row in rows])
 
 
 @lru_cache(maxsize=None)
-def f1_poly() -> BiPoly:
-    a = ALPHA
-    terms = {
-        (0, 2): _q(1), (0, 1): 2 * a, (0, 0): _q(-3),
-        (1, 2): _q(-2), (1, 1): -4 * a, (1, 0): _q(-10),
-        (2, 2): _q(1), (2, 1): 2 * a, (2, 0): _q(-3),
-    }
-    return BiPoly.from_terms(terms)
+def f1_poly() -> Poly:
+    rows = ([-3, 2 * ALPHA, 1], [-10, -4 * ALPHA, -2], [-3, 2 * ALPHA, 1])
+    return Poly([Poly(map(_q, row)) for row in rows])
 
 
 @lru_cache(maxsize=None)
-def f2_poly() -> BiPoly:
+def f2_poly() -> Poly:
     """The Galois conjugate of F1, alpha -> -alpha in every coefficient."""
-    return BiPoly([[c.conj() for c in row] for row in f1_poly().rows])
+    return Poly([Poly([c.conj() for c in row.coeffs]) for row in f1_poly().coeffs])
+
+
+def evaluate_st(f: Poly, s: QuadElement, t: QuadElement) -> QuadElement:
+    """f(s, t) for f a Poly in s over Polys in t: each row at t, then s."""
+    return Poly([row.evaluate(t) for row in f.coeffs]).evaluate(s)
 
 
 def check_f_factorization() -> Tuple[QuadElement, bool]:
@@ -165,9 +160,8 @@ def check_f_factorization() -> Tuple[QuadElement, bool]:
     coefficients, then checked coefficientwise."""
     f = f_poly()
     prod = f1_poly() * f2_poly()
-    kappa = _q(f.rows[-1][-1]) / prod.rows[-1][-1]
-    scaled = BiPoly([[_q(cc) * kappa for cc in row] for row in prod.rows])
-    return kappa, scaled == f
+    kappa = f.lc().lc() / prod.lc().lc()
+    return kappa, prod * kappa == f
 
 
 def free_critical_quadratic(pt: STPoint
@@ -189,7 +183,7 @@ def free_critical_quadratic(pt: STPoint
     c_val = ((s * t - t + 1 + 3 * s) * (s * t - t - 1 - 3 * s)
              / ((s + 1) ** 2 * ap * am * (s - 1)))
     disc = b ** 2 + 4 * c_val
-    fval = f_poly().evaluate(s, t)
+    fval = evaluate_st(f_poly(), s, t)
     if not fval:
         raise DegenerateInput("F(s,t) = 0: the two free critical points collide "
                               "with the square-root locus")
@@ -312,9 +306,9 @@ def solution_record(uv: UVPoint) -> SolutionRecord:
     checks.append(("q_quadratic_vieta", q1 + q2 == b and q1 * q2 == -c_val))
     checks.append(("q_quadratic_normalization", q_poly == norm_poly))
     checks.append(("discriminant_identity",
-                   disc == s ** 2 * (s + 1) ** 2 * fval * rho ** 2 and bool(rho)))
-    f1v = f1_poly().evaluate(s, t)
-    f2v = f2_poly().evaluate(s, t)
+                   disc == s ** 2 * (s + 1) ** 2 * fval * rho ** 2))
+    f1v = evaluate_st(f1_poly(), s, t)
+    f2v = evaluate_st(f2_poly(), s, t)
     checks.append(("pencil_ratio_v_squared", f1v == uv.v ** 2 * f2v))
     special = {ZERO, ONE, params.c}
     pts = {t1, t2, q1, q2}

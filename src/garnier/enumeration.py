@@ -232,17 +232,13 @@ def _max_free_row(t: TripleSpec, d: int, n_target: int) -> IntermediateRow:
     return IntermediateRow(t, d, profile, n_points, str(status))
 
 
-def intermediate_rows(n_target: int = 5, d_max: int = DEFAULT_DMAX,
-                      infinite: Optional[bool] = None) -> List[IntermediateRow]:
+def intermediate_rows(n_target: int = 5, d_max: int = DEFAULT_DMAX, *,
+                      infinite: bool) -> List[IntermediateRow]:
     """One max-free-count row per candidate; infinite=True keeps triples
-    containing inf, False keeps all-finite triples, None keeps both."""
-    rows = []
-    for t, d in enumerate_candidates(n_target, d_max):
-        has_inf = INF in t.entries
-        if infinite is not None and has_inf != infinite:
-            continue
-        rows.append(_max_free_row(t, d, n_target))
-    return rows
+    containing inf, False keeps all-finite triples."""
+    return [_max_free_row(t, d, n_target)
+            for t, d in enumerate_candidates(n_target, d_max)
+            if (INF in t.entries) == infinite]
 
 
 def _base_signature(t: TripleSpec, numerator: int = 1):

@@ -1,10 +1,11 @@
 """Exact arithmetic substrate.
 
 Rationals are stdlib ``fractions.Fraction``.  On top of those this module
-provides the quadratic field Q(alpha) with alpha^2 = -3, dense univariate
-polynomials in x and bivariate polynomials in (s, t) over either coefficient
-field, Sylvester resultants and discriminants.  Everything is immutable and
-exact; no floats appear anywhere.
+provides the quadratic field Q(alpha) with alpha^2 = -3, dense polynomials
+over either coefficient field, Sylvester resultants and discriminants.  A
+bivariate polynomial in (s, t) is a ``Poly`` in s whose coefficients are
+``Poly``s in t (Knuth, *TAOCP* vol. 2, sec. 4.6).  Everything is immutable
+and exact; no floats appear anywhere.
 
 An element of Q(alpha) is stored as integer numerators over one common
 denominator, (a + b*alpha)/d with d > 0 and gcd(a, b, d) == 1 (the usual
@@ -244,33 +245,6 @@ def format_quad(z: QuadElement) -> str:
     return f"{z.a}{sign}{bpart}"
 
 
-def parse_quad(text: str) -> QuadElement:
-    """Inverse of format_quad."""
-    s = text.strip().replace(" ", "")
-    if "alpha" not in s:
-        return QuadElement(Fraction(s))
-    # split off the alpha term; the rational part, if any, comes first
-    head, _, _ = s.partition("alpha")
-    if head.endswith("*"):
-        head = head[:-1]
-    # find boundary between rational part and the b coefficient
-    cut = 0
-    for i in range(1, len(head)):
-        if head[i] in "+-" and head[i - 1] not in "+-/*":
-            cut = i
-    if cut == 0:
-        a_text, b_text = "0", head
-    else:
-        a_text, b_text = head[:cut], head[cut:]
-    if b_text in ("", "+"):
-        b = Fraction(1)
-    elif b_text == "-":
-        b = Fraction(-1)
-    else:
-        b = Fraction(b_text)
-    return QuadElement(Fraction(a_text) if a_text not in ("", "+") else Fraction(0), b)
-
-
 def exact_sqrt(z: QuadElement) -> Optional[QuadElement]:
     """Square root of z inside Q(alpha), or None when z is not a square there.
 
@@ -313,7 +287,8 @@ def _zero_like(c):
 
 
 class Poly:
-    """Dense univariate polynomial in x over Fraction or QuadElement."""
+    """Dense univariate polynomial over Fraction, QuadElement or Poly;
+    trailing zero coefficients, zero inner Polys included, are trimmed."""
 
     __slots__ = ("coeffs",)
 
@@ -340,6 +315,9 @@ class Poly:
 
     def is_zero(self) -> bool:
         return not self.coeffs
+
+    def __bool__(self):
+        return bool(self.coeffs)
 
     def lc(self):
         if self.is_zero():
@@ -409,78 +387,7 @@ class Poly:
         return self * _inv_coeff(self.lc())
 
     def __repr__(self):
-        body = ",".join(format_quad(QuadElement.coerce(c)) for c in self.coeffs)
-        return f"Poly([{body}])"
-
-
-class BiPoly:
-    """Dense bivariate polynomial in (s, t); rows indexed by the degree in s."""
-
-    __slots__ = ("rows",)
-
-    def __init__(self, rows):
-        trimmed = [list(r) for r in rows]
-        for r in trimmed:
-            while r and not r[-1]:
-                r.pop()
-        while trimmed and not trimmed[-1]:
-            trimmed.pop()
-        object.__setattr__(self, "rows", tuple(tuple(r) for r in trimmed))
-
-    def __setattr__(self, *_):
-        raise AttributeError("BiPoly is immutable")
-
-    @classmethod
-    def from_terms(cls, terms) -> "BiPoly":
-        """terms: mapping (i, j) -> coefficient of s^i t^j."""
-        if not terms:
-            return cls([])
-        imax = max(i for i, _ in terms)
-        jmax = max(j for _, j in terms)
-        rows = [[0] * (jmax + 1) for _ in range(imax + 1)]
-        for (i, j), c in terms.items():
-            rows[i][j] = c
-        return cls(rows)
-
-    def coefficient(self, i: int, j: int):
-        if i < len(self.rows) and j < len(self.rows[i]):
-            return self.rows[i][j]
-        return 0
-
-    def __mul__(self, other: "BiPoly") -> "BiPoly":
-        if not self.rows or not other.rows:
-            return BiPoly([])
-        ni = len(self.rows) + len(other.rows) - 1
-        nj = max(len(r) for r in self.rows) + max(len(r) for r in other.rows) - 1
-        out = [[0] * nj for _ in range(ni)]
-        for i, ra in enumerate(self.rows):
-            for j, ca in enumerate(ra):
-                if not ca:
-                    continue
-                for k, rb in enumerate(other.rows):
-                    for l, cb in enumerate(rb):
-                        out[i + k][j + l] = out[i + k][j + l] + ca * cb
-        return BiPoly(out)
-
-    def __eq__(self, other):
-        if not isinstance(other, BiPoly):
-            return NotImplemented
-        return self.rows == other.rows
-
-    def is_zero(self) -> bool:
-        return not self.rows
-
-    def evaluate(self, x, y):
-        out = _zero_like(x)
-        for r in reversed(self.rows):
-            rowval = _zero_like(y)
-            for c in reversed(r):
-                rowval = rowval * y + c
-            out = out * x + rowval
-        return out
-
-    def __repr__(self):
-        return f"BiPoly(rows={self.rows!r})"
+        return f"Poly([{','.join(map(str, self.coeffs))}])"
 
 
 def _det(matrix):

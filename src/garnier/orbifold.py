@@ -207,23 +207,3 @@ def classify(o: OrbifoldStructure) -> CurvatureClass:
     if chi == 0:
         return CurvatureClass.EUCLIDEAN
     return CurvatureClass.HYPERBOLIC
-
-
-_MIN_NEG_CHI = {
-    (0, 3): Fraction(1, 42),
-    (0, 4): Fraction(1, 6),
-    (0, 5): Fraction(1, 2),
-    (0, 6): Fraction(1),
-    (1, 1): Fraction(1, 2),
-    (1, 2): Fraction(1),
-    (2, 0): Fraction(2),
-}
-
-
-def min_neg_chi(genus: int, n: int) -> Fraction:
-    """Smallest attainable -chi among hyperbolic integral structures with
-    the given genus and number of weighted points."""
-    try:
-        return _MIN_NEG_CHI[(genus, n)]
-    except KeyError:
-        raise ValueError(f"no tabulated minimum for genus {genus} with {n} points")

@@ -26,7 +26,7 @@ from garnier.covers import (
     uv_lift,
     verify_family,
 )
-from garnier.exactalg import ALPHA, BiPoly, Poly, QuadElement, parse_quad
+from garnier.exactalg import ALPHA, Poly, QuadElement, format_quad
 
 
 def q(a, b=0):
@@ -67,8 +67,8 @@ def test_params_validation():
 
 def test_uv_lift_pinned_point():
     st = uv_lift(UV)
-    assert st.s == parse_quad("-39/469-30/469*alpha")
-    assert st.t == parse_quad("48/139+30/139*alpha")
+    assert format_quad(st.s) == "-39/469-30/469*alpha"
+    assert format_quad(st.t) == "48/139+30/139*alpha"
 
 
 def test_uv_lift_chart_pole():
@@ -117,7 +117,8 @@ def test_free_critical_quadratic():
     assert c_val == 2 * params.a1 * params.c + 3 * params.a0
     assert disc == b ** 2 + 4 * c_val
     assert rho is not None
-    assert fval == f_poly().evaluate(st.s, st.t)
+    # F taken at s first, then t, against the rows-at-t-first evaluation
+    assert fval == f_poly().evaluate(st.s).evaluate(st.t)
     assert disc == st.s ** 2 * (st.s + 1) ** 2 * fval * rho ** 2
 
 
@@ -134,7 +135,7 @@ def test_f_factorization_matches_golden():
     line = [ln for ln in text.splitlines() if ln.startswith("kappa = ")][0]
     kappa, ok = check_f_factorization()
     assert ok
-    assert parse_quad(line.removeprefix("kappa = ")) == kappa
+    assert format_quad(kappa) == line.removeprefix("kappa = ")
 
 
 def test_f_poly_palindromic_in_s():
@@ -142,24 +143,24 @@ def test_f_poly_palindromic_in_s():
     F = f_poly()
     for i in range(5):
         for j in range(5):
-            assert F.coefficient(i, j) == F.coefficient(4 - i, j)
+            assert F.coeffs[i].coeffs[j] == F.coeffs[4 - i].coeffs[j]
 
 
 def test_f1_f2_conjugate():
     F1, F2 = f1_poly(), f2_poly()
     for i in range(3):
         for j in range(3):
-            c1 = QuadElement.coerce(F1.coefficient(i, j))
-            assert c1.conj() == QuadElement.coerce(F2.coefficient(i, j))
-    assert F2.coefficient(1, 1) == 4 * ALPHA and F2.coefficient(1, 0) == -10
+            c1 = QuadElement.coerce(F1.coeffs[i].coeffs[j])
+            assert c1.conj() == QuadElement.coerce(F2.coeffs[i].coeffs[j])
+    assert F2.coeffs[1].coeffs[1] == 4 * ALPHA and F2.coeffs[1].coeffs[0] == -10
 
 
 def test_pencil_ratio_on_lift():
     for u, v in [(2, 3), (5, 2), (-3, 7)]:
         uv = UVPoint(q(u), q(v))
         st = uv_lift(uv)
-        f1 = f1_poly().evaluate(st.s, st.t)
-        f2 = f2_poly().evaluate(st.s, st.t)
+        f1 = f1_poly().evaluate(st.s).evaluate(st.t)
+        f2 = f2_poly().evaluate(st.s).evaluate(st.t)
         assert f1 == uv.v ** 2 * f2
 
 
@@ -172,7 +173,7 @@ def test_solution_record_checks_pass():
     assert len({rec.t1, rec.t2, rec.q1, rec.q2}) == 4
     d = rec.to_dict()
     assert d["ok"] is True
-    assert parse_quad(d["t1"]) == rec.t1
+    assert d["t1"] == format_quad(rec.t1)
 
 
 @pytest.fixture
@@ -303,15 +304,16 @@ def test_failed_identity_is_recorded_not_raised(monkeypatch):
 def test_solution_record_evaluates_each_bipoly_once(monkeypatch):
     # F, F1 and F2, each once at the lifted point
     calls = []
-    original = BiPoly.evaluate
+    original = covers.evaluate_st
 
-    def counting(self, x, y):
-        calls.append(self)
-        return original(self, x, y)
+    def counting(f, s, t):
+        calls.append(f)
+        return original(f, s, t)
 
-    monkeypatch.setattr(BiPoly, "evaluate", counting)
+    monkeypatch.setattr(covers, "evaluate_st", counting)
     assert solution_record(UV).ok
     assert len(calls) == 3
+    assert calls == [f_poly(), f1_poly(), f2_poly()]
 
 
 def test_against_sympy_oracle():

@@ -15,7 +15,6 @@ from garnier.orbifold import (
     covering_genus,
     euler_char,
     make_weight,
-    min_neg_chi,
     pullback,
     underlying,
     weight_reciprocal,
@@ -204,25 +203,15 @@ def test_classify_branches():
         classify(structure([Fraction(5, 2), 3, 7]))
 
 
-def test_min_neg_chi_table():
-    assert min_neg_chi(0, 3) == Fraction(1, 42)
-    assert min_neg_chi(0, 4) == Fraction(1, 6)
-    assert min_neg_chi(0, 5) == Fraction(1, 2)
-    assert min_neg_chi(0, 6) == 1
-    assert min_neg_chi(1, 1) == Fraction(1, 2)
-    assert min_neg_chi(1, 2) == 1
-    assert min_neg_chi(2, 0) == 2
-    with pytest.raises(ValueError):
-        min_neg_chi(0, 2)
-
-
 def test_min_neg_chi_is_sharp_exhaustively():
     # every integral hyperbolic structure with small weights respects the bound,
     # and the bound is attained within the scan (at (2,3,7), (2,2,2,3), ...);
-    # raising any weight only lowers chi, so small pools cover the minima
+    # raising any weight only lowers chi, so small pools cover the minima;
+    # the minima of -chi are the classical ones (Hurwitz's 1/42 for (2,3,7))
     pool = [Fraction(k) for k in range(2, 13)] + [INF]
-    for genus, n in [(0, 3), (0, 4), (1, 1), (1, 2)]:
-        bound = min_neg_chi(genus, n)
+    quoted = {(0, 3): Fraction(1, 42), (0, 4): Fraction(1, 6),
+              (1, 1): Fraction(1, 2), (1, 2): Fraction(1)}
+    for (genus, n), bound in quoted.items():
         best = None
         for combo in itertools.combinations_with_replacement(pool, n):
             o = OrbifoldStructure(genus, list(enumerate(combo)))

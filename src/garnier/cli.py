@@ -1,5 +1,8 @@
 """Command line interface.
 
+`main` builds the parser of the named subcommand only; help, an unknown
+name and an empty command line get the full parser.
+
 Exit codes: 0 on success, 1 when a verification fails (golden mismatch,
 failed family checks), 2 on usage errors.
 """
@@ -12,6 +15,7 @@ import os
 import sys
 from fractions import Fraction
 from importlib import resources
+from typing import Optional
 
 from .covers import verify_family
 from .enumeration import (DEFAULT_DMAX, TABLE_IDS, VerdictKind,
@@ -185,33 +189,27 @@ def _env_seed() -> int:
         raise ValueError(f"GARNIER_SEED must be an integer, got {text!r}") from None
 
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="garnier",
-        description="Exact classification of complete algebraic Garnier "
-                    "solutions obtained by pulling back hypergeometric "
-                    "equations, with a verified degree-4 family.")
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("chi", help="Euler characteristic and curvature class")
+def _add_chi(p: argparse.ArgumentParser) -> None:
     p.add_argument("--genus", type=int, default=0)
     p.add_argument("--weights", type=_parse_weights, required=True,
                    metavar="W1,W2,...", help="positive rationals or inf")
     p.set_defaults(func=_cmd_chi)
 
-    p = sub.add_parser("classify", help="curvature class of integral weights")
+
+def _add_classify(p: argparse.ArgumentParser) -> None:
     p.add_argument("--genus", type=int, default=0)
     p.add_argument("--weights", type=_parse_weights, required=True,
                    metavar="W1,W2,...")
     p.set_defaults(func=_cmd_classify)
 
-    p = sub.add_parser("enumerate",
-                       help="candidate triples and branch data for n points")
+
+def _add_enumerate(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=_int_at_least(0), required=True)
     p.add_argument("--dmax", type=_int_at_least(2), default=DEFAULT_DMAX)
     p.set_defaults(func=_cmd_enumerate)
 
-    p = sub.add_parser("tables", help="reproduce a classification table")
+
+def _add_tables(p: argparse.ArgumentParser) -> None:
     p.add_argument("--id", required=True, type=_table_id, choices=TABLE_IDS)
     p.add_argument("--dmax", type=_int_at_least(2), default=DEFAULT_DMAX)
     output = p.add_mutually_exclusive_group()
@@ -220,8 +218,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="diff the text table against the packaged golden copy")
     p.set_defaults(func=_cmd_tables)
 
-    p = sub.add_parser("hurwitz",
-                       help="realize branch data by a permutation tuple")
+
+def _add_hurwitz(p: argparse.ArgumentParser) -> None:
     p.add_argument("--degree", type=int, required=True,
                    help=f"covering degree (<= {MAX_DEGREE})")
     p.add_argument("--types", type=_parse_types, required=True,
@@ -229,17 +227,52 @@ def build_parser() -> argparse.ArgumentParser:
                    help="semicolon-separated partitions of the degree")
     p.set_defaults(func=_cmd_hurwitz)
 
-    p = sub.add_parser("verify-deg4",
-                       help="verify the explicit degree-4 family exactly")
+
+def _add_verify(p: argparse.ArgumentParser) -> None:
     p.add_argument("--samples", type=_int_at_least(2), default=10)
     p.add_argument("--seed", type=int)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_verify)
+
+
+# subcommand name -> (help text, function adding its arguments), in the
+# order the help lists them
+COMMANDS = {
+    "chi": ("Euler characteristic and curvature class", _add_chi),
+    "classify": ("curvature class of integral weights", _add_classify),
+    "enumerate": ("candidate triples and branch data for n points", _add_enumerate),
+    "tables": ("reproduce a classification table", _add_tables),
+    "hurwitz": ("realize branch data by a permutation tuple", _add_hurwitz),
+    "verify-deg4": ("verify the explicit degree-4 family exactly", _add_verify),
+}
+
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The parser with every subcommand, or with only `command`'s.
+
+    A parser built for one command still names all of them in its usage
+    line, so its messages read as the full parser's do."""
+    ap = argparse.ArgumentParser(
+        prog="garnier",
+        description="Exact classification of complete algebraic Garnier "
+                    "solutions obtained by pulling back hypergeometric "
+                    "equations, with a verified degree-4 family.")
+    sub = ap.add_subparsers(
+        dest="command", required=True,
+        metavar=None if command is None else "{" + ",".join(COMMANDS) + "}")
+    for name, (help_text, add_arguments) in COMMANDS.items():
+        if command is None or name == command:
+            add_arguments(sub.add_parser(name, help=help_text))
     return ap
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    # help, an unknown command and an empty argv get the full parser, whose
+    # messages list every command
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         return args.func(args)
     except ValueError as e:

@@ -82,6 +82,11 @@ def _candidate_pairs(d_max: int) -> Tuple[Tuple[TripleSpec, int], ...]:
     d(p0 - 3) > p0, and 1 - 1/p0 - 2/p1 > 1/d reads
     d(p0 p1 - p1 - 2 p0) > p0 p1, or d(p0 - 1) > p0 at p1 = inf.  An inf
     p0 always stops the sweep, since -chi = 1 > 1/d there.
+
+    pinf is solved from the floor identity, floor(d/pinf) = f with
+    f = d - floor(d/p0) - floor(d/p1) - 1: f = 0 leaves only pinf = inf
+    (a canonical finite pinf <= d has floor(d/pinf) >= 1), and f > 0 needs
+    a finite pinf >= p1 in (d/(f + 1), d/f].
     """
     out = []
     for d in range(2, d_max + 1):
@@ -89,20 +94,22 @@ def _candidate_pairs(d_max: int) -> Tuple[Tuple[TripleSpec, int], ...]:
         for i, p0 in enumerate(pool):
             if p0 is INF or d * (p0 - 3) > p0:
                 break
-            for j, p1 in enumerate(pool[i:], i):
+            for p1 in pool[i:]:
                 if p1 is INF:
                     if d * (p0 - 1) > p0:
                         break
                 elif d * (p0 * p1 - p1 - 2 * p0) > p0 * p1:
                     break
-                floors = d - d // p0 - (0 if p1 is INF else d // p1)
-                for pinf in pool[j:]:
+                f = d - d // p0 - (0 if p1 is INF else d // p1) - 1
+                if f < 0 or (f > 0 and p1 is INF):
+                    continue
+                for pinf in (range(max(p1, d // (f + 1) + 1), d // f + 1)
+                             if f else (INF,)):
                     num, den = _neg_chi((p0, p1, pinf))
                     if d * num > den:
                         break
-                    if num <= 0 or floors - (0 if pinf is INF else d // pinf) != 1:
-                        continue
-                    out.append((TripleSpec(p0, p1, pinf), d))
+                    if num > 0:
+                        out.append((TripleSpec(p0, p1, pinf), d))
     out.sort(key=lambda e: (e[0].entries, e[1]))
     return tuple(out)
 

@@ -313,14 +313,11 @@ class Poly:
         # degree of the zero polynomial is -1 by convention
         return len(self.coeffs) - 1
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def __bool__(self):
         return bool(self.coeffs)
 
     def lc(self):
-        if self.is_zero():
+        if not self:
             raise ValueError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
 
@@ -348,7 +345,7 @@ class Poly:
     def __mul__(self, other):
         if not isinstance(other, Poly):
             return Poly([c * other for c in self.coeffs])
-        if self.is_zero() or other.is_zero():
+        if not self or not other:
             return Poly([])
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, ci in enumerate(self.coeffs):
@@ -382,7 +379,7 @@ class Poly:
         return Poly([i * c for i, c in enumerate(self.coeffs)][1:])
 
     def monic(self) -> "Poly":
-        if self.is_zero():
+        if not self:
             return self
         return self * _inv_coeff(self.lc())
 
@@ -420,7 +417,7 @@ def _det(matrix):
 
 def resultant(p: Poly, q: Poly):
     """Sylvester-matrix resultant; exact over the coefficient field."""
-    if p.is_zero() or q.is_zero():
+    if not p or not q:
         raise ValueError("resultant of the zero polynomial")
     m, n = p.degree(), q.degree()
     if m == 0:

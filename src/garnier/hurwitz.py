@@ -78,6 +78,29 @@ def cycle_type(p: Perm) -> Tuple[int, ...]:
     return tuple(sorted((len(c) for c in cycles_of(p)), reverse=True))
 
 
+def _has_cycle_type(p: Perm, want: Dict[int, int]) -> bool:
+    """Whether p's cycle lengths occur with the counts in `want` ({length:
+    count}, summing to len(p)).  Stops at the first cycle whose length is
+    used up; a walk that meets none has used every count exactly, since
+    both sides sum to len(p)."""
+    left = dict(want)
+    seen = [False] * len(p)
+    for start in range(len(p)):
+        if seen[start]:
+            continue
+        seen[start] = True
+        n = 1
+        j = p[start]
+        while j != start:
+            seen[j] = True
+            n += 1
+            j = p[j]
+        if not left.get(n):
+            return False
+        left[n] -= 1
+    return True
+
+
 def cayley_norm(p: Perm) -> int:
     return len(p) - len(cycles_of(p))
 
@@ -388,7 +411,7 @@ def find_tuple(types: Sequence[Sequence[int]], degree: int) -> RealizabilityCert
         found = try_h(prefix, inverse(compose(identity(degree), *prefix)))
     else:
         anchor_type = big[-1]
-        derived_type = big[-2]
+        derived_counts = Counter(big[-2])
         middle_types = big[:-2]
         anchor = canonical_perm(anchor_type)
         # every replay needs the inverse of each h, and h itself only on a
@@ -407,7 +430,7 @@ def find_tuple(types: Sequence[Sequence[int]], degree: int) -> RealizabilityCert
                 for h_inv in h_inv_pool:
                     stats["outer"] += 1
                     derived = compose(inv_prefix, h_inv)
-                    if cycle_type(derived) != derived_type:
+                    if not _has_cycle_type(derived, derived_counts):
                         continue
                     stats["typehits"] += 1
                     got = try_h(prefix + [derived], inverse(h_inv))

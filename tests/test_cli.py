@@ -1,11 +1,17 @@
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
+import re
+from pathlib import Path
 
 import pytest
 
-from garnier.cli import main
+from garnier import cli
+from garnier.cli import COMMANDS, build_parser, main
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run(capsys, *argv):
@@ -250,3 +256,45 @@ def test_verify_deg4_bad_seed_env_exits_2(capsys, monkeypatch):
     monkeypatch.delenv("GARNIER_SEED")
     _, unset, _ = run(capsys, "verify-deg4", "--samples", "2")
     assert unset == out
+
+
+def _subcommands(parser):
+    (action,) = [a for a in parser._actions
+                 if isinstance(a, argparse._SubParsersAction)]
+    return list(action.choices)
+
+
+def test_build_parser_builds_the_named_subcommand_only():
+    assert _subcommands(build_parser()) == list(COMMANDS)
+    assert len(COMMANDS) == 6
+    for name in COMMANDS:
+        assert _subcommands(build_parser(name)) == [name]
+
+
+def _outcome(capsys, argv):
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = ("exit", exc.code)
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"], ["-h"], [], ["bogus"], ["--version"],
+    ["tables", "--help"], ["tables"], ["tables", "--id", "T1"],
+    ["tables", "--id", "bad"], ["tables", "--id", "T1", "extra"],
+    ["tables", "--id", "T1", "--json", "--golden"],
+    ["hurwitz", "--degree", "4"], ["chi", "--weights", "2,3,7"],
+    ["classify", "--help"], ["verify-deg4", "--samples", "1"],
+    ["enumerate", "--n", "-1"],
+])
+def test_main_matches_the_full_parser(capsys, monkeypatch, argv):
+    got = _outcome(capsys, argv)
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: build_parser())
+    assert got == _outcome(capsys, argv)
+
+
+def test_commands_match_readme_usage():
+    usage = README.read_text("utf-8").split("## Command line", 1)[1].split("\n## ", 1)[0]
+    assert set(COMMANDS) == set(re.findall(r"^garnier ([\w-]+)", usage, re.M))

@@ -12,6 +12,7 @@ from garnier.enumeration import (
     TripleSpec,
     VerdictKind,
     _T2_EXTRA,
+    _candidate_pairs,
     _family_rows,
     chi_inequality_holds,
     complete_profiles,
@@ -180,14 +181,24 @@ def _cube_sweep(d_max):
 
 
 def test_enumerate_candidates_matches_cube_sweep():
-    for d_max in (2, 3, 10, 42):
-        cube = _cube_sweep(d_max)
+    # 7, 12 and 43 reach the f = 0 (pinf = inf) case and the edges of the
+    # pinf interval the sweep solves the floor identity for
+    full = _cube_sweep(43)
+    for d_max in (2, 3, 7, 10, 12, 42, 43):
+        cube = [e for e in full if e[1] <= d_max]
         for n in range(14):
             want = [(es, d) for es, d, neg_chi in cube
                     if d * neg_chi <= 1 - (0 if es[2] is INF else Fraction(n, es[2]))]
             want.sort(key=lambda e: ([(p is INF, 0 if p is INF else p) for p in e[0]], e[1]))
             got = [(t.entries, d) for t, d in enumerate_candidates(n, d_max)]
             assert got == want, (d_max, n)
+
+
+def test_candidate_pairs_are_canonical():
+    # a finite entry above d would be weight inf written another way
+    for t, d in _candidate_pairs(60):
+        assert all(p is INF or p <= d for p in t.entries), (t, d)
+        assert floor_identity_holds(t, d)
 
 
 def test_enumerate_candidates_fresh_list():

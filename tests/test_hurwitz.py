@@ -10,6 +10,7 @@ import pytest
 from garnier import hurwitz
 from garnier.hurwitz import (
     MAX_DEGREE,
+    _has_cycle_type,
     canonical_perm,
     cayley_norm,
     class_elements,
@@ -53,6 +54,16 @@ def test_cycles_and_types():
     assert cycles_of(identity(3)) == [(0,), (1,), (2,)]
     assert format_perm(p) == "(1 2 3)(4 5)"
     assert format_perm(identity(4)) == "id"
+
+
+def test_has_cycle_type_agrees_with_cycle_type():
+    # the leaf loop's early-exit test against the full sorted cycle type
+    for d in (5, 6):
+        perms = list(permutations(range(d)))
+        for t in partitions_of(d):
+            want = Counter(t)
+            for p in perms:
+                assert _has_cycle_type(p, want) == (cycle_type(p) == t), (p, t)
 
 
 def test_conjugate_preserves_type():

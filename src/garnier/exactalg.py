@@ -159,14 +159,11 @@ class QuadElement:
     def __pow__(self, n: int):
         if n < 0:
             return self.inverse() ** (-n)
-        out = QuadElement(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        if n < 2:
+            return self if n else QuadElement(1)
+        half = self ** (n >> 1)
+        out = half * half
+        return out * self if n & 1 else out
 
     def __eq__(self, other):
         o = _operand(other)

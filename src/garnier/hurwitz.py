@@ -19,7 +19,11 @@ The pools the search walks (the products h, the remaining classes, orbit
 representatives for the first of them) are generated lazily in a fixed
 order, and each element is produced at most once per query: a pool walked
 again for each prefix is replayed from what the first walk drew, and
-nothing past the first hit is generated.
+nothing past the first hit is generated.  A class generator completes the
+trailing fixed points of an element at once instead of recursing through
+them.  The solved-for entry (h P)^-1, P the product of the entries before
+it, has the cycle type of h P; the search tests that type by walking
+j -> P[h[j]] without building h P, and composes the entry only on a hit.
 """
 from __future__ import annotations
 
@@ -78,11 +82,12 @@ def cycle_type(p: Perm) -> Tuple[int, ...]:
     return tuple(sorted((len(c) for c in cycles_of(p)), reverse=True))
 
 
-def _has_cycle_type(p: Perm, want: Dict[int, int]) -> bool:
-    """Whether p's cycle lengths occur with the counts in `want` ({length:
-    count}, summing to len(p)).  Stops at the first cycle whose length is
-    used up; a walk that meets none has used every count exactly, since
-    both sides sum to len(p)."""
+def _has_cycle_type(h: Perm, p: Perm, want: Dict[int, int]) -> bool:
+    """Whether compose(h, p), the map j -> p[h[j]], has its cycle lengths
+    with the counts in `want` ({length: count}, summing to len(p)), without
+    building it.  Stops at the first cycle whose length is used up; a walk
+    that meets none has used every count exactly, since both sides sum to
+    len(p)."""
     left = dict(want)
     seen = [False] * len(p)
     for start in range(len(p)):
@@ -90,11 +95,11 @@ def _has_cycle_type(p: Perm, want: Dict[int, int]) -> bool:
             continue
         seen[start] = True
         n = 1
-        j = p[start]
+        j = p[h[start]]
         while j != start:
             seen[j] = True
             n += 1
-            j = p[j]
+            j = p[h[j]]
         if not left.get(n):
             return False
         left[n] -= 1
@@ -135,12 +140,14 @@ def class_elements(d: int, parts: Sequence[int]) -> Iterator[Perm]:
 
     The smallest unplaced point always opens the next cycle, once per
     distinct available length, so each permutation appears exactly once and
-    the order is fixed by (d, parts).
+    the order is fixed by (d, parts).  Once only fixed points are left to
+    place, the one completion is yielded at once: unplaced points are
+    already fixed in img.
     """
     img = list(range(d))
 
     def place(remaining: Dict[int, int], unused: List[int]) -> Iterator[Perm]:
-        if not unused:
+        if remaining.get(1, 0) == len(unused):
             yield tuple(img)
             return
         start = unused[0]
@@ -353,11 +360,15 @@ class _Pool:
 
 def verify_tuple(perms: Sequence[Perm], types: Sequence[Sequence[int]],
                  degree: int) -> bool:
-    """Product identity, requested cycle types, transitivity."""
+    """Each entry a permutation of range(degree), requested cycle types,
+    product identity, transitivity."""
     if len(perms) != len(types):
         return False
+    points = set(range(degree))
     for p, t in zip(perms, types):
-        if len(p) != degree or cycle_type(p) != tuple(sorted(t, reverse=True)):
+        if len(p) != degree or set(p) != points:
+            return False
+        if cycle_type(p) != tuple(sorted(t, reverse=True)):
             return False
     return compose(*perms) == identity(degree) and is_transitive(perms, degree)
 
@@ -370,10 +381,14 @@ def find_tuple(types: Sequence[Sequence[int]], degree: int) -> RealizabilityCert
     global conjugation makes the canonical anchor representative free, and
     conjugating by the anchor's centralizer reduces the first remaining
     class to orbit representatives; the second-largest class never needs
-    enumeration because the product relation determines it.  The pools are
+    enumeration because the product relation determines it.  For each h
+    the leaf tests the cycle type of h P (P the prefix product), which is
+    that of the derived entry (h P)^-1, without building h P, and composes
+    the entry only on a type hit; every h is still tested.  The pools are
     generated lazily in a fixed order, each element at most once per query,
-    so the walk, its first hit, stats and reason do not depend on how far
-    the pools have been generated.
+    with trailing fixed points completed without recursion, so the walk,
+    its first hit, stats and reason do not depend on how far the pools have
+    been generated.
     """
     if degree < 1:
         raise ValueError("degree must be >= 1")
@@ -414,9 +429,7 @@ def find_tuple(types: Sequence[Sequence[int]], degree: int) -> RealizabilityCert
         derived_counts = Counter(big[-2])
         middle_types = big[:-2]
         anchor = canonical_perm(anchor_type)
-        # every replay needs the inverse of each h, and h itself only on a
-        # type hit, so the pool holds the inverses
-        h_inv_pool = _Pool(inverse(h) for h in h_set(degree, n_tau))
+        h_pool = _Pool(h_set(degree, n_tau))
         middle_pools: List[_Pool] = []
         for i, mt in enumerate(middle_types):
             elems = class_elements(degree, mt)
@@ -426,14 +439,15 @@ def find_tuple(types: Sequence[Sequence[int]], degree: int) -> RealizabilityCert
 
         def walk(i: int, prefix: List[Perm], prefix_prod: Perm) -> Optional[List[Perm]]:
             if i == len(middle_pools):
-                inv_prefix = inverse(prefix_prod)
-                for h_inv in h_inv_pool:
+                # the derived element (h prefix_prod)^-1 has the type of
+                # h prefix_prod, which is tested without being built
+                for h in h_pool:
                     stats["outer"] += 1
-                    derived = compose(inv_prefix, h_inv)
-                    if not _has_cycle_type(derived, derived_counts):
+                    if not _has_cycle_type(h, prefix_prod, derived_counts):
                         continue
                     stats["typehits"] += 1
-                    got = try_h(prefix + [derived], inverse(h_inv))
+                    derived = inverse(compose(h, prefix_prod))
+                    got = try_h(prefix + [derived], h)
                     if got is not None:
                         return got
                 return None

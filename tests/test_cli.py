@@ -170,6 +170,31 @@ def test_hurwitz_not_exists(capsys):
     assert out.startswith("NOT_EXISTS")
 
 
+def test_hurwitz_stdout_is_pinned(capsys):
+    # the two README calls and the d = 12 T4 row with its two free points
+    fixed = ",".join(["1"] * 10)
+    calls = [
+        ("4", "2,2;3,1;1,1,1,1;2,1,1;2,1,1", [
+            "EXISTS",
+            "[2,2] (1 3)(2 4)",
+            "[3,1] (1 2 3)",
+            "[1,1,1,1] id",
+            "[2,1,1] (2 3)",
+            "[2,1,1] (2 4)"]),
+        ("4", "2,2;2,2;3,1", ["NOT_EXISTS (search space exhausted)"]),
+        ("12", f"2,2,2,2,2,2;3,3,3,3;7,1,1,1,1,1;2,{fixed};2,{fixed}", [
+            "EXISTS",
+            "[2,2,2,2,2,2] (1 7)(2 3)(4 6)(5 8)(9 10)(11 12)",
+            "[3,3,3,3] (1 6 3)(2 11 12)(4 5 8)(7 9 10)",
+            "[7,1,1,1,1,1] (1 2 3 4 5 6 7)",
+            "[2,1,1,1,1,1,1,1,1,1,1] (1 9)",
+            "[2,1,1,1,1,1,1,1,1,1,1] (3 11)"]),
+    ]
+    for degree, types, lines in calls:
+        assert run(capsys, "hurwitz", "--degree", degree, "--types", types) == (
+            0, "".join(line + "\n" for line in lines), "")
+
+
 def test_hurwitz_bad_input(capsys):
     code, _, err = run(capsys, "hurwitz", "--degree", "4", "--types", "2,2;5")
     assert code == 2

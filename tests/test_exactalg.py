@@ -77,6 +77,32 @@ def test_pow():
     assert x ** -2 == (x * x).inverse()
 
 
+def test_pow_matches_repeated_products(monkeypatch):
+    for z in (q(1, 1), q(Fraction(-2, 3), Fraction(5, 7)), ALPHA, q(3)):
+        for n in range(-4, 9):
+            want = ONE
+            for _ in range(abs(n)):
+                want = want * z
+            if n < 0:
+                want = want.inverse()
+            assert z ** n == want, (z, n)
+    # one multiplication for a square, two for a cube; none wasted on a
+    # square past the top bit
+    made = []
+    mul = QuadElement.__mul__
+
+    def counting(self, other):
+        made.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(QuadElement, "__mul__", counting)
+    z = q(Fraction(-2, 3), Fraction(5, 7))
+    for n, cost in [(0, 0), (1, 0), (2, 1), (3, 2), (4, 2), (8, 3)]:
+        made.clear()
+        _ = z ** n
+        assert len(made) == cost, (n, len(made))
+
+
 def test_hash_consistent_with_equality():
     assert hash(q(5)) == hash(Fraction(5)) == hash(5)
     assert q(5) == 5

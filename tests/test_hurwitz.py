@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 from collections import Counter
@@ -57,13 +58,15 @@ def test_cycles_and_types():
 
 
 def test_has_cycle_type_agrees_with_cycle_type():
-    # the leaf loop's early-exit test against the full sorted cycle type
-    for d in (5, 6):
-        perms = list(permutations(range(d)))
-        for t in partitions_of(d):
-            want = Counter(t)
-            for p in perms:
-                assert _has_cycle_type(p, want) == (cycle_type(p) == t), (p, t)
+    # the leaf loop's early-exit test of compose(h, p), which it never
+    # builds, against the full sorted cycle type of the built product
+    perms = list(permutations(range(5)))
+    wants = [(t, Counter(t)) for t in partitions_of(5)]
+    for h in perms:
+        for p in perms:
+            got = cycle_type(compose(h, p))
+            for t, want in wants:
+                assert _has_cycle_type(h, p, want) == (got == t), (h, p, t)
 
 
 def test_conjugate_preserves_type():
@@ -193,6 +196,15 @@ def test_verify_tuple():
     # intransitive tuples fail even with identity product
     t = (1, 0, 2, 3)
     assert not verify_tuple([t, t], [(2, 1, 1)] * 2, 4)
+
+
+def test_verify_tuple_rejects_non_permutations():
+    # a repeated image would send cycles_of round a loop it never leaves,
+    # and an image out of range would index past the end
+    assert not verify_tuple([(0, 0), (0, 1)], [(2,), (1, 1)], 2)
+    assert not verify_tuple([(1, 2), (1, 0)], [(2,), (2,)], 2)
+    assert not verify_tuple([(1, 0, 2), (1, 0)], [(2,), (2,)], 2)
+    assert verify_tuple([(1, 0), (1, 0)], [(2,), (2,)], 2)
 
 
 def test_find_tuple_degree_four_row():
@@ -407,24 +419,37 @@ def _three_fibre_sample(seed, per_degree):
 
 
 def test_lazy_pools_generate_the_eager_order():
-    for d in range(1, 7):
+    for d in range(1, 8):
         for lam in partitions_of(d):
             assert list(class_elements(d, lam)) == _eager_class_elements(d, lam)
         for k in range(5):
             assert list(h_set(d, k)) == _eager_h_set(d, k)
+    # the norm <= 3 classes of d = 9, mostly fixed points, that the
+    # slowest benchmark query walks as its h pool
+    for lam in partitions_of(9):
+        if 9 - len(lam) <= 3:
+            assert list(class_elements(9, lam)) == _eager_class_elements(9, lam)
+    for k in range(4):
+        assert list(h_set(9, k)) == _eager_h_set(9, k)
     gens = centralizer_generators(canonical_perm([3, 2, 1]))
     for lam in partitions_of(6):
         assert (list(orbit_reps(class_elements(6, lam), gens))
                 == _eager_orbit_reps(_eager_class_elements(6, lam), gens))
 
 
-def test_lazy_pools_match_eager_search(monkeypatch):
+def _match_queries():
+    """The small queries, the T1/T4 profiles with their free points and a
+    seeded three-fibre sample."""
     queries = list(_genus0_queries())
     for d, parts in PROFILE_ROWS:
         profile = RamificationProfile(d, parts)
         queries.append((d, tuple(profile.partitions)
                         + ((2,) + (1,) * (d - 2),) * profile.free_points))
-    queries += _three_fibre_sample(7, 20)
+    return queries + _three_fibre_sample(7, 20)
+
+
+def test_lazy_pools_match_eager_search(monkeypatch):
+    queries = _match_queries()
     lazy = [find_tuple(types, d) for d, types in queries]
     monkeypatch.setattr(hurwitz, "class_elements", _eager_class_elements)
     monkeypatch.setattr(hurwitz, "h_set", _eager_h_set)
@@ -432,6 +457,26 @@ def test_lazy_pools_match_eager_search(monkeypatch):
     for (d, types), got in zip(queries, lazy):
         # equal exists, perms, stats and reason
         assert got == find_tuple(types, d), (d, types)
+
+
+def test_find_tuple_walk_is_pinned():
+    # (exists, perms, stats, reason) on the query set above: the eager
+    # comparison runs both sides through the same leaf loop, so only pinned
+    # values catch a change in walk order, which moves the stats or the
+    # first hit
+    queries = _match_queries()
+    digest = hashlib.sha256()
+    totals = Counter()
+    for d, types in queries:
+        cert = find_tuple(types, d)
+        perms = None if cert.tuple_ is None else cert.tuple_.perms
+        digest.update(repr((cert.exists, perms, sorted(cert.stats.items()),
+                            cert.reason)).encode())
+        totals.update(cert.stats)
+    assert len(queries) == 127
+    assert totals == {"outer": 6993, "h": 180, "typehits": 166}
+    assert digest.hexdigest() == (
+        "76e4139a3a5edb71b72883de90921da64b918e22e4726b7c73519c38525ea1cf")
 
 
 def test_pools_stop_at_the_first_hit(monkeypatch):

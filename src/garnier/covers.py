@@ -294,11 +294,13 @@ def solution_record(uv: UVPoint) -> SolutionRecord:
     unit_num = num - den
     dnum = num.derivative() * x_c - num * 3
 
+    # the unit fiber {0, 1, t1, t2}, read by three checks below
+    unit_vals = [unit_num.evaluate(x) for x in (ZERO, ONE, t1, t2)]
+    u0, u1, ut1, ut2 = unit_vals
+
     checks: List[Tuple[str, bool]] = []
-    checks.append(("phi_fixes_0_and_1",
-                   not unit_num.evaluate(ZERO) and not unit_num.evaluate(ONE)))
-    checks.append(("branch_values_on_unit_fiber",
-                   not unit_num.evaluate(t1) and not unit_num.evaluate(t2)))
+    checks.append(("phi_fixes_0_and_1", not u0 and not u1))
+    checks.append(("branch_values_on_unit_fiber", not ut1 and not ut2))
     total, prod = t_quadratic_coeffs(s, params.a0)
     checks.append(("t_quadratic_vieta", t1 + t2 == total and t1 * t2 == prod))
     checks.append(("free_critical_points",
@@ -318,8 +320,7 @@ def solution_record(uv: UVPoint) -> SolutionRecord:
     # branch data: double points over 0, simple unit fiber {0,1,t1,t2},
     # pole orders (3,1) over infinity
     over0_ok = bool(discriminant(p_poly)) and bool(p_poly.evaluate(params.c))
-    over1_ok = (unit_num.degree() == 4
-                and not any(unit_num.evaluate(x) for x in (ZERO, ONE, t1, t2)))
+    over1_ok = unit_num.degree() == 4 and not any(unit_vals)
     overinf_ok = (den == x_c ** 3 and num.degree() == 4
                   and bool(num.evaluate(params.c)))
     checks.append(("ramification_profile_2+2_1+1+1+1_3+1",

@@ -353,10 +353,13 @@ class Poly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "Poly":
-        out = Poly.const(1)
-        for _ in range(n):
-            out = out * self
-        return out
+        if n < 0:
+            raise ValueError("negative power of a polynomial")
+        if n < 2:
+            return self if n else Poly.const(1)
+        half = self ** (n >> 1)
+        out = half * half
+        return out * self if n & 1 else out
 
     def __eq__(self, other):
         if not isinstance(other, Poly):

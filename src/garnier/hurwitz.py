@@ -19,11 +19,13 @@ The pools the search walks (the products h, the remaining classes, orbit
 representatives for the first of them) are generated lazily in a fixed
 order, and each element is produced at most once per query: a pool walked
 again for each prefix is replayed from what the first walk drew, and
-nothing past the first hit is generated.  A class generator completes the
-trailing fixed points of an element at once instead of recursing through
-them.  The solved-for entry (h P)^-1, P the product of the entries before
-it, has the cycle type of h P; the search tests that type by walking
-j -> P[h[j]] without building h P, and composes the entry only on a hit.
+nothing past the first hit is generated.  A class generator yields an
+element as soon as its last non-fixed cycle is placed, without recursing
+through that cycle's completion or the fixed points after it.  The
+solved-for entry (h P)^-1, P the product of the entries before it, has the
+cycle type of h P; the search tests that type by walking j -> P[h[j]]
+without building h P, against cycle counts indexed by length that are
+built once per query, and composes the entry only on a hit.
 """
 from __future__ import annotations
 
@@ -82,13 +84,13 @@ def cycle_type(p: Perm) -> Tuple[int, ...]:
     return tuple(sorted((len(c) for c in cycles_of(p)), reverse=True))
 
 
-def _has_cycle_type(h: Perm, p: Perm, want: Dict[int, int]) -> bool:
+def _has_cycle_type(h: Perm, p: Perm, want: List[int]) -> bool:
     """Whether compose(h, p), the map j -> p[h[j]], has its cycle lengths
-    with the counts in `want` ({length: count}, summing to len(p)), without
-    building it.  Stops at the first cycle whose length is used up; a walk
-    that meets none has used every count exactly, since both sides sum to
-    len(p)."""
-    left = dict(want)
+    with the counts in `want` (want[n] cycles of length n, summing to
+    len(p)), without building it.  Stops at the first cycle whose length is
+    used up; a walk that meets none has used every count exactly, since both
+    sides sum to len(p)."""
+    left = want[:]
     seen = [False] * len(p)
     for start in range(len(p)):
         if seen[start]:
@@ -100,7 +102,7 @@ def _has_cycle_type(h: Perm, p: Perm, want: Dict[int, int]) -> bool:
             seen[j] = True
             n += 1
             j = p[h[j]]
-        if not left.get(n):
+        if not left[n]:
             return False
         left[n] -= 1
     return True
@@ -140,11 +142,14 @@ def class_elements(d: int, parts: Sequence[int]) -> Iterator[Perm]:
 
     The smallest unplaced point always opens the next cycle, once per
     distinct available length, so each permutation appears exactly once and
-    the order is fixed by (d, parts).  Once only fixed points are left to
-    place, the one completion is yielded at once: unplaced points are
-    already fixed in img.
+    the order is fixed by (d, parts).  Unplaced points stay fixed in img, so
+    an element is complete as soon as its last non-fixed cycle is placed:
+    that cycle yields each ordering directly, and only fixed points, if any,
+    are left behind it.
     """
     img = list(range(d))
+    counts = Counter(parts)
+    lengths = sorted(counts)
 
     def place(remaining: Dict[int, int], unused: List[int]) -> Iterator[Perm]:
         if remaining.get(1, 0) == len(unused):
@@ -152,30 +157,36 @@ def class_elements(d: int, parts: Sequence[int]) -> Iterator[Perm]:
             return
         start = unused[0]
         rest = unused[1:]
-        for k in sorted(remaining):
+        for k in lengths:
             if remaining[k] == 0:
                 continue
             remaining[k] -= 1
             if k == 1:
-                img[start] = start
                 yield from place(remaining, rest)
             else:
-                for body in combinations(range(len(rest)), k - 1):
-                    chosen_sets = [rest[i] for i in body]
-                    for order in permutations(chosen_sets):
-                        cyc = (start,) + order
-                        for a, b in zip(cyc, cyc[1:] + (start,)):
-                            img[a] = b
-                        leftover = [x for x in rest if x not in order]
-                        yield from place(remaining, leftover)
-                    for x in chosen_sets:
+                # the last non-fixed cycle: only fixed points follow it
+                last = remaining.get(1, 0) == len(rest) - k + 1
+                for chosen in combinations(rest, k - 1):
+                    if not last:
+                        leftover = [x for x in rest if x not in chosen]
+                    for order in permutations(chosen):
+                        prev = start
+                        for x in order:
+                            img[prev] = x
+                            prev = x
+                        img[prev] = start
+                        if last:
+                            yield tuple(img)
+                        else:
+                            yield from place(remaining, leftover)
+                    for x in chosen:
                         img[x] = x
                 img[start] = start
             remaining[k] += 1
 
     # a plain dict: subscripting a dict subclass such as Counter is
     # markedly slower in this recursion
-    return place(dict(Counter(parts)), list(range(d)))
+    return place(dict(counts), list(range(d)))
 
 
 def centralizer_generators(p: Perm) -> List[Perm]:
@@ -247,10 +258,17 @@ def orbit_roots(perms: Sequence[Perm], d: int) -> List[int]:
             x = parent[x]
         return x
 
+    # linking the larger root under the smaller keeps each root the least
+    # point of its orbit
     for p in perms:
         for i, j in enumerate(p):
-            ri, rj = sorted((find(i), find(j)))
-            parent[rj] = ri
+            if i == j:
+                continue
+            ri, rj = find(i), find(j)
+            if ri < rj:
+                parent[rj] = ri
+            elif rj < ri:
+                parent[ri] = rj
     return [i for i in range(d) if find(i) == i]
 
 
@@ -339,19 +357,25 @@ class _Pool:
     """A re-iterable view of a lazy pool: each item is drawn from the source
     the first time any walk reaches it and replayed from a list after, so a
     pool walked once per prefix is generated once, and only up to the point
-    the search stops."""
+    the search stops.  Once a walk has exhausted the source, later walks
+    replay the list alone."""
 
     def __init__(self, source: Iterable[Perm]):
         self._source = iter(source)
         self._drawn: List[Perm] = []
+        self._exhausted = False
 
     def __iter__(self) -> Iterator[Perm]:
         drawn = self._drawn
+        if self._exhausted:
+            yield from drawn
+            return
         i = 0
         while True:
             if i == len(drawn):
                 item = next(self._source, None)
                 if item is None:
+                    self._exhausted = True
                     return
                 drawn.append(item)
             yield drawn[i]
@@ -385,9 +409,9 @@ def find_tuple(types: Sequence[Sequence[int]], degree: int) -> RealizabilityCert
     the leaf tests the cycle type of h P (P the prefix product), which is
     that of the derived entry (h P)^-1, without building h P, and composes
     the entry only on a type hit; every h is still tested.  The pools are
-    generated lazily in a fixed order, each element at most once per query,
-    with trailing fixed points completed without recursion, so the walk,
-    its first hit, stats and reason do not depend on how far the pools have
+    generated lazily in a fixed order, each element at most once per query
+    and complete once its last non-fixed cycle is placed, so the walk, its
+    first hit, stats and reason do not depend on how far the pools have
     been generated.
     """
     if degree < 1:
@@ -426,7 +450,9 @@ def find_tuple(types: Sequence[Sequence[int]], degree: int) -> RealizabilityCert
         found = try_h(prefix, inverse(compose(identity(degree), *prefix)))
     else:
         anchor_type = big[-1]
-        derived_counts = Counter(big[-2])
+        derived_counts = [0] * (degree + 1)
+        for k in big[-2]:
+            derived_counts[k] += 1
         middle_types = big[:-2]
         anchor = canonical_perm(anchor_type)
         h_pool = _Pool(h_set(degree, n_tau))

@@ -316,6 +316,21 @@ def test_solution_record_evaluates_each_bipoly_once(monkeypatch):
     assert calls == [f_poly(), f1_poly(), f2_poly()]
 
 
+def test_solution_record_evaluates_the_unit_fiber_once(monkeypatch):
+    # unit_num at 0, 1, t1 and t2 once, read by all three checks over the
+    # unit fiber; the total counts every Poly.evaluate, nested rows included
+    calls = []
+    original = Poly.evaluate
+
+    def counting(self, x):
+        calls.append(x)
+        return original(self, x)
+
+    monkeypatch.setattr(Poly, "evaluate", counting)
+    assert solution_record(UV).ok
+    assert len(calls) == 24
+
+
 def test_against_sympy_oracle():
     sympy = pytest.importorskip("sympy")
     x = sympy.Symbol("x")

@@ -362,6 +362,30 @@ def test_poly_repr():
     assert repr(Poly([])) == "Poly([])"
 
 
+def test_poly_pow_matches_repeated_products(monkeypatch):
+    x = Poly.x()
+    for p in (x - ALPHA, ALPHA * x ** 2 - Fraction(1, 2) * x + 3, Poly.const(ALPHA)):
+        want = Poly.const(1)
+        for n in range(7):
+            assert p ** n == want, (p, n)
+            want = want * p
+    assert (x - ALPHA) ** 0 == Poly.const(1)
+    with pytest.raises(ValueError):
+        x ** -1
+    # square and multiply: two products for a cube, none by the constant 1
+    made = []
+    mul = Poly.__mul__
+
+    def counting(self, other):
+        made.extend([self, other])
+        return mul(self, other)
+
+    monkeypatch.setattr(Poly, "__mul__", counting)
+    _ = (x - ALPHA) ** 3
+    assert len(made) == 2 * 2
+    assert Poly.const(1) not in made
+
+
 def test_poly_quad_coefficients():
     x = Poly.x()
     p = (x - ALPHA) * (x + ALPHA)

@@ -61,12 +61,19 @@ def test_has_cycle_type_agrees_with_cycle_type():
     # the leaf loop's early-exit test of compose(h, p), which it never
     # builds, against the full sorted cycle type of the built product
     perms = list(permutations(range(5)))
-    wants = [(t, Counter(t)) for t in partitions_of(5)]
+    wants = []
+    for t in partitions_of(5):
+        counts = [0] * 6  # counts[n]: cycles of length n
+        for n in t:
+            counts[n] += 1
+        wants.append((t, counts))
     for h in perms:
         for p in perms:
             got = cycle_type(compose(h, p))
             for t, want in wants:
                 assert _has_cycle_type(h, p, want) == (got == t), (h, p, t)
+    # the counts are copied, not used up across calls
+    assert wants[0][1] == [0, 0, 0, 0, 0, 1]
 
 
 def test_conjugate_preserves_type():
@@ -183,6 +190,41 @@ def test_is_transitive():
     assert is_transitive([canonical_perm([2, 1, 1]), canonical_perm([1, 2, 1])], 4) is False
     assert is_transitive([(1, 0, 2, 3), (0, 2, 1, 3), (0, 1, 3, 2)], 4)
     assert orbit_roots([canonical_perm([2, 2, 1])], 5) == [0, 2, 4]
+
+
+def _orbits_by_bfs(perms, d):
+    """Reference: the least point of each orbit, closing orbits by
+    breadth-first search over the images."""
+    roots = []
+    seen = set()
+    for x in range(d):
+        if x in seen:
+            continue
+        roots.append(x)
+        seen.add(x)
+        frontier = [x]
+        while frontier:
+            y = frontier.pop(0)
+            for p in perms:
+                if p[y] not in seen:
+                    seen.add(p[y])
+                    frontier.append(p[y])
+    return roots
+
+
+def test_orbit_roots_match_bfs_closure():
+    rng = random.Random(5)
+    for _ in range(400):
+        d = rng.randint(1, 8)
+        perms = []
+        for _ in range(rng.randint(0, 3)):
+            # mostly sparse permutations, so that orbits stay apart
+            img = list(range(d))
+            for _ in range(rng.randint(0, 2)):
+                i, j = rng.randrange(d), rng.randrange(d)
+                img[i], img[j] = img[j], img[i]
+            perms.append(tuple(img))
+        assert orbit_roots(perms, d) == _orbits_by_bfs(perms, d), (perms, d)
 
 
 def test_verify_tuple():
@@ -424,17 +466,44 @@ def test_lazy_pools_generate_the_eager_order():
             assert list(class_elements(d, lam)) == _eager_class_elements(d, lam)
         for k in range(5):
             assert list(h_set(d, k)) == _eager_h_set(d, k)
+    for lam in partitions_of(8):
+        assert list(class_elements(8, lam)) == _eager_class_elements(8, lam)
     # the norm <= 3 classes of d = 9, mostly fixed points, that the
-    # slowest benchmark query walks as its h pool
+    # slowest benchmark query walks as its h pool, and the norm <= 2 pools
+    # of d = 10
     for lam in partitions_of(9):
         if 9 - len(lam) <= 3:
             assert list(class_elements(9, lam)) == _eager_class_elements(9, lam)
     for k in range(4):
         assert list(h_set(9, k)) == _eager_h_set(9, k)
+    for k in range(3):
+        assert list(h_set(10, k)) == _eager_h_set(10, k)
     gens = centralizer_generators(canonical_perm([3, 2, 1]))
     for lam in partitions_of(6):
         assert (list(orbit_reps(class_elements(6, lam), gens))
                 == _eager_orbit_reps(_eager_class_elements(6, lam), gens))
+
+
+def test_pool_replays_what_it_drew():
+    source = list(class_elements(5, (3, 1, 1)))
+    drawn = []
+
+    def counted():
+        for p in source:
+            drawn.append(p)
+            yield p
+
+    pool = hurwitz._Pool(counted())
+    # a walk stopped midway draws only what it reached
+    for n, p in enumerate(pool):
+        if n == 6:
+            break
+    assert drawn == source[:7]
+    # a full walk replays those and draws the rest; a walk after
+    # exhaustion replays everything
+    assert list(pool) == source
+    assert list(pool) == source
+    assert drawn == source
 
 
 def _match_queries():

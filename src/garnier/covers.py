@@ -100,9 +100,10 @@ class STPoint:
 
 def params_from_st(pt: STPoint) -> DegFourParams:
     s, t = pt.s, pt.t
-    a0 = (t ** 2 - 1) / ((s + 1) * ((s - 1) ** 2 * t ** 2 - (s + 1) ** 2))
-    a1 = a0 * (s ** 3 - 1) - 1
-    c = 1 / (1 - s ** 2)
+    s2, sp1, st_t = s * s, s + 1, s * t - t
+    a0 = (t * t - 1) / (sp1 * (st_t * st_t - sp1 * sp1))
+    a1 = a0 * (s2 * s - 1) - 1
+    c = 1 / (1 - s2)
     return DegFourParams(a0, a1, c)
 
 
@@ -110,8 +111,10 @@ def t_quadratic_coeffs(s: QuadElement, a0: QuadElement
                        ) -> Tuple[QuadElement, QuadElement]:
     """(sum, product) of the two extra points of the unit fiber, as a monic
     quadratic T^2 - sum T + product in terms of (a0, s)."""
-    total = a0 ** 2 * (s ** 2 - 1) ** 3 - 2 * a0 * (s ** 3 - 1) + 1
-    prod = a0 * (2 - a0 * (2 * s ** 3 - 3 * s ** 2 + 1))
+    s2 = s * s
+    s3 = s2 * s
+    total = a0 * (a0 * (s2 - 1) ** 3 - 2 * (s3 - 1)) + 1
+    prod = a0 * (2 - a0 * (2 * s3 - 3 * s2 + 1))
     return total, prod
 
 
@@ -119,11 +122,12 @@ def branch_points_st(pt: STPoint) -> Tuple[QuadElement, QuadElement]:
     """The points t1, t2 with phi(ti) = 1 besides 0 and 1, in closed form;
     solution_record checks them against t_quadratic_coeffs."""
     s, t = pt.s, pt.t
-    am = s * t - t - 1 - s
-    ap = s * t - t + 1 + s
+    sp1, st_t, k = s + 1, s * t - t, 1 + 3 * s
+    am = st_t - sp1
+    ap = st_t + sp1
     # am * ap = (s-1)^2 t^2 - (s+1)^2, nonzero on the chart
-    t1 = -(t + 1) * (s * t - t - 1 - 3 * s) / (am ** 2 * (s + 1))
-    t2 = -(t - 1) * (s * t - t + 1 + 3 * s) / (ap ** 2 * (s + 1))
+    t1 = -(t + 1) * (st_t - k) / (am * am * sp1)
+    t2 = -(t - 1) * (st_t + k) / (ap * ap * sp1)
     return t1, t2
 
 
@@ -175,19 +179,18 @@ def free_critical_quadratic(pt: STPoint
     square.
     """
     s, t = pt.s, pt.t
-    am = s * t - t - 1 - s
-    ap = s * t - t + 1 + s
-    bnum = (t ** 2 * s ** 3 + 3 * s ** 3 - 4 * t ** 2 * s ** 2 + 4 * s ** 2
-            + 5 * t ** 2 * s + 7 * s + 2 - 2 * t ** 2)
-    b = bnum / ((s - 1) * (s + 1) * ap * am)
-    c_val = ((s * t - t + 1 + 3 * s) * (s * t - t - 1 - 3 * s)
-             / ((s + 1) ** 2 * ap * am * (s - 1)))
-    disc = b ** 2 + 4 * c_val
+    t2, sp1, st_t, k = t * t, s + 1, s * t - t, 1 + 3 * s
+    # (s+1)(s-1) ap am with ap am = (s-1)^2 t^2 - (s+1)^2
+    den = sp1 * (s - 1) * (st_t * st_t - sp1 * sp1)
+    bnum = (((t2 + 3) * s + 4 - 4 * t2) * s + 5 * t2 + 7) * s + 2 - 2 * t2
+    b = bnum / den
+    c_val = (st_t + k) * (st_t - k) / (den * sp1)
+    disc = b * b + 4 * c_val
     fval = evaluate_st(f_poly(), s, t)
     if not fval:
         raise DegenerateInput("F(s,t) = 0: the two free critical points collide "
                               "with the square-root locus")
-    rho = exact_sqrt(disc / (s ** 2 * (s + 1) ** 2 * fval))
+    rho = exact_sqrt(disc / (s * s * sp1 * sp1 * fval))
     return b, c_val, disc, fval, rho
 
 

@@ -10,9 +10,10 @@ and exact; no floats appear anywhere.
 An element of Q(alpha) is stored as integer numerators over one common
 denominator, (a + b*alpha)/d with d > 0 and gcd(a, b, d) == 1 (the usual
 representation of number-field elements, Cohen, *A Course in Computational
-Algebraic Number Theory*, 1993, ch. 4).  Its arithmetic runs on Python ints
-with one gcd per result and builds no Fraction; only the ``a``, ``b`` and
-``norm()`` accessors return Fractions.
+Algebraic Number Theory*, 1993, ch. 4).  Its arithmetic, ``exact_sqrt``,
+and the evaluation (Horner) and product of polynomials over Q(alpha) run on
+Python ints over one common denominator, with one gcd per result, and build
+no Fraction; only the ``a``, ``b`` and ``norm()`` accessors return Fractions.
 """
 from __future__ import annotations
 
@@ -23,14 +24,6 @@ from typing import Optional, Union
 Scalar = Union[int, Fraction, "QuadElement"]
 
 
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    raise TypeError(f"not a rational scalar: {x!r}")
-
-
 def _num_den(x):
     # (numerator, denominator) of an int or a Fraction
     if isinstance(x, int):
@@ -38,17 +31,6 @@ def _num_den(x):
     if isinstance(x, Fraction):
         return x.numerator, x.denominator
     raise TypeError(f"not a rational scalar: {x!r}")
-
-
-def sqrt_fraction(x: Fraction) -> Optional[Fraction]:
-    """Exact square root of a rational, or None if it is not a square."""
-    if x < 0:
-        return None
-    rn = isqrt(x.numerator)
-    rd = isqrt(x.denominator)
-    if rn * rn == x.numerator and rd * rd == x.denominator:
-        return Fraction(rn, rd)
-    return None
 
 
 class QuadElement:
@@ -242,45 +224,67 @@ def format_quad(z: QuadElement) -> str:
     return f"{z.a}{sign}{bpart}"
 
 
+def _isqrt_exact(n: int) -> Optional[int]:
+    # the root of a square int, else None
+    r = isqrt(max(n, 0))
+    return r if r * r == n else None
+
+
 def exact_sqrt(z: QuadElement) -> Optional[QuadElement]:
     """Square root of z inside Q(alpha), or None when z is not a square there.
 
-    No field extension is ever constructed: the result exists iff
-    norm(z) is a rational square and the induced rational pieces are squares.
+    With z = (a + b alpha)/d, sqrt(z) = sqrt(w)/d for the integral
+    w = ad + bd alpha, and a root of w in Q(alpha) lies in Z[alpha], so the
+    search runs on ints.  The root returned has a positive rational part,
+    or a positive alpha part when its rational part is 0.
     """
-    if not z:
-        return ZERO
-    if z.b == 0:
-        r = sqrt_fraction(z.a)
+    a, b, d = z._abd
+    a *= d
+    if b == 0:
+        # a rational root, else for a < 0 a pure-alpha one: (y alpha)^2 = -3 y^2
+        r = _isqrt_exact(a)
         if r is not None:
-            return QuadElement(r)
-        # a < 0 may be a square of a pure-alpha element: (y alpha)^2 = -3 y^2
-        r = sqrt_fraction(-z.a / 3)
-        if r is not None:
-            return QuadElement(0, r)
-        return None
-    n = sqrt_fraction(z.norm())
+            return _quad(r, 0, d)
+        r = _isqrt_exact(-3 * a)
+        return None if r is None else _quad(0, r // 3, d)
+    b *= d
+    n = _isqrt_exact(a * a + 3 * b * b)
     if n is None:
         return None
-    # (x + y alpha)^2 = z needs x^2 = (a +- n)/2 and y = b/(2x)
-    for sign in (1, -1):
-        x2 = (z.a + sign * n) / 2
-        x = sqrt_fraction(x2)
-        if x is None or x == 0:
-            continue
-        cand = QuadElement(x, z.b / (2 * x))
-        if cand * cand == z:
-            return cand
-    return None
+    # (x + y alpha)^2 = w: x^2 = (a + n)/2, y = b/(2x), and b != 0 so x != 0
+    x = _isqrt_exact((a + n) // 2)
+    if not x:
+        return None
+    cand = _quad(x, b // (2 * x), d)
+    return cand if cand * cand == z else None
 
 
 def _inv_coeff(c):
-    # exact inverse; int and Fraction go through Fraction so no float sneaks in
-    return c.inverse() if isinstance(c, QuadElement) else 1 / _as_fraction(c)
+    # exact inverse; Fraction(1, c) takes int and Fraction and rejects floats
+    return c.inverse() if isinstance(c, QuadElement) else Fraction(1, c)
 
 
 def _zero_like(c):
     return c * 0
+
+
+def _quad_rows(*groups):
+    """Each group of coefficients as ([(a, b), ...], D), c = (a + b*alpha)/D;
+    None unless all are field scalars and one at least is a QuadElement, so
+    Q keeps its int and Fraction values and nested Polys the generic loops."""
+    rows = []
+    quad = False
+    for group in groups:
+        abds = []
+        for c in group:
+            abd = _operand(c)
+            if abd is None:
+                return None
+            quad = quad or type(c) is QuadElement
+            abds.append(abd)
+        den = lcm(*[d for _, _, d in abds])
+        rows.append(([(a * (den // d), b * (den // d)) for a, b, d in abds], den))
+    return rows if quad else None
 
 
 class Poly:
@@ -344,6 +348,17 @@ class Poly:
             return Poly([c * other for c in self.coeffs])
         if not self or not other:
             return Poly([])
+        rows = _quad_rows(self.coeffs, other.coeffs)
+        if rows is not None:
+            # the convolution on integer pairs, alpha^2 = -3
+            (xs, dx), (ys, dy) = rows
+            ra = [0] * (len(xs) + len(ys) - 1)
+            rb = ra[:]
+            for i, (a, b) in enumerate(xs):
+                for j, (c, e) in enumerate(ys, i):
+                    ra[j] += a * c - 3 * b * e
+                    rb[j] += a * e + b * c
+            return Poly([_quad(a, b, dx * dy) for a, b in zip(ra, rb)])
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, ci in enumerate(self.coeffs):
             for j, cj in enumerate(other.coeffs):
@@ -370,6 +385,17 @@ class Poly:
         return hash(self.coeffs)
 
     def evaluate(self, x):
+        rows = _quad_rows(self.coeffs, (x,)) if self else None
+        if rows is not None:
+            # Horner on ints: with x = (p + q alpha)/e, D e^n f(x) is the sum
+            # of (D c_i) (p + q alpha)^i e^(n-i)
+            (cs, den), ([(p, q)], e) = rows
+            a, b = cs[-1]
+            scale = 1
+            for ca, cb in reversed(cs[:-1]):
+                scale *= e
+                a, b = a * p - 3 * b * q + ca * scale, a * q + b * p + cb * scale
+            return _quad(a, b, den * scale)
         out = _zero_like(x)
         for c in reversed(self.coeffs):
             out = out * x + c

@@ -58,13 +58,6 @@ class Exponent:
 class SingularPoint:
     point_id: object
     exponent: Exponent
-    logarithmic: bool = False
-
-    def __post_init__(self):
-        if self.logarithmic:
-            e = self.exponent
-            if not (e.is_rational() and e.rational.denominator == 1):
-                raise ValueError("logarithmic points require an integer exponent")
 
 
 @dataclass(frozen=True)
@@ -93,7 +86,7 @@ def hypergeometric_signature(e0, e1, einf) -> FuchsianSignature:
 
 def _weight_of_point(p: SingularPoint):
     e = p.exponent
-    if p.logarithmic or not e.is_rational():
+    if not e.is_rational():
         return INF
     if e.rational == 0:
         # exponent difference zero without logarithm: still a weight-inf point,
@@ -103,7 +96,7 @@ def _weight_of_point(p: SingularPoint):
 
 
 def orbifold_of(sig: FuchsianSignature) -> OrbifoldStructure:
-    """Weight 1/|theta| at rational non-logarithmic points, inf elsewhere.
+    """Weight 1/|theta| at rational nonzero theta, inf elsewhere.
 
     Integer theta gives weight 1/|theta| <= 1: such points are apparent and
     vanish from the underlying structure.
@@ -113,8 +106,8 @@ def orbifold_of(sig: FuchsianSignature) -> OrbifoldStructure:
 
 
 def underlying_orbifold_of(sig: FuchsianSignature) -> OrbifoldStructure:
-    """Weight = denominator of theta in lowest terms, inf at generic or
-    logarithmic points: the underlying structure of orbifold_of(sig)."""
+    """Weight = denominator of theta in lowest terms, inf at generic points:
+    the underlying structure of orbifold_of(sig)."""
     return underlying(orbifold_of(sig))
 
 
@@ -131,8 +124,8 @@ def pullback_exponents(sig: FuchsianSignature,
     sig.points).
 
     A point of index k over exponent theta carries exponent k*theta; it is
-    apparent exactly when that is a positive integer at a non-logarithmic
-    point.  Apparent points are counted, not listed.
+    apparent exactly when that is a positive integer.  Apparent points are
+    counted, not listed.
     """
     if len(profile.partitions) != len(sig.points):
         raise ValueError("need one partition per singular point")
@@ -141,8 +134,7 @@ def pullback_exponents(sig: FuchsianSignature,
     for p, parts in zip(sig.points, profile.partitions):
         for k in parts:
             e = p.exponent.scaled(k)
-            if (not p.logarithmic and e.is_rational()
-                    and e.rational.denominator == 1 and e.rational >= 1):
+            if e.is_rational() and e.rational.denominator == 1 and e.rational >= 1:
                 apparent += 1
             else:
                 kept.append(e)

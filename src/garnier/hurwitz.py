@@ -35,8 +35,6 @@ from itertools import combinations, permutations
 from math import factorial
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .enumeration import partitions_of
-
 Perm = Tuple[int, ...]
 
 MAX_DEGREE = 16
@@ -238,13 +236,23 @@ def transposition(d: int, i: int, j: int) -> Perm:
     return tuple(img)
 
 
+def _partitions_within(r: int, max_part: int, budget: int
+                       ) -> Iterator[Tuple[int, ...]]:
+    """Partitions of r into parts <= max_part with sum(part - 1) <= budget,
+    in descending-lex order: the order of partitions_of(r), with the rest
+    never built."""
+    for first in range(min(r, max_part, budget + 1), 1, -1):
+        for rest in _partitions_within(r - first, first, budget - first + 1):
+            yield (first,) + rest
+    yield (1,) * r
+
+
 def h_set(d: int, k: int) -> Iterator[Perm]:
     """All permutations expressible as a product of exactly k transpositions
     (Cayley norm <= k with the same parity), generated lazily class by
     class in the order of partitions_of(d)."""
-    for parts in partitions_of(d):
-        norm = d - len(parts)
-        if norm <= k and (k - norm) % 2 == 0:
+    for parts in _partitions_within(d, d, k):
+        if (k - d + len(parts)) % 2 == 0:
             yield from class_elements(d, parts)
 
 

@@ -331,6 +331,28 @@ def test_solution_record_evaluates_the_unit_fiber_once(monkeypatch):
     assert len(calls) == 24
 
 
+def test_solution_record_builds_no_fraction(monkeypatch):
+    # drawing builds Fractions, so the chart points are drawn first
+    rng = random.Random(4)
+    points = [draw_uv(rng) for _ in range(60)]
+    built = []
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    records = 0
+    for uv in points:
+        try:
+            records += solution_record(uv).ok
+        except DegenerateInput:
+            pass
+    monkeypatch.undo()
+    assert records >= 40 and built == []
+
+
 def test_against_sympy_oracle():
     sympy = pytest.importorskip("sympy")
     x = sympy.Symbol("x")

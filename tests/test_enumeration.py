@@ -306,6 +306,27 @@ def test_complete_profiles_n6_unique():
     assert p.free_points == 3
 
 
+# n = 4 is Painleve VI; the rows as `garnier enumerate --n 4` prints them
+EXPECTED_COMPLETE_N4 = [
+    ("(2,3,7)", 10, "[2,2,2,2,2] [3,3,3,1] [7,1,1,1]"),
+    ("(2,3,7)", 12, "[2,2,2,2,2,2] [3,3,3,3] [7,2,1,1,1]"),
+    ("(2,3,7)", 18, "[2,2,2,2,2,2,2,2,2] [3,3,3,3,3,3] [7,7,1,1,1,1]"),
+    ("(2,3,8)", 12, "[2,2,2,2,2,2] [3,3,3,3] [8,1,1,1,1]"),
+    ("(2,3,inf)", 3, "[2,1] [3] [1,1,1]"),
+    ("(2,3,inf)", 4, "[2,2] [3,1] [2,1,1]"),
+    ("(2,3,inf)", 6, "[2,2,2] [3,3] [2,2,1,1]"),
+    ("(2,3,inf)", 6, "[2,2,2] [3,3] [3,1,1,1]"),
+    ("(2,4,inf)", 4, "[2,2] [4] [1,1,1,1]"),
+    ("(2,inf,inf)", 2, "[2] [1,1] [1,1]"),
+]
+
+
+def test_complete_profiles_n4_painleve_vi():
+    rows = complete_profiles(4)
+    assert [(str(t), d, str(p)) for t, d, p in rows] == EXPECTED_COMPLETE_N4
+    assert all(p.free_points == 1 for _, _, p in rows)
+
+
 def test_intermediate_rows_finite():
     rows = intermediate_rows(5, infinite=False)
     by_key = {(str(r.triple), r.degree): r for r in rows}

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 
@@ -16,7 +16,6 @@ from garnier.exactalg import (
     exact_sqrt,
     format_quad,
     resultant,
-    sqrt_fraction,
 )
 
 
@@ -308,13 +307,6 @@ def test_format_quad_canonical():
     assert format_quad(q(1, -1)) == "1-alpha"
 
 
-def test_sqrt_fraction():
-    assert sqrt_fraction(Fraction(9, 4)) == Fraction(3, 2)
-    assert sqrt_fraction(Fraction(0)) == 0
-    assert sqrt_fraction(Fraction(2)) is None
-    assert sqrt_fraction(Fraction(-1)) is None
-
-
 def test_exact_sqrt():
     assert exact_sqrt(q(4)) == q(2)
     assert exact_sqrt(q(-3)) == ALPHA
@@ -330,6 +322,118 @@ def test_exact_sqrt():
         sq = z * z
         r = exact_sqrt(sq)
         assert r is not None and r * r == sq
+
+
+def _sqrt_fraction(x):
+    if x < 0:
+        return None
+    rn, rd = isqrt(x.numerator), isqrt(x.denominator)
+    if rn * rn == x.numerator and rd * rd == x.denominator:
+        return Fraction(rn, rd)
+    return None
+
+
+def _fraction_exact_sqrt(z):
+    """Reference: exact_sqrt as it ran on the Fraction coordinates."""
+    if not z:
+        return ZERO
+    if z.b == 0:
+        r = _sqrt_fraction(z.a)
+        if r is not None:
+            return QuadElement(r)
+        r = _sqrt_fraction(-z.a / 3)
+        if r is not None:
+            return QuadElement(0, r)
+        return None
+    n = _sqrt_fraction(z.norm())
+    if n is None:
+        return None
+    for sign in (1, -1):
+        x = _sqrt_fraction((z.a + sign * n) / 2)
+        if x is None or x == 0:
+            continue
+        cand = QuadElement(x, z.b / (2 * x))
+        if cand * cand == z:
+            return cand
+    return None
+
+
+def test_exact_sqrt_same_root_as_fraction_reference():
+    rng = random.Random(17)
+    for i in range(400):
+        # rational, pure-alpha (a negative rational square) and mixed roots,
+        # of either sign
+        x = _rand_fraction(rng) if i % 3 != 1 else 0
+        y = _rand_fraction(rng) if i % 3 != 0 else 0
+        z = q(x, y) * q(x, y)
+        r = exact_sqrt(z)
+        assert r == _fraction_exact_sqrt(z) and r * r == z, z
+        a, b, d = r._abd
+        assert d > 0 and gcd(a, b, d) == 1
+        assert a > 0 or (a == 0 and b >= 0)
+        if z:
+            # 2, -1, 3 and 1 + alpha are not squares in Q(alpha)
+            for w in (2 * z, -z, 3 * z, (1 + ALPHA) * z):
+                assert exact_sqrt(w) is None and _fraction_exact_sqrt(w) is None, w
+    assert exact_sqrt(q(Fraction(-12, 25))) == q(0, Fraction(2, 5))
+    assert exact_sqrt(q(Fraction(9, 4))) == q(Fraction(3, 2))
+    assert exact_sqrt(q(Fraction(-3, 2))) is None
+    assert exact_sqrt(q(-1, 1) ** 2) == q(1, -1)
+
+
+def _generic_evaluate(p, x):
+    """Reference: Poly.evaluate's loop over the coefficient field."""
+    out = x * 0
+    for c in reversed(p.coeffs):
+        out = out * x + c
+    return out
+
+
+def _generic_mul(p, r):
+    """Reference: Poly.__mul__'s convolution over the coefficient field."""
+    if not p or not r:
+        return Poly([])
+    out = [0] * (len(p.coeffs) + len(r.coeffs) - 1)
+    for i, ci in enumerate(p.coeffs):
+        for j, cj in enumerate(r.coeffs):
+            out[i + j] = out[i + j] + ci * cj
+    return Poly(out)
+
+
+def _rand_poly(rng, over_q):
+    """Degree -1 (the zero polynomial) to 6; coefficients mix int, Fraction
+    and, unless over_q, QuadElement."""
+    cs = []
+    for _ in range(rng.randint(0, 7)):
+        c, _ = _rand_operand(rng)
+        cs.append(c.a if over_q and isinstance(c, QuadElement) else c)
+    return Poly(cs)
+
+
+def _normalised(z):
+    if type(z) is not QuadElement:
+        return type(z) in (int, Fraction)
+    a, b, d = z._abd
+    return d > 0 and gcd(a, b, d) == 1
+
+
+def test_poly_kernels_match_generic_loops():
+    rng = random.Random(23)
+    for i in range(300):
+        p = _rand_poly(rng, over_q=i % 4 == 0)
+        r = _rand_poly(rng, over_q=i % 4 == 0 or i % 4 == 1)
+        points = (QuadElement(_rand_fraction(rng), _rand_fraction(rng)),
+                  rng.randint(-9, 9), _rand_fraction(rng))
+        for x in points:
+            got, want = p.evaluate(x), _generic_evaluate(p, x)
+            assert got == want and type(got) is type(want), (p, x)
+            assert _normalised(got)
+        got, want = p * r, _generic_mul(p, r)
+        assert got == want and all(map(_normalised, got.coeffs)), (p, r)
+        quad = any(type(c) is QuadElement for c in p.coeffs + r.coeffs)
+        if not quad:
+            # over Q the product keeps its int and Fraction coefficients
+            assert [type(c) for c in got.coeffs] == [type(c) for c in want.coeffs]
 
 
 def test_poly_basics():

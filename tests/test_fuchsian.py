@@ -32,14 +32,6 @@ def test_exponent_construction():
         Exponent(Fraction(0), Fraction(-1), "theta")
 
 
-def test_singular_point_logarithmic_gate():
-    SingularPoint("0", Exponent.of(2), logarithmic=True)
-    with pytest.raises(ValueError):
-        SingularPoint("0", Exponent.of(Fraction(1, 2)), logarithmic=True)
-    with pytest.raises(ValueError):
-        SingularPoint("0", Exponent.generic(), logarithmic=True)
-
-
 def test_signature_distinct_ids():
     with pytest.raises(ValueError):
         FuchsianSignature(0, (
@@ -56,17 +48,15 @@ def test_orbifold_of_hypergeometric():
 
 
 def test_orbifold_of_special_points():
-    # zero, generic, and logarithmic exponents all give weight inf
+    # zero and generic exponents both give weight inf
     sig = FuchsianSignature(0, (
         SingularPoint("a", Exponent.of(0)),
         SingularPoint("b", Exponent.generic()),
-        SingularPoint("c", Exponent.of(3), logarithmic=True),
         SingularPoint("d", Exponent.of(Fraction(-2, 5))),
     ))
     weights = dict(orbifold_of(sig).support)
     assert weights["a"] is INF
     assert weights["b"] is INF
-    assert weights["c"] is INF
     assert weights["d"] == Fraction(5, 2)  # 1/|theta|
 
 
@@ -101,18 +91,6 @@ def test_pullback_exponents_degree_twelve():
     out = pullback_exponents(sig, RamificationProfile(12, [(2,) * 6, (3,) * 4, (7, 1, 1, 1, 1, 1)]))
     assert out.apparent_count == 11
     assert tuple(str(e) for e in out.exponents) == ("2/7",) * 5
-
-
-def test_pullback_exponents_logarithmic_kept():
-    sig = FuchsianSignature(0, (
-        SingularPoint("0", Exponent.of(1), logarithmic=True),
-        SingularPoint("1", Exponent.of(Fraction(1, 2))),
-        SingularPoint("inf", Exponent.of(Fraction(1, 2))),
-    ))
-    out = pullback_exponents(sig, RamificationProfile(2, [(2,), (2,), (1, 1)]))
-    # the logarithmic point scales to exponent 2 but stays non-apparent
-    assert out.apparent_count == 1
-    assert Exponent.of(2) in out.exponents
 
 
 def test_pullback_exponents_validation():

@@ -15,8 +15,8 @@ from .orbifold import (CurvatureClass, INF, OrbifoldStructure,
                        RamificationProfile, classify, euler_char, pullback,
                        underlying)
 from .fuchsian import (Exponent, FuchsianSignature, PulledBackSignature,
-                       SingularPoint, is_elementary, orbifold_of,
-                       pullback_exponents, underlying_orbifold_of)
+                       is_elementary, orbifold_of, pullback_exponents,
+                       underlying_orbifold_of)
 from .enumeration import (CandidateVerdict, TripleSpec, VerdictKind,
                           enumerate_candidates, enumerate_profiles,
                           reproduce_table, verdict)

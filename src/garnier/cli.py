@@ -61,19 +61,15 @@ def _int_at_least(lo: int):
     return parse
 
 
-def _structure(genus: int, weights) -> OrbifoldStructure:
-    return OrbifoldStructure(genus, tuple((f"w{i}", w) for i, w in enumerate(weights)))
-
-
 def _cmd_chi(args) -> int:
-    o = _structure(args.genus, args.weights)
+    o = OrbifoldStructure(args.genus, args.weights)
     target = o if o.is_integral() else underlying(o)
     print(f"{euler_char(o)}, {classify(target).value}")
     return 0
 
 
 def _cmd_classify(args) -> int:
-    o = _structure(args.genus, args.weights)
+    o = OrbifoldStructure(args.genus, args.weights)
     if not o.is_integral():
         print("classification needs integral weights; "
               "use chi for the underlying class", file=sys.stderr)

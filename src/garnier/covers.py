@@ -6,8 +6,9 @@ phi(0) = phi(1) = 1, branch data [2,2] over 0, [1,1,1,1] over 1 (the fiber
 points q1, q2.  The parameter surface is rational in (s, t); extracting
 q1, q2 exactly requires the discriminant quartic F(s, t) to become a
 square, which happens on a double cover rationalized over Q(alpha),
-alpha^2 = -3, where F splits into two conics F1 F2.  F, F1 and F2 are Polys
-in s whose coefficients are Polys in t; evaluate_st takes them at a point.
+alpha^2 = -3, where F splits into two conics F1 F2.  F, F1 and F2 are
+tuples of Polys in t, one row per power of s; evaluate_st takes them at a
+point.
 
 The (u, v) chart implemented here parametrizes that double cover through
 the pencil of conics through the four points F1 = F2 = 0: the conic
@@ -43,7 +44,8 @@ def _q(x) -> QuadElement:
 
 @dataclass(frozen=True)
 class DegFourParams:
-    """Coefficients (a0, a1, c) of the covering, on the surface phi(1) = 1."""
+    """Coefficients (a0, a1, c) of the covering; solution_record checks
+    that they lie on the surface phi(1) = 1."""
 
     a0: QuadElement
     a1: QuadElement
@@ -57,12 +59,6 @@ class DegFourParams:
             raise DegenerateInput("a0 = 0 collapses the double fiber")
         if self.c == 0 or self.c == 1:
             raise DegenerateInput("pole position c must avoid 0 and 1")
-        if surface_residual(self.a0, self.a1, self.c):
-            raise DegenerateInput("parameters are off the phi(1)=1 surface")
-
-
-def surface_residual(a0: QuadElement, a1: QuadElement, c: QuadElement) -> QuadElement:
-    return a0 ** 2 / c ** 3 + (1 + a1 + a0) ** 2 / (1 - c) ** 3
 
 
 def phi_from_params(p: DegFourParams) -> Tuple[Poly, Poly]:
@@ -131,41 +127,45 @@ def branch_points_st(pt: STPoint) -> Tuple[QuadElement, QuadElement]:
     return t1, t2
 
 
-# F, F1 and F2 are fixed and Poly is immutable, so each is built once, from
-# one row of t-coefficients per s-degree, and shared by every caller.
+# F, F1 and F2 are fixed and Poly is immutable, so each is built once, as
+# one Poly in t per power of s, and shared by every caller.
 @lru_cache(maxsize=None)
-def f_poly() -> Poly:
+def f_poly() -> Tuple[Poly, ...]:
     """Discriminant factor F(s, t): disc of the free-critical quadratic is
     s^2 (s+1)^2 F(s, t) times a square."""
     rows = ([9, 0, 6, 0, 1], [60, 0, -56, 0, -4], [118, 0, 100, 0, 6],
             [60, 0, -56, 0, -4], [9, 0, 6, 0, 1])
-    return Poly([Poly(map(_q, row)) for row in rows])
+    return tuple(Poly(map(_q, row)) for row in rows)
 
 
 @lru_cache(maxsize=None)
-def f1_poly() -> Poly:
+def f1_poly() -> Tuple[Poly, ...]:
     rows = ([-3, 2 * ALPHA, 1], [-10, -4 * ALPHA, -2], [-3, 2 * ALPHA, 1])
-    return Poly([Poly(map(_q, row)) for row in rows])
+    return tuple(Poly(map(_q, row)) for row in rows)
 
 
 @lru_cache(maxsize=None)
-def f2_poly() -> Poly:
+def f2_poly() -> Tuple[Poly, ...]:
     """The Galois conjugate of F1, alpha -> -alpha in every coefficient."""
-    return Poly([Poly([c.conj() for c in row.coeffs]) for row in f1_poly().coeffs])
+    return tuple(Poly([c.conj() for c in row.coeffs]) for row in f1_poly())
 
 
-def evaluate_st(f: Poly, s: QuadElement, t: QuadElement) -> QuadElement:
-    """f(s, t) for f a Poly in s over Polys in t: each row at t, then s."""
-    return Poly([row.evaluate(t) for row in f.coeffs]).evaluate(s)
+def evaluate_st(f: Tuple[Poly, ...], s: QuadElement, t: QuadElement) -> QuadElement:
+    """f(s, t) for f given by its rows: each row at t, then s."""
+    return Poly([row.evaluate(t) for row in f]).evaluate(s)
 
 
 def check_f_factorization() -> Tuple[QuadElement, bool]:
-    """Constant kappa with F = kappa * F1 * F2: read off the leading
+    """Constant kappa with F = kappa * F1 * F2: the rows of F1 F2 are the
+    convolution of the rows of F1 and F2; kappa is read off the leading
     coefficients, then checked coefficientwise."""
-    f = f_poly()
-    prod = f1_poly() * f2_poly()
-    kappa = f.lc().lc() / prod.lc().lc()
-    return kappa, prod * kappa == f
+    f, f1, f2 = f_poly(), f1_poly(), f2_poly()
+    prod = [Poly([])] * (len(f1) + len(f2) - 1)
+    for i, r1 in enumerate(f1):
+        for j, r2 in enumerate(f2, i):
+            prod[j] = prod[j] + r1 * r2
+    kappa = f[-1].lc() / prod[-1].lc()
+    return kappa, tuple(row * kappa for row in prod) == f
 
 
 def free_critical_quadratic(pt: STPoint

@@ -15,8 +15,8 @@ from math import gcd
 from typing import List, Optional, Sequence, Tuple
 
 from .fuchsian import Exponent, hypergeometric_signature, is_elementary, pullback_exponents
-from .orbifold import (INF, OrbifoldStructure, RamificationProfile, pullback,
-                       underlying, weight_reciprocal)
+from .orbifold import (INF, OrbifoldStructure, RamificationProfile, partitions_of,
+                       pullback, underlying, weight_reciprocal)
 
 DEFAULT_DMAX = 42
 
@@ -125,19 +125,6 @@ def enumerate_candidates(n: int, d_max: int = DEFAULT_DMAX) -> List[Tuple[Triple
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     return [(t, d) for t, d in _candidate_pairs(d_max) if chi_inequality_holds(t, d, n)]
-
-
-def partitions_of(r: int, max_part: Optional[int] = None) -> List[Tuple[int, ...]]:
-    """Partitions of r in descending-lex order; partition of 0 is ()."""
-    if max_part is None:
-        max_part = r
-    if r == 0:
-        return [()]
-    out = []
-    for first in range(min(r, max_part), 0, -1):
-        for rest in partitions_of(r - first, first):
-            out.append((first,) + rest)
-    return out
 
 
 @lru_cache(maxsize=None)
@@ -316,11 +303,10 @@ def _family_rows(n: int, d_max: int = DEFAULT_DMAX,
             if is_elementary(sig):
                 continue
             pulled = pullback_exponents(sig, profile)
-            base = tuple(p.exponent for p in sig.points)
-            variants.append((base, pulled.exponents, pulled.apparent_count))
+            variants.append((sig.exponents, pulled.exponents, pulled.apparent_count))
         # essential points: the weights other than 1 upstairs, free points
         # included, by the refined Riemann-Hurwitz pullback
-        base = OrbifoldStructure(0, enumerate(t.entries))
+        base = OrbifoldStructure(0, t.entries)
         n_pts = underlying(pullback(base, profile.with_free_points())).n_points()
         rows.append(PullbackFamilyRow(t, d, profile, tuple(variants), n_pts,
                                       verdict(profile, n_pts)))

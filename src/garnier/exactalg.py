@@ -1,19 +1,19 @@
 """Exact arithmetic substrate.
 
 Rationals are stdlib ``fractions.Fraction``.  On top of those this module
-provides the quadratic field Q(alpha) with alpha^2 = -3, dense polynomials
-over either coefficient field, Sylvester resultants and discriminants.  A
-bivariate polynomial in (s, t) is a ``Poly`` in s whose coefficients are
-``Poly``s in t (Knuth, *TAOCP* vol. 2, sec. 4.6).  Everything is immutable
-and exact; no floats appear anywhere.
+provides the quadratic field Q(alpha) with alpha^2 = -3, dense univariate
+polynomials over Q or Q(alpha), Sylvester resultants and discriminants.
+Everything is immutable and exact; no floats appear anywhere.
 
 An element of Q(alpha) is stored as integer numerators over one common
 denominator, (a + b*alpha)/d with d > 0 and gcd(a, b, d) == 1 (the usual
 representation of number-field elements, Cohen, *A Course in Computational
 Algebraic Number Theory*, 1993, ch. 4).  Its arithmetic, ``exact_sqrt``,
-and the evaluation (Horner) and product of polynomials over Q(alpha) run on
-Python ints over one common denominator, with one gcd per result, and build
-no Fraction; only the ``a``, ``b`` and ``norm()`` accessors return Fractions.
+and the evaluation (Horner) and product of polynomials run on Python ints
+over one common denominator, with one gcd per result, and build no
+Fraction; only the ``a``, ``b`` and ``norm()`` accessors return Fractions.
+A polynomial's values and products are QuadElements whatever its
+coefficients, rational ones included.
 """
 from __future__ import annotations
 
@@ -264,32 +264,23 @@ def _inv_coeff(c):
     return c.inverse() if isinstance(c, QuadElement) else Fraction(1, c)
 
 
-def _zero_like(c):
-    return c * 0
-
-
-def _quad_rows(*groups):
-    """Each group of coefficients as ([(a, b), ...], D), c = (a + b*alpha)/D;
-    None unless all are field scalars and one at least is a QuadElement, so
-    Q keeps its int and Fraction values and nested Polys the generic loops."""
-    rows = []
-    quad = False
-    for group in groups:
-        abds = []
-        for c in group:
-            abd = _operand(c)
-            if abd is None:
-                return None
-            quad = quad or type(c) is QuadElement
-            abds.append(abd)
-        den = lcm(*[d for _, _, d in abds])
-        rows.append(([(a * (den // d), b * (den // d)) for a, b, d in abds], den))
-    return rows if quad else None
+def _int_rows(coeffs):
+    """The coefficients as ([(a, b), ...], D) with c = (a + b*alpha)/D for
+    one common D; TypeError unless each is an int, Fraction or QuadElement."""
+    abds = []
+    for c in coeffs:
+        abd = _operand(c)
+        if abd is None:
+            raise TypeError(f"not a field scalar: {c!r}")
+        abds.append(abd)
+    den = lcm(*[d for _, _, d in abds])
+    return [(a * (den // d), b * (den // d)) for a, b, d in abds], den
 
 
 class Poly:
-    """Dense univariate polynomial over Fraction, QuadElement or Poly;
-    trailing zero coefficients, zero inner Polys included, are trimmed."""
+    """Dense univariate polynomial over Q or Q(alpha), trailing zero
+    coefficients trimmed.  Products and values are QuadElements, computed
+    on integer pairs over one common denominator with one gcd each."""
 
     __slots__ = ("coeffs",)
 
@@ -348,22 +339,16 @@ class Poly:
             return Poly([c * other for c in self.coeffs])
         if not self or not other:
             return Poly([])
-        rows = _quad_rows(self.coeffs, other.coeffs)
-        if rows is not None:
-            # the convolution on integer pairs, alpha^2 = -3
-            (xs, dx), (ys, dy) = rows
-            ra = [0] * (len(xs) + len(ys) - 1)
-            rb = ra[:]
-            for i, (a, b) in enumerate(xs):
-                for j, (c, e) in enumerate(ys, i):
-                    ra[j] += a * c - 3 * b * e
-                    rb[j] += a * e + b * c
-            return Poly([_quad(a, b, dx * dy) for a, b in zip(ra, rb)])
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, ci in enumerate(self.coeffs):
-            for j, cj in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + ci * cj
-        return Poly(out)
+        # the convolution on integer pairs, alpha^2 = -3
+        xs, dx = _int_rows(self.coeffs)
+        ys, dy = _int_rows(other.coeffs)
+        ra = [0] * (len(xs) + len(ys) - 1)
+        rb = ra[:]
+        for i, (a, b) in enumerate(xs):
+            for j, (c, e) in enumerate(ys, i):
+                ra[j] += a * c - 3 * b * e
+                rb[j] += a * e + b * c
+        return Poly([_quad(a, b, dx * dy) for a, b in zip(ra, rb)])
 
     __rmul__ = __mul__
 
@@ -384,22 +369,19 @@ class Poly:
     def __hash__(self):
         return hash(self.coeffs)
 
-    def evaluate(self, x):
-        rows = _quad_rows(self.coeffs, (x,)) if self else None
-        if rows is not None:
-            # Horner on ints: with x = (p + q alpha)/e, D e^n f(x) is the sum
-            # of (D c_i) (p + q alpha)^i e^(n-i)
-            (cs, den), ([(p, q)], e) = rows
-            a, b = cs[-1]
-            scale = 1
-            for ca, cb in reversed(cs[:-1]):
-                scale *= e
-                a, b = a * p - 3 * b * q + ca * scale, a * q + b * p + cb * scale
-            return _quad(a, b, den * scale)
-        out = _zero_like(x)
-        for c in reversed(self.coeffs):
-            out = out * x + c
-        return out
+    def evaluate(self, x) -> QuadElement:
+        if not self:
+            return ZERO
+        # Horner on ints: with x = (p + q alpha)/e, D e^n f(x) is the sum
+        # of (D c_i) (p + q alpha)^i e^(n-i)
+        cs, den = _int_rows(self.coeffs)
+        [(p, q)], e = _int_rows((x,))
+        a, b = cs[-1]
+        scale = 1
+        for ca, cb in reversed(cs[:-1]):
+            scale *= e
+            a, b = a * p - 3 * b * q + ca * scale, a * q + b * p + cb * scale
+        return _quad(a, b, den * scale)
 
     def derivative(self) -> "Poly":
         return Poly([i * c for i, c in enumerate(self.coeffs)][1:])

@@ -3,7 +3,9 @@ orbifold weights and ramified coverings.
 
 An exponent here is the difference of the two local exponents at a singular
 point.  It is either an explicit rational or a formal positive multiple of a
-generic symbol (used for one-parameter families of equations).
+generic symbol (used for one-parameter families of equations).  A signature
+holds one exponent per singular point, in order, and a covering's partitions
+pair with them by position, as they do with an orbifold's weights.
 """
 from __future__ import annotations
 
@@ -55,37 +57,21 @@ class Exponent:
 
 
 @dataclass(frozen=True)
-class SingularPoint:
-    point_id: object
-    exponent: Exponent
-
-
-@dataclass(frozen=True)
 class FuchsianSignature:
     genus: int
-    points: Tuple[SingularPoint, ...]
+    exponents: Tuple[Exponent, ...]
 
-    def __init__(self, genus: int, points):
-        pts = tuple(points)
-        ids = [p.point_id for p in pts]
-        if len(set(ids)) != len(ids):
-            raise ValueError("duplicate singular point ids")
-        object.__setattr__(self, "genus", genus)
-        object.__setattr__(self, "points", pts)
+    def __post_init__(self):
+        object.__setattr__(self, "exponents", tuple(self.exponents))
 
 
 def hypergeometric_signature(e0, e1, einf) -> FuchsianSignature:
     """Genus-0 signature with singular points 0, 1, inf."""
     mk = lambda e: e if isinstance(e, Exponent) else Exponent.of(e)
-    return FuchsianSignature(0, (
-        SingularPoint("0", mk(e0)),
-        SingularPoint("1", mk(e1)),
-        SingularPoint("inf", mk(einf)),
-    ))
+    return FuchsianSignature(0, (mk(e0), mk(e1), mk(einf)))
 
 
-def _weight_of_point(p: SingularPoint):
-    e = p.exponent
+def _weight_of(e: Exponent):
     if not e.is_rational():
         return INF
     if e.rational == 0:
@@ -101,8 +87,7 @@ def orbifold_of(sig: FuchsianSignature) -> OrbifoldStructure:
     Integer theta gives weight 1/|theta| <= 1: such points are apparent and
     vanish from the underlying structure.
     """
-    return OrbifoldStructure(sig.genus, tuple(
-        (p.point_id, _weight_of_point(p)) for p in sig.points))
+    return OrbifoldStructure(sig.genus, map(_weight_of, sig.exponents))
 
 
 def underlying_orbifold_of(sig: FuchsianSignature) -> OrbifoldStructure:
@@ -121,19 +106,19 @@ def pullback_exponents(sig: FuchsianSignature,
                        profile: RamificationProfile) -> PulledBackSignature:
     """Exponent data of the pullback along a covering with the given local
     indices over each singular point (profile.partitions aligned with
-    sig.points).
+    sig.exponents).
 
     A point of index k over exponent theta carries exponent k*theta; it is
     apparent exactly when that is a positive integer.  Apparent points are
     counted, not listed.
     """
-    if len(profile.partitions) != len(sig.points):
+    if len(profile.partitions) != len(sig.exponents):
         raise ValueError("need one partition per singular point")
     kept = []
     apparent = 0
-    for p, parts in zip(sig.points, profile.partitions):
+    for base, parts in zip(sig.exponents, profile.partitions):
         for k in parts:
-            e = p.exponent.scaled(k)
+            e = base.scaled(k)
             if e.is_rational() and e.rational.denominator == 1 and e.rational >= 1:
                 apparent += 1
             else:
@@ -144,6 +129,6 @@ def pullback_exponents(sig: FuchsianSignature,
 def is_elementary(sig: FuchsianSignature) -> bool:
     """True when the equation has no transcendental hypergeometric content:
     the underlying integral structure fails to be hyperbolic."""
-    if sig.genus != 0 or len(sig.points) != 3:
+    if sig.genus != 0 or len(sig.exponents) != 3:
         raise ValueError("elementarity gate applies to three-point genus-0 data")
     return classify(underlying_orbifold_of(sig)) != CurvatureClass.HYPERBOLIC

@@ -35,6 +35,8 @@ from itertools import combinations, permutations
 from math import factorial
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
+from .orbifold import partitions_of
+
 Perm = Tuple[int, ...]
 
 MAX_DEGREE = 16
@@ -236,22 +238,11 @@ def transposition(d: int, i: int, j: int) -> Perm:
     return tuple(img)
 
 
-def _partitions_within(r: int, max_part: int, budget: int
-                       ) -> Iterator[Tuple[int, ...]]:
-    """Partitions of r into parts <= max_part with sum(part - 1) <= budget,
-    in descending-lex order: the order of partitions_of(r), with the rest
-    never built."""
-    for first in range(min(r, max_part, budget + 1), 1, -1):
-        for rest in _partitions_within(r - first, first, budget - first + 1):
-            yield (first,) + rest
-    yield (1,) * r
-
-
 def h_set(d: int, k: int) -> Iterator[Perm]:
     """All permutations expressible as a product of exactly k transpositions
     (Cayley norm <= k with the same parity), generated lazily class by
     class in the order of partitions_of(d)."""
-    for parts in _partitions_within(d, d, k):
+    for parts in partitions_of(d, budget=k):
         if (k - d + len(parts)) % 2 == 0:
             yield from class_elements(d, parts)
 
@@ -365,29 +356,18 @@ class _Pool:
     """A re-iterable view of a lazy pool: each item is drawn from the source
     the first time any walk reaches it and replayed from a list after, so a
     pool walked once per prefix is generated once, and only up to the point
-    the search stops.  Once a walk has exhausted the source, later walks
-    replay the list alone."""
+    the search stops.  Walks of one pool never interleave: each walk replays
+    what earlier walks drew, then draws on from the source."""
 
     def __init__(self, source: Iterable[Perm]):
         self._source = iter(source)
         self._drawn: List[Perm] = []
-        self._exhausted = False
 
     def __iter__(self) -> Iterator[Perm]:
-        drawn = self._drawn
-        if self._exhausted:
-            yield from drawn
-            return
-        i = 0
-        while True:
-            if i == len(drawn):
-                item = next(self._source, None)
-                if item is None:
-                    self._exhausted = True
-                    return
-                drawn.append(item)
-            yield drawn[i]
-            i += 1
+        yield from self._drawn
+        for item in self._source:
+            self._drawn.append(item)
+            yield item
 
 
 def verify_tuple(perms: Sequence[Perm], types: Sequence[Sequence[int]],
@@ -439,10 +419,9 @@ def find_tuple(types: Sequence[Sequence[int]], degree: int) -> RealizabilityCert
         tup = PermutationTuple(1, tuple((0,) for _ in norm_types))
         return RealizabilityCertificate(True, tup, stats)
 
-    work = [(i, t) for i, t in enumerate(norm_types) if not _is_identity_type(t)]
-    n_tau = sum(1 for _, t in work if _is_transposition_type(t))
-    big = sorted((t for _, t in work
-                  if not _is_transposition_type(t)),
+    work = [t for t in norm_types if not _is_identity_type(t)]
+    n_tau = sum(1 for t in work if _is_transposition_type(t))
+    big = sorted((t for t in work if not _is_transposition_type(t)),
                  key=lambda t: class_size(degree, t))
 
     def try_h(prefix: List[Perm], h: Perm) -> Optional[List[Perm]]:
@@ -496,17 +475,10 @@ def find_tuple(types: Sequence[Sequence[int]], degree: int) -> RealizabilityCert
     if found is None:
         return RealizabilityCertificate(False, None, stats, "search space exhausted")
 
-    # restore the requested order, then put identity entries back
-    want_work = [t for _, t in work]
-    ordered = _reorder_to(found, want_work)
-    final: List[Perm] = []
-    wi = 0
-    for t in norm_types:
-        if _is_identity_type(t):
-            final.append(identity(degree))
-        else:
-            final.append(ordered[wi])
-            wi += 1
+    # restore the requested order; identity entries braid past the others
+    # without changing them
+    n_identity = len(norm_types) - len(work)
+    final = _reorder_to(found + [identity(degree)] * n_identity, norm_types)
     if not verify_tuple(final, norm_types, degree):
         raise AssertionError("internal error: candidate tuple failed re-verification")
     return RealizabilityCertificate(True, PermutationTuple(degree, tuple(final)), stats)

@@ -1,12 +1,15 @@
 """Orbifold structures on curves: rational weights, Euler characteristics,
 pullback along coverings, underlying integral structures, uniformization type.
+
+A marked point is its weight: a structure holds its weights in the order
+given, and a covering's partitions pair with them by position.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 
 class _Infinity:
@@ -63,46 +66,33 @@ class CurvatureClass(Enum):
 
 @dataclass(frozen=True)
 class OrbifoldStructure:
-    """Genus plus a finite support of weighted points.
-
-    Points carry abstract hashable ids and keep the order they are given
-    in; weight-1 points are dropped at construction since they carry no
-    data.
-    """
+    """Genus plus the weights of its marked points, in the order given;
+    weight-1 points are dropped at construction since they carry no data."""
 
     genus: int
-    support: Tuple[Tuple[object, Weight], ...]
+    support: Tuple[Weight, ...]
 
     def __init__(self, genus: int, support=()):
         if genus < 0:
             raise ValueError("genus must be >= 0")
-        seen = set()
-        kept = []
-        for pt, w in support:
-            if pt in seen:
-                raise ValueError(f"duplicate support point {pt!r}")
-            seen.add(pt)
-            w = make_weight(w)
-            if w == 1:
-                continue
-            kept.append((pt, w))
+        kept = tuple(w for w in map(make_weight, support) if w != 1)
         object.__setattr__(self, "genus", genus)
-        object.__setattr__(self, "support", tuple(kept))
+        object.__setattr__(self, "support", kept)
 
     def weights(self) -> Tuple[Weight, ...]:
-        return tuple(sorted(w for _, w in self.support))
+        return tuple(sorted(self.support))
 
     def n_points(self) -> int:
         return len(self.support)
 
     def is_integral(self) -> bool:
-        return all(w is INF or w.denominator == 1 for _, w in self.support)
+        return all(w is INF or w.denominator == 1 for w in self.support)
 
 
 def euler_char(o: OrbifoldStructure) -> Fraction:
     """chi = 2 - 2g + sum over support of (1/p - 1); 1/inf = 0."""
     chi = Fraction(2 - 2 * o.genus)
-    for _, w in o.support:
+    for w in o.support:
         chi += weight_reciprocal(w) - 1
     return chi
 
@@ -150,6 +140,24 @@ class RamificationProfile:
                         for lam in self.partitions)
 
 
+def partitions_of(r: int, max_part: Optional[int] = None,
+                  budget: Optional[int] = None) -> List[Tuple[int, ...]]:
+    """Partitions of r into parts <= max_part (default r) whose branching
+    sum(part - 1) is at most budget (default unbounded), in descending-lex
+    order; the partition of 0 is ().  Parts that would break either bound
+    are never built."""
+    if max_part is None:
+        max_part = r
+    if budget is None:
+        budget = r
+    if r == 0:
+        return [()]
+    top = min(r, max_part, budget + 1)
+    out = [(first,) + rest for first in range(top, 1, -1)
+           for rest in partitions_of(r - first, first, budget - first + 1)]
+    return out + [(1,) * r] if top >= 1 else out
+
+
 def covering_genus(base_genus: int, cover: RamificationProfile) -> int:
     """Upstairs genus from the degree/branching balance; must be an integer >= 0."""
     d = cover.degree
@@ -166,29 +174,25 @@ def covering_genus(base_genus: int, cover: RamificationProfile) -> int:
 def pullback(o: OrbifoldStructure, cover: RamificationProfile) -> OrbifoldStructure:
     """Pull the weighted structure back along the covering.
 
-    Partition i lies over the i-th point of o.support (in the order given);
-    any further partitions lie over weight-1 points.  Each point of local
-    index k over a base point of weight p acquires weight p/k (inf stays
-    inf), so the ramified preimages of a weight-1 point get weight 1/k.
+    Partition i lies over the i-th weight of o.support; any further
+    partitions lie over weight-1 points.  Each point of local index k over
+    a base point of weight p acquires weight p/k (inf stays inf), so the
+    ramified preimages of a weight-1 point get weight 1/k.
     """
     extra = len(cover.partitions) - len(o.support)
     if extra < 0:
         raise ValueError("need a partition over every support point")
     g = covering_genus(o.genus, cover)
-    weights = [w for _, w in o.support] + [Fraction(1)] * extra
     support = []
-    for i, (w, parts) in enumerate(zip(weights, cover.partitions)):
-        for j, k in enumerate(parts):
-            support.append(((i, j), INF if w is INF else w / k))
+    for w, parts in zip(o.support + (Fraction(1),) * extra, cover.partitions):
+        support += [INF if w is INF else w / k for k in parts]
     return OrbifoldStructure(g, support)
 
 
 def underlying(o: OrbifoldStructure) -> OrbifoldStructure:
     """Replace each weight n/q (lowest terms) by its numerator n; inf stays."""
-    support = []
-    for pt, w in o.support:
-        support.append((pt, INF if w is INF else Fraction(w.numerator)))
-    return OrbifoldStructure(o.genus, support)
+    return OrbifoldStructure(o.genus, (INF if w is INF else Fraction(w.numerator)
+                                       for w in o.support))
 
 
 def classify(o: OrbifoldStructure) -> CurvatureClass:

@@ -39,7 +39,7 @@ def _report(num: int, ok: bool, desc: str, elapsed: float, budget: float) -> Non
 
 
 def _triangle(*weights):
-    return OrbifoldStructure(0, [(i, w) for i, w in enumerate(weights)])
+    return OrbifoldStructure(0, weights)
 
 
 def test_criterion_01_euler_characteristic_goldens():
@@ -73,7 +73,7 @@ def test_criterion_02_riemann_hurwitz_property():
         attempts += 1
         genus = rng.choice([0, 0, 0, 1, 2])
         n = rng.randint(0, 4)
-        o = OrbifoldStructure(genus, [(i, rng.choice(pool)) for i in range(n)])
+        o = OrbifoldStructure(genus, [rng.choice(pool) for _ in range(n)])
         d = rng.randint(1, 8)
         fibers = [_random_partition(rng, d) for _ in o.support]
         if rng.random() < 0.5:

@@ -26,11 +26,19 @@ from garnier.covers import (
     uv_lift,
     verify_family,
 )
-from garnier.exactalg import ALPHA, Poly, QuadElement, format_quad
+from garnier.exactalg import ALPHA, ONE, Poly, QuadElement, format_quad
 
 
 def q(a, b=0):
     return QuadElement(Fraction(a), Fraction(b))
+
+
+def at_s_first(rows, s, t):
+    """f(s, t) from f's rows (one Poly in t per power of s), taking s first:
+    each power of t's coefficient, a polynomial in s, at s, then t.  The
+    rows of F, F1 and F2 all have the same length."""
+    cols = [Poly([row.coeffs[j] for row in rows]) for j in range(len(rows[0].coeffs))]
+    return Poly([col.evaluate(s) for col in cols]).evaluate(t)
 
 
 UV = UVPoint(q(2), q(3))
@@ -61,8 +69,10 @@ def test_params_validation():
         DegFourParams(q(0), q(1), q(5))
     with pytest.raises(DegenerateInput):
         DegFourParams(q(1), q(1), q(1))
-    with pytest.raises(DegenerateInput):
-        DegFourParams(q(1), q(1), q(5))  # off the phi(1)=1 surface
+    # off the phi(1) = 1 surface the parameters still build, and
+    # solution_record's phi_fixes_0_and_1 check is what reports it
+    num, den = phi_from_params(DegFourParams(q(1), q(1), q(5)))
+    assert (num - den).evaluate(ONE) != 0
 
 
 def test_uv_lift_pinned_point():
@@ -118,7 +128,7 @@ def test_free_critical_quadratic():
     assert disc == b ** 2 + 4 * c_val
     assert rho is not None
     # F taken at s first, then t, against the rows-at-t-first evaluation
-    assert fval == f_poly().evaluate(st.s).evaluate(st.t)
+    assert fval == at_s_first(f_poly(), st.s, st.t)
     assert disc == st.s ** 2 * (st.s + 1) ** 2 * fval * rho ** 2
 
 
@@ -143,24 +153,24 @@ def test_f_poly_palindromic_in_s():
     F = f_poly()
     for i in range(5):
         for j in range(5):
-            assert F.coeffs[i].coeffs[j] == F.coeffs[4 - i].coeffs[j]
+            assert F[i].coeffs[j] == F[4 - i].coeffs[j]
 
 
 def test_f1_f2_conjugate():
     F1, F2 = f1_poly(), f2_poly()
     for i in range(3):
         for j in range(3):
-            c1 = QuadElement.coerce(F1.coeffs[i].coeffs[j])
-            assert c1.conj() == QuadElement.coerce(F2.coeffs[i].coeffs[j])
-    assert F2.coeffs[1].coeffs[1] == 4 * ALPHA and F2.coeffs[1].coeffs[0] == -10
+            c1 = QuadElement.coerce(F1[i].coeffs[j])
+            assert c1.conj() == QuadElement.coerce(F2[i].coeffs[j])
+    assert F2[1].coeffs[1] == 4 * ALPHA and F2[1].coeffs[0] == -10
 
 
 def test_pencil_ratio_on_lift():
     for u, v in [(2, 3), (5, 2), (-3, 7)]:
         uv = UVPoint(q(u), q(v))
         st = uv_lift(uv)
-        f1 = f1_poly().evaluate(st.s).evaluate(st.t)
-        f2 = f2_poly().evaluate(st.s).evaluate(st.t)
+        f1 = at_s_first(f1_poly(), st.s, st.t)
+        f2 = at_s_first(f2_poly(), st.s, st.t)
         assert f1 == uv.v ** 2 * f2
 
 
@@ -299,6 +309,31 @@ def test_failed_identity_is_recorded_not_raised(monkeypatch):
     rec = solution_record(UV)
     assert not rec.ok
     assert [name for name, good in rec.checks if not good] == ["pencil_ratio_v_squared"]
+
+
+def test_off_surface_parameters_fail_their_check(monkeypatch):
+    # parameters off the phi(1) = 1 surface are a failed check, not a
+    # rejected draw: with a1 off by 1/1000, verify_family returns and each
+    # record fails phi_fixes_0_and_1.  Draws are capped, so a redraw loop
+    # fails this test instead of hanging it.
+    original, draw = covers.params_from_st, covers.draw_uv
+    draws = []
+
+    def off_surface(pt):
+        p = original(pt)
+        return DegFourParams(p.a0, p.a1 + Fraction(1, 1000), p.c)
+
+    def capped(rng, bound=20):
+        draws.append(rng)
+        if len(draws) > 100:
+            raise AssertionError("verify_family keeps redrawing")
+        return draw(rng, bound)
+
+    monkeypatch.setattr(covers, "params_from_st", off_surface)
+    monkeypatch.setattr(covers, "draw_uv", capped)
+    rep = verify_family(samples=2, seed=1)
+    assert not rep.ok and len(rep.records) == 2
+    assert all(not dict(r.checks)["phi_fixes_0_and_1"] for r in rep.records)
 
 
 def test_solution_record_evaluates_each_bipoly_once(monkeypatch):

@@ -239,7 +239,7 @@ def test_nonapparent_counts():
     # structure of the pullback: index 2 over weight 2 and index 3 over
     # weight 3 become apparent, the free points get weight 1/2 -> 1
     p = RamificationProfile(4, [(2, 2), (3, 1), (1, 1, 1, 1)])
-    base = OrbifoldStructure(0, enumerate([2, 3, INF]))
+    base = OrbifoldStructure(0, [2, 3, INF])
     up = underlying(pullback(base, p.with_free_points()))
     assert up.weights() == (3, INF, INF, INF, INF)
     assert up.n_points() == 5
@@ -254,7 +254,7 @@ def test_essential_counts_match_orbifold_pullback():
     checked = 0
     for n in range(3, 9):
         for t, d in enumerate_candidates(n, 42):
-            base = OrbifoldStructure(0, enumerate(t.entries))
+            base = OrbifoldStructure(0, t.entries)
             for profile, n_total in enumerate_profiles(t.entries, d):
                 up = underlying(pullback(base, profile.with_free_points()))
                 assert (up.n_points(), up.genus) == (n_total, 0), (str(t), d, str(profile))

@@ -7,7 +7,6 @@ import pytest
 from garnier.fuchsian import (
     Exponent,
     FuchsianSignature,
-    SingularPoint,
     hypergeometric_signature,
     is_elementary,
     orbifold_of,
@@ -32,14 +31,6 @@ def test_exponent_construction():
         Exponent(Fraction(0), Fraction(-1), "theta")
 
 
-def test_signature_distinct_ids():
-    with pytest.raises(ValueError):
-        FuchsianSignature(0, (
-            SingularPoint("0", Exponent.of(1)),
-            SingularPoint("0", Exponent.of(2)),
-        ))
-
-
 def test_orbifold_of_hypergeometric():
     sig = hypergeometric_signature(Fraction(1, 2), Fraction(1, 3), Fraction(1, 7))
     o = orbifold_of(sig)
@@ -49,15 +40,10 @@ def test_orbifold_of_hypergeometric():
 
 def test_orbifold_of_special_points():
     # zero and generic exponents both give weight inf
-    sig = FuchsianSignature(0, (
-        SingularPoint("a", Exponent.of(0)),
-        SingularPoint("b", Exponent.generic()),
-        SingularPoint("d", Exponent.of(Fraction(-2, 5))),
-    ))
-    weights = dict(orbifold_of(sig).support)
-    assert weights["a"] is INF
-    assert weights["b"] is INF
-    assert weights["d"] == Fraction(5, 2)  # 1/|theta|
+    sig = FuchsianSignature(0, (Exponent.of(0), Exponent.generic(),
+                                Exponent.of(Fraction(-2, 5))))
+    # one weight per exponent, in order; 1/|theta| at rational theta
+    assert orbifold_of(sig).support == (INF, INF, Fraction(5, 2))
 
 
 def test_underlying_orbifold_of():
@@ -70,7 +56,7 @@ def test_underlying_orbifold_of():
     # structure, whose weights are the denominators of theta
     sig = hypergeometric_signature(3, Fraction(-7, 3), Fraction(2, 5))
     assert orbifold_of(sig).weights() == (Fraction(1, 3), Fraction(3, 7), Fraction(5, 2))
-    assert underlying_orbifold_of(sig) == OrbifoldStructure(0, (("1", 3), ("inf", 5)))
+    assert underlying_orbifold_of(sig) == OrbifoldStructure(0, (3, 5))
 
 
 def test_integer_exponents_vanish_from_weights():
@@ -131,4 +117,4 @@ def test_is_elementary():
     assert is_elementary(hypergeometric_signature(
         Fraction(1, 2), Fraction(1, 3), Exponent.generic())) is False
     with pytest.raises(ValueError):
-        is_elementary(FuchsianSignature(1, (SingularPoint("p", Exponent.of(1)),)))
+        is_elementary(FuchsianSignature(1, (Exponent.of(1),)))

@@ -548,6 +548,28 @@ def test_find_tuple_walk_is_pinned():
         "76e4139a3a5edb71b72883de90921da64b918e22e4726b7c73519c38525ea1cf")
 
 
+def test_identity_entries_change_nothing_but_their_slots():
+    # identity types at random positions: the same stats and reason as the
+    # query without them, and its tuple with identity(d) in those slots
+    rng = random.Random(18)
+    queries = _match_queries()
+    assert sum(any(t[0] == 1 for t in types) for _, types in queries) == 2
+    for d, types in queries:
+        with_ids = list(types)
+        slots = []
+        for _ in range(rng.randint(1, 3)):
+            slots.append(rng.randint(0, len(with_ids)))
+            with_ids.insert(slots[-1], (1,) * d)
+        plain, cert = find_tuple(types, d), find_tuple(with_ids, d)
+        assert (cert.exists, cert.stats, cert.reason) == (
+            plain.exists, plain.stats, plain.reason), (d, with_ids)
+        if plain.exists:
+            want = list(plain.tuple_.perms)
+            for i in slots:
+                want.insert(i, identity(d))
+            assert list(cert.tuple_.perms) == want, (d, with_ids)
+
+
 def test_pools_stop_at_the_first_hit(monkeypatch):
     made = []
     generate = hurwitz.class_elements

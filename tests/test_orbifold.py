@@ -15,6 +15,7 @@ from garnier.orbifold import (
     covering_genus,
     euler_char,
     make_weight,
+    partitions_of,
     pullback,
     underlying,
     weight_reciprocal,
@@ -22,7 +23,7 @@ from garnier.orbifold import (
 
 
 def structure(weights, genus=0):
-    return OrbifoldStructure(genus, [(i, w) for i, w in enumerate(weights)])
+    return OrbifoldStructure(genus, weights)
 
 
 def test_weight_parsing():
@@ -42,14 +43,11 @@ def test_weight_parsing():
 
 
 def test_weight_one_points_dropped():
-    o = structure([1, 2, 1, 3])
-    assert o.n_points() == 2
-    assert o.weights() == (Fraction(2), Fraction(3))
-
-
-def test_duplicate_points_rejected():
-    with pytest.raises(ValueError):
-        OrbifoldStructure(0, [("a", 2), ("a", 3)])
+    o = structure([3, 1, 2, 1, 3])
+    assert o.n_points() == 3
+    assert o.weights() == (Fraction(2), Fraction(3), Fraction(3))
+    # the support keeps the order given, equal weights included
+    assert o.support == (Fraction(3), Fraction(2), Fraction(3))
 
 
 def test_euler_char_triangle_values():
@@ -77,6 +75,30 @@ def test_weights_sorted_inf_last():
 def test_is_integral():
     assert structure([2, 3, INF]).is_integral()
     assert not structure([Fraction(5, 2), 3]).is_integral()
+
+
+def test_partitions_of_bounds_filter_the_full_list():
+    # the full lists: p(r) distinct partitions of r, parts non-increasing,
+    # in strictly descending-lex order
+    counts = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77]
+    for r, count in enumerate(counts):
+        full = partitions_of(r)
+        assert len(full) == count
+        assert all(sum(lam) == r and list(lam) == sorted(lam, reverse=True)
+                   and (not lam or lam[-1] >= 1) for lam in full)
+        assert all(a > b for a, b in zip(full, full[1:]))
+        # each bound gives the full list filtered, in the same order
+        for max_part in range(r + 2):
+            for budget in range(r + 1):
+                assert partitions_of(r, max_part, budget) == [
+                    lam for lam in full
+                    if all(k <= max_part for k in lam)
+                    and sum(k - 1 for k in lam) <= budget], (r, max_part, budget)
+            assert partitions_of(r, max_part) == [
+                lam for lam in full if all(k <= max_part for k in lam)]
+        for budget in range(r + 1):
+            assert partitions_of(r, budget=budget) == [
+                lam for lam in full if sum(k - 1 for k in lam) <= budget]
 
 
 def test_covering_genus():
@@ -131,9 +153,9 @@ def test_pullback_fractional_weights():
 
 
 def test_pullback_keeps_support_order_past_ten_points():
-    # ids 0..10 stay in the given order, so partition 10 lies over point 10
-    # (a sort by repr would put it over point 2)
-    base = OrbifoldStructure(0, enumerate([2] * 10 + [3]))
+    # the weights stay in the given order, so partition 10 lies over point 10
+    # (a sort by repr of a point label would put it over point 2)
+    base = structure([2] * 10 + [3])
     up = pullback(base, RamificationProfile(3, [(2, 1)] * 10 + [(3,)]))
     assert up.weights() == (Fraction(2),) * 10
 
@@ -163,7 +185,7 @@ def test_riemann_hurwitz_property_random():
         attempts += 1
         genus = rng.choice([0, 0, 0, 1])
         n = rng.randint(0, 4)
-        o = OrbifoldStructure(genus, [(i, rng.choice(pool)) for i in range(n)])
+        o = OrbifoldStructure(genus, [rng.choice(pool) for _ in range(n)])
         d = rng.randint(1, 8)
         fibers = [_random_partition(rng, d) for _ in o.support]
         if rng.random() < 0.5:
@@ -214,7 +236,7 @@ def test_min_neg_chi_is_sharp_exhaustively():
     for (genus, n), bound in quoted.items():
         best = None
         for combo in itertools.combinations_with_replacement(pool, n):
-            o = OrbifoldStructure(genus, list(enumerate(combo)))
+            o = OrbifoldStructure(genus, combo)
             chi = euler_char(o)
             if chi < 0:
                 assert -chi >= bound

@@ -4,7 +4,7 @@
 name and an empty command line get the full parser.
 
 Exit codes: 0 on success, 1 when a verification fails (golden mismatch,
-failed family checks), 2 on usage errors.
+failed family checks, too many rejected draws), 2 on usage errors.
 """
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ from fractions import Fraction
 from importlib import resources
 from typing import Optional
 
-from .covers import verify_family
+from .covers import RejectedDraws, verify_family
 from .enumeration import (DEFAULT_DMAX, TABLE_IDS, VerdictKind,
                           enumerate_candidates, enumerate_profiles,
                           lookup_table_id, render_table, reproduce_table,
@@ -158,7 +158,11 @@ def _cmd_hurwitz(args) -> int:
 
 def _cmd_verify(args) -> int:
     seed = args.seed if args.seed is not None else _env_seed()
-    report = verify_family(args.samples, seed)
+    try:
+        report = verify_family(args.samples, seed)
+    except RejectedDraws as e:
+        print(f"verify-deg4: FAIL ({e})", file=sys.stderr)
+        return 1
     if args.json:
         print(json.dumps(report.to_dict(), indent=2))
         return 0 if report.ok else 1

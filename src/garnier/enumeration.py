@@ -6,12 +6,12 @@ of the classification tables.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import product
-from math import gcd
+from math import gcd, prod
 from typing import List, Optional, Sequence, Tuple
 
 from .fuchsian import Exponent, hypergeometric_signature, is_elementary, pullback_exponents
@@ -21,32 +21,27 @@ from .orbifold import (INF, OrbifoldStructure, RamificationProfile, partitions_o
 DEFAULT_DMAX = 42
 
 
-def _neg_chi(weights: Sequence[object]) -> Tuple[int, int]:
-    """-chi = 1 - sum of 1/p over the weights as num/den with integers:
-    den is the product of the finite weights, num = den - sum of den/p, and
-    1/inf reads as 0."""
-    den = 1
-    for p in weights:
-        if p is not INF:
-            den *= p
-    return den - sum(den // p for p in weights if p is not INF), den
-
-
 @dataclass(frozen=True)
 class TripleSpec:
     """Weights (p0 <= p1 <= pinf) of a hyperbolic genus-0 triple; entries are
-    integers >= 2 or inf."""
+    integers >= 2 or inf.  neg_chi is -chi = 1 - sum of 1/p as (num, den) in
+    integers, den the product of the finite entries (1/inf reads as 0)."""
 
     entries: Tuple[object, object, object]
+    neg_chi: Tuple[int, int] = field(compare=False, repr=False)
 
     def __init__(self, p0, p1, pinf):
-        for p in (p0, p1, pinf):
-            if p is not INF and (not isinstance(p, int) or p < 2):
+        finite = [p for p in (p0, p1, pinf) if p is not INF]
+        for p in finite:
+            if not isinstance(p, int) or p < 2:
                 raise ValueError(f"weight must be an integer >= 2 or inf, got {p!r}")
+        den = prod(finite)
+        num = den - sum(den // p for p in finite)
         es = sorted((p0, p1, pinf))
-        if _neg_chi(es)[0] <= 0:
+        if num <= 0:
             raise ValueError(f"triple {es} is not hyperbolic")
         object.__setattr__(self, "entries", tuple(es))
+        object.__setattr__(self, "neg_chi", (num, den))
 
     @property
     def pinf(self):
@@ -64,7 +59,7 @@ def floor_identity_holds(t: TripleSpec, d: int) -> bool:
 
 def chi_inequality_holds(t: TripleSpec, d: int, n: int) -> bool:
     """d * (-chi of the triple) <= 1 - n/pinf, reading n/inf as 0."""
-    num, den = _neg_chi(t.entries)
+    num, den = t.neg_chi
     if t.pinf is INF:
         return d * num <= den
     return d * num * t.pinf <= den * (t.pinf - n)
@@ -74,19 +69,19 @@ def chi_inequality_holds(t: TripleSpec, d: int, n: int) -> bool:
 def _candidate_pairs(d_max: int) -> Tuple[Tuple[TripleSpec, int], ...]:
     """The sorted n-independent candidates: canonical hyperbolic (triple, d)
     with the floor identity and d * (-chi) <= 1, which the chi inequality
-    implies for every n >= 0.
+    implies for every n >= 0; every bound is in integers.
 
-    -chi = 1 - 1/p0 - 1/p1 - 1/pinf grows along each entry, so each loop
-    stops at the first entry whose least possible -chi exceeds 1/d.  The
-    bounds are cross-multiplied into integers: 1 - 3/p0 > 1/d reads
-    d(p0 - 3) > p0, and 1 - 1/p0 - 2/p1 > 1/d reads
-    d(p0 p1 - p1 - 2 p0) > p0 p1, or d(p0 - 1) > p0 at p1 = inf.  An inf
-    p0 always stops the sweep, since -chi = 1 > 1/d there.
+    -chi = 1 - 1/p0 - 1/p1 - 1/pinf grows along each entry, so the p0 and
+    p1 loops stop at the first entry whose least -chi exceeds 1/d:
+    d(p0 - 3) > p0, then d(p0 p1 - p1 - 2 p0) > p0 p1, or d(p0 - 1) > p0 at
+    p1 = inf.  An inf p0 always stops, since -chi = 1 > 1/d there.
 
-    pinf is solved from the floor identity, floor(d/pinf) = f with
-    f = d - floor(d/p0) - floor(d/p1) - 1: f = 0 leaves only pinf = inf
-    (a canonical finite pinf <= d has floor(d/pinf) >= 1), and f > 0 needs
-    a finite pinf >= p1 in (d/(f + 1), d/f].
+    pinf is solved outright.  With f = d - d//p0 - d//p1 - 1 the floor
+    identity reads d//pinf = f: f = 0 leaves only pinf = inf (a canonical
+    finite pinf has d//pinf >= 1), and f > 0 a finite pinf >= p1 in
+    (d//(f + 1), d//f].  With 1 - 1/p0 - 1/p1 = a/b (a > 0 once f > 0, as
+    a <= 0 only at p0 = p1 = 2, where f <= 0), hyperbolicity reads
+    pinf > b//a and d * (-chi) <= 1 reads pinf (d a - b) <= d b.
     """
     out = []
     for d in range(2, d_max + 1):
@@ -96,19 +91,19 @@ def _candidate_pairs(d_max: int) -> Tuple[Tuple[TripleSpec, int], ...]:
                 break
             for p1 in pool[i:]:
                 if p1 is INF:
-                    if d * (p0 - 1) > p0:
-                        break
-                elif d * (p0 * p1 - p1 - 2 * p0) > p0 * p1:
+                    # (p0, inf, inf): -chi = 1 - 1/p0 > 0, and f must be 0
+                    if d * (p0 - 1) <= p0 and d - d // p0 == 1:
+                        out.append((TripleSpec(p0, INF, INF), d))
                     break
-                f = d - d // p0 - (0 if p1 is INF else d // p1) - 1
-                if f < 0 or (f > 0 and p1 is INF):
-                    continue
-                for pinf in (range(max(p1, d // (f + 1) + 1), d // f + 1)
-                             if f else (INF,)):
-                    num, den = _neg_chi((p0, p1, pinf))
-                    if d * num > den:
-                        break
-                    if num > 0:
+                a, b = p0 * p1 - p1 - p0, p0 * p1
+                if d * (a - p0) > b:
+                    break
+                f = d - d // p0 - d // p1 - 1
+                if f == 0 and 0 < a and d * a <= b:
+                    out.append((TripleSpec(p0, p1, INF), d))
+                elif f > 0:
+                    hi = d // f if d * a <= b else min(d // f, d * b // (d * a - b))
+                    for pinf in range(max(p1 - 1, d // (f + 1), b // a) + 1, hi + 1):
                         out.append((TripleSpec(p0, p1, pinf), d))
     out.sort(key=lambda e: (e[0].entries, e[1]))
     return tuple(out)

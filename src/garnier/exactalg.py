@@ -267,25 +267,26 @@ def _inv_coeff(c):
 def _int_rows(coeffs):
     """The coefficients as ([(a, b), ...], D) with c = (a + b*alpha)/D for
     one common D; TypeError unless each is an int, Fraction or QuadElement."""
-    abds = []
-    for c in coeffs:
-        abd = _operand(c)
-        if abd is None:
-            raise TypeError(f"not a field scalar: {c!r}")
-        abds.append(abd)
+    abds = [_operand(c) for c in coeffs]
+    if None in abds:
+        raise TypeError(f"not a field scalar: {coeffs[abds.index(None)]!r}")
     den = lcm(*[d for _, _, d in abds])
     return [(a * (den // d), b * (den // d)) for a, b, d in abds], den
 
 
 class Poly:
-    """Dense univariate polynomial over Q or Q(alpha), trailing zero
-    coefficients trimmed.  Products and values are QuadElements, computed
-    on integer pairs over one common denominator with one gcd each."""
+    """Dense univariate polynomial over Q or Q(alpha): int, Fraction or
+    QuadElement coefficients (TypeError otherwise), trailing zeros trimmed.
+    Products and values are QuadElements, on integer pairs over one common
+    denominator with one gcd each."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
         cs = list(coeffs)
+        for c in cs:
+            if _operand(c) is None:
+                raise TypeError(f"not a field scalar: {c!r}")
         while cs and not cs[-1]:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))

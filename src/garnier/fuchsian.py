@@ -24,8 +24,10 @@ class Exponent:
     label: Optional[str] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "rational", Fraction(self.rational))
-        object.__setattr__(self, "coeff", Fraction(self.coeff))
+        if type(self.rational) is not Fraction:
+            object.__setattr__(self, "rational", Fraction(self.rational))
+        if type(self.coeff) is not Fraction:
+            object.__setattr__(self, "coeff", Fraction(self.coeff))
         if self.coeff != 0 and not self.label:
             raise ValueError("a generic exponent needs a symbol label")
         if self.coeff == 0 and self.label:
@@ -45,6 +47,8 @@ class Exponent:
         return self.coeff == 0
 
     def scaled(self, k: int) -> "Exponent":
+        if k == 1:
+            return self
         return Exponent(k * self.rational, k * self.coeff, self.label)
 
     def __str__(self):

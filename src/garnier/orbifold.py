@@ -46,7 +46,7 @@ Weight = Union[Fraction, _Infinity]
 def make_weight(value) -> Weight:
     if value is INF:
         return INF
-    w = Fraction(value)
+    w = value if type(value) is Fraction else Fraction(value)
     if w <= 0:
         raise ValueError(f"weight must be positive, got {w}")
     return w
@@ -185,7 +185,7 @@ def pullback(o: OrbifoldStructure, cover: RamificationProfile) -> OrbifoldStruct
     g = covering_genus(o.genus, cover)
     support = []
     for w, parts in zip(o.support + (Fraction(1),) * extra, cover.partitions):
-        support += [INF if w is INF else w / k for k in parts]
+        support += [w if w is INF or k == 1 else w / k for k in parts]
     return OrbifoldStructure(g, support)
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from garnier import cli
+from garnier import cli, covers
 from garnier.cli import COMMANDS, build_parser, main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -218,6 +218,17 @@ def test_verify_deg4_deterministic(capsys):
     assert first == second
     _, third, _ = run(capsys, "verify-deg4", "--samples", "3", "--seed", "6")
     assert third != first
+
+
+def test_verify_deg4_rejected_draws_exit_1(capsys, monkeypatch):
+    def degenerate(uv):
+        raise covers.DegenerateInput("degenerate everywhere")
+
+    monkeypatch.setattr(covers, "solution_record", degenerate)
+    for extra in ((), ("--json",)):
+        code, out, err = run(capsys, "verify-deg4", "--samples", "2", *extra)
+        assert code == 1 and out == ""
+        assert err.startswith("verify-deg4: FAIL (rejected_draws: ")
 
 
 def test_verify_deg4_json(capsys):

@@ -7,8 +7,10 @@ import pytest
 
 from garnier import covers
 from garnier.covers import (
+    MAX_REJECTED_IN_A_ROW,
     DegenerateInput,
     DegFourParams,
+    RejectedDraws,
     STPoint,
     UVPoint,
     branch_points_st,
@@ -334,6 +336,45 @@ def test_off_surface_parameters_fail_their_check(monkeypatch):
     rep = verify_family(samples=2, seed=1)
     assert not rep.ok and len(rep.records) == 2
     assert all(not dict(r.checks)["phi_fixes_0_and_1"] for r in rep.records)
+
+
+def test_verify_family_stops_after_rejected_draws(monkeypatch):
+    # a helper that degenerates at every point ends in a named failure after
+    # MAX_REJECTED_IN_A_ROW draws instead of redrawing forever
+    original = covers.draw_uv
+    draws = []
+
+    def degenerate(uv):
+        raise DegenerateInput("degenerate everywhere")
+
+    def counting(rng, bound=20):
+        draws.append(rng)
+        if len(draws) > 10 * MAX_REJECTED_IN_A_ROW:
+            raise AssertionError("verify_family keeps redrawing")
+        return original(rng, bound)
+
+    monkeypatch.setattr(covers, "solution_record", degenerate)
+    monkeypatch.setattr(covers, "draw_uv", counting)
+    with pytest.raises(RejectedDraws, match=f"rejected_draws: {MAX_REJECTED_IN_A_ROW} "
+                       "draws in a row at sample 1, the last: degenerate everywhere"):
+        verify_family(samples=2, seed=1)
+    assert len(draws) == MAX_REJECTED_IN_A_ROW
+
+
+def test_verify_family_counts_rejections_in_a_row_only(monkeypatch):
+    # runs one short of the cap, more than the cap in all, never stop it
+    original = covers.solution_record
+    calls = []
+
+    def one_short(uv):
+        calls.append(uv)
+        if len(calls) % MAX_REJECTED_IN_A_ROW:
+            raise DegenerateInput("short run")
+        return original(uv)
+
+    monkeypatch.setattr(covers, "solution_record", one_short)
+    rep = verify_family(samples=2, seed=1)
+    assert rep.rejected == 2 * (MAX_REJECTED_IN_A_ROW - 1) and rep.ok
 
 
 def test_solution_record_evaluates_each_bipoly_once(monkeypatch):

@@ -106,6 +106,20 @@ def test_chi_inequality_matches_fraction_definition():
                 assert chi_inequality_holds(t, d, n) == (lhs <= rhs[n]), (es, d, n)
 
 
+def test_triple_spec_neg_chi_matches_fraction_definition():
+    # the (num, den) kept at construction is -chi, and only entries compare
+    for es in SMALL_TRIPLES:
+        neg_chi = _fraction_neg_chi(es)
+        if neg_chi > 0:
+            t = TripleSpec(*reversed(es))
+            num, den = t.neg_chi
+            assert Fraction(num, den) == neg_chi, es
+    t = TripleSpec(2, 3, 7)
+    assert t.neg_chi == (1, 42)
+    assert repr(t) == "TripleSpec(entries=(2, 3, 7))"
+    assert t == TripleSpec(7, 3, 2) and hash(t) == hash(TripleSpec(3, 7, 2))
+
+
 def test_chi_inequality_equality_boundary():
     # d * (-chi) = 42 * 1/42 = 1 exactly, and the inequality is not strict
     assert chi_inequality_holds(TripleSpec(2, 3, 7), 42, 0)
@@ -325,6 +339,61 @@ def test_complete_profiles_n4_painleve_vi():
     rows = complete_profiles(4)
     assert [(str(t), d, str(p)) for t, d, p in rows] == EXPECTED_COMPLETE_N4
     assert all(p.free_points == 1 for _, _, p in rows)
+
+
+def _brute_partitions(r, top=None):
+    top = r if top is None else top
+    if r == 0:
+        return [()]
+    return [(k,) + rest for k in range(min(r, top), 0, -1)
+            for rest in _brute_partitions(r - k, k)]
+
+
+def _brute_complete(d_max, n_max):
+    """COMPLETE profiles with n <= n_max essential points, by brute force
+    and using neither the floor identity, the chi inequality nor the
+    forced-part rule: every hyperbolic triple in {2..d, inf}^3 and every
+    triple of partitions of d.  A part k over weight p is essential unless
+    p divides k (k/p is an integer exponent, so the point is apparent or
+    regular); every part over inf is essential.  The genus balance gives
+    N = (number of parts) - d - 2, so COMPLETE (n >= 4, N >= n - 3) reads:
+    at least d - 1 inessential parts.  Partitions are grouped by
+    (essential, inessential) counts, a group triple is kept or dropped
+    whole, and a partition with more than n_max essential parts is never
+    grouped."""
+    out = {}
+    for d in range(2, d_max + 1):
+        pool = list(range(2, d + 1)) + [INF]
+        groups = {}
+        for p in pool:
+            g = groups[p] = {}
+            for lam in _brute_partitions(d):
+                ess = len(lam) if p is INF else sum(1 for k in lam if k % p)
+                if ess <= n_max:
+                    g.setdefault((ess, len(lam) - ess), []).append(lam)
+        for es in product(pool, repeat=3):
+            if list(es) != sorted(es) or _fraction_neg_chi(es) <= 0:
+                continue
+            g0, g1, g2 = (groups[p] for p in es)
+            for e0, m0 in g0:
+                for e1, m1 in g1:
+                    for e2, m2 in g2:
+                        n = e0 + e1 + e2
+                        if 4 <= n <= n_max and m0 + m1 + m2 >= d - 1:
+                            out.setdefault(n, set()).update(
+                                (es, d, lams) for lams in product(
+                                    g0[e0, m0], g1[e1, m1], g2[e2, m2]))
+    return out
+
+
+def test_complete_profiles_match_brute_force():
+    # an independent check of the classification: 9, 3, 1 and 0 profiles
+    # with d <= 12 for n = 4, 5, 6 and 7
+    brute = _brute_complete(12, 7)
+    assert {n: len(rows) for n, rows in brute.items()} == {4: 9, 5: 3, 6: 1}
+    for n in (4, 5, 6, 7):
+        got = {(t.entries, d, p.partitions) for t, d, p in complete_profiles(n, 12)}
+        assert got == brute.get(n, set()), n
 
 
 def test_intermediate_rows_finite():

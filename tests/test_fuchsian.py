@@ -31,6 +31,24 @@ def test_exponent_construction():
         Exponent(Fraction(0), Fraction(-1), "theta")
 
 
+def test_exponent_fields_are_fractions():
+    # ints and strings are wrapped; a Fraction is kept as it is
+    for value, want in ((1, Fraction(1)), ("1/2", Fraction(1, 2)),
+                        (Fraction(2, 4), Fraction(1, 2))):
+        e = Exponent(value)
+        assert type(e.rational) is Fraction and e.rational == want
+        assert type(e.coeff) is Fraction and e.coeff == 0
+    g = Exponent(0, 2, "theta")
+    assert type(g.rational) is Fraction and type(g.coeff) is Fraction
+
+
+def test_exponent_scaled_by_one_is_itself():
+    for e in (Exponent(Fraction(1, 3)), Exponent.generic(), Exponent(1, 2, "t")):
+        assert e.scaled(1) is e
+        assert e.scaled(1) == Exponent(e.rational, e.coeff, e.label)
+    assert Exponent.generic().scaled(2) == Exponent(0, 2, "theta")
+
+
 def test_orbifold_of_hypergeometric():
     sig = hypergeometric_signature(Fraction(1, 2), Fraction(1, 3), Fraction(1, 7))
     o = orbifold_of(sig)

@@ -34,6 +34,12 @@ def test_weight_parsing():
         make_weight(0)
     with pytest.raises(ValueError):
         make_weight(-3)
+    # a Fraction is checked as well, not passed through
+    for bad in (Fraction(0), Fraction(-1, 2)):
+        with pytest.raises(ValueError):
+            make_weight(bad)
+    w = Fraction(7, 2)
+    assert make_weight(w) is w
     assert str(INF) == "inf"
     assert weight_reciprocal(INF) == 0
     assert weight_reciprocal(Fraction(7, 2)) == Fraction(2, 7)

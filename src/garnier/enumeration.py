@@ -197,152 +197,6 @@ def complete_profiles(n: int, d_max: int = DEFAULT_DMAX
     return out
 
 
-@dataclass(frozen=True)
-class IntermediateRow:
-    """Upper-bound row for one candidate: the profile of maximal free count,
-    which may be infeasible (N = -1), with its status toward a target
-    essential-point total."""
-
-    triple: TripleSpec
-    degree: int
-    profile: RamificationProfile
-    n_points: int
-    status: str
-
-
-def _max_free_row(t: TripleSpec, d: int, n_target: int) -> IntermediateRow:
-    # the last option over each fiber splits its remainder into ones
-    lams, counts = zip(*(_fiber_options(p, d)[-1] for p in t.entries))
-    n_points = sum(counts)
-    profile = RamificationProfile(d, lams)
-    # a row with at most three essential points is degenerate on its own;
-    # otherwise its free count is measured against the target
-    status = verdict(profile, n_points if n_points <= 3 else n_target)
-    return IntermediateRow(t, d, profile, n_points, str(status))
-
-
-def intermediate_rows(n_target: int = 5, d_max: int = DEFAULT_DMAX, *,
-                      infinite: bool) -> List[IntermediateRow]:
-    """One max-free-count row per candidate; infinite=True keeps triples
-    containing inf, False keeps all-finite triples."""
-    return [_max_free_row(t, d, n_target)
-            for t, d in enumerate_candidates(n_target, d_max)
-            if (INF in t.entries) == infinite]
-
-
-def _base_signature(t: TripleSpec, numerator: int = 1):
-    """Hypergeometric data with exponent 1/p at finite-weight points and a
-    generic symbol at weight inf; at a finite third point the exponent is
-    numerator/pinf."""
-    es = []
-    for i, p in enumerate(t.entries):
-        if p is INF:
-            es.append(Exponent.generic("theta"))
-        elif i == 2:
-            es.append(Exponent.of(Fraction(numerator, p)))
-        else:
-            es.append(Exponent.of(Fraction(1, p)))
-    return hypergeometric_signature(*es)
-
-
-def _exponent_numerators(q: int) -> List[int]:
-    """Representatives k with k/q in lowest terms, normalized into (0, 1/2]."""
-    return [k for k in range(1, q // 2 + 1) if gcd(k, q) == 1]
-
-
-@dataclass(frozen=True)
-class PullbackFamilyRow:
-    """One degree in the classification of complete or partial pullback
-    families: base data, branch profile, resulting exponent lists."""
-
-    triple: TripleSpec
-    degree: int
-    profile: RamificationProfile
-    variants: Tuple[Tuple[Tuple[Exponent, ...], Tuple[Exponent, ...], int], ...]
-    n_points: int
-    verdict: CandidateVerdict
-
-
-# Profiles defining the two partial rows of the five-point family table.
-# They relax the forced-part rule over one finite fiber (keeping fewer
-# apparent points than the maximum), so they are inputs here, not outputs
-# of enumerate_profiles; everything about them is still recomputed.
-_T2_EXTRA = (
-    (3, ((2, 1), (1, 1, 1), (3,)), INF),
-    (9, ((2, 2, 2, 2, 1), (3, 3, 1, 1, 1), (8, 1)), 8),
-)
-
-
-def _family_rows(n: int, d_max: int = DEFAULT_DMAX,
-                 extra=()) -> List[PullbackFamilyRow]:
-    """n-point pullback families with exponent data: the complete profiles
-    from the enumeration plus the extra (d, partitions, pinf) profiles over
-    (2,3,pinf), in degree order.  Over a finite pinf every reduced exponent
-    numerator gives a variant; elementary variants are dropped."""
-    items = []
-    for t, d, profile in complete_profiles(n, d_max):
-        items.append((d, t, profile))
-    for d, lams, pinf in extra:
-        t = TripleSpec(2, 3, pinf)
-        items.append((d, t, RamificationProfile(d, lams)))
-    items.sort(key=lambda e: (e[0], e[1].entries))
-    rows = []
-    for d, t, profile in items:
-        if t.pinf is INF:
-            numerators = [1]
-        else:
-            numerators = _exponent_numerators(t.pinf)
-        variants = []
-        for k in numerators:
-            sig = _base_signature(t, k)
-            if is_elementary(sig):
-                continue
-            pulled = pullback_exponents(sig, profile)
-            variants.append((sig.exponents, pulled.exponents, pulled.apparent_count))
-        # essential points: the weights other than 1 upstairs, free points
-        # included, by the refined Riemann-Hurwitz pullback
-        base = OrbifoldStructure(0, t.entries)
-        n_pts = underlying(pullback(base, profile.with_free_points())).n_points()
-        rows.append(PullbackFamilyRow(t, d, profile, tuple(variants), n_pts,
-                                      verdict(profile, n_pts)))
-    return rows
-
-
-@dataclass(frozen=True)
-class FamilyRow:
-    """A one-parameter family of candidate triples (finite entries fixed,
-    last entry a free symbol p) with the degrees passing both filters."""
-
-    prefix: Tuple[int, ...]
-    degrees: Tuple[int, ...]
-
-    def family_name(self) -> str:
-        parts = [str(q) for q in self.prefix] + ["p"] * (3 - len(self.prefix))
-        return "(" + ",".join(parts) + ")"
-
-
-def t3_rows(n: int = 6, d_max: int = DEFAULT_DMAX) -> List[FamilyRow]:
-    """Candidates with an inf entry, grouped into symbolic families.
-
-    Membership is recomputed with the symbol treated as larger than any
-    degree in range, i.e. as inf in both filters, without canonicalizing.
-    """
-    families = {}
-    for t, _ in enumerate_candidates(n, d_max):
-        if t.pinf is INF:
-            families.setdefault(tuple(p for p in t.entries if p is not INF), t)
-    return [FamilyRow(prefix, tuple(d for d in range(2, d_max + 1)
-                                    if floor_identity_holds(t, d)
-                                    and chi_inequality_holds(t, d, n)))
-            for prefix, t in sorted(families.items())]
-
-
-def n7_summary(n_low: int = 7, n_high: int = 12,
-               d_max: int = DEFAULT_DMAX) -> List[Tuple[int, int]]:
-    """(n, number of complete profiles) for each n in the range."""
-    return [(n, len(complete_profiles(n, d_max))) for n in range(n_low, n_high + 1)]
-
-
 def multipoint_bases(k: int, weight_cap: int = 12) -> List[Tuple[Tuple[object, ...], int]]:
     """Hyperbolic genus-0 bases with k marked points whose negative Euler
     characteristic leaves any degree budget at all: d <= 1/(-chi), so only
@@ -414,30 +268,92 @@ def _t1_table(d_max: int) -> Table:
                  ("triple", "d", "branch data", "free", "verdict"), tuple(rows))
 
 
+# The two partial rows of the five-point family table, quoted from the
+# published table.  Each splits one forced part over a finite fiber into
+# ones (n = 5, N = 1, deficit 1); that relaxation admits 24 such profiles
+# over (2,3,p) with d <= 42 and no stated rule singles out these two, so
+# they are inputs here, not outputs of enumerate_profiles.  Everything shown
+# about them is still recomputed.
+_T2_EXTRA = (
+    (3, ((2, 1), (1, 1, 1), (3,)), INF),
+    (9, ((2, 2, 2, 2, 1), (3, 3, 1, 1, 1), (8, 1)), 8),
+)
+
+
 def _family_table(table_id: str, n: int, extra, title: str, d_max: int) -> Table:
+    """n-point pullback families with exponent data: the complete profiles
+    from the enumeration plus the extra (d, partitions, pinf) profiles over
+    (2,3,pinf), in degree order.  The base has exponent 1/p at finite-weight
+    points and a generic symbol at weight inf; over a finite pinf every
+    reduced numerator k in (0, pinf/2] gives a variant row with exponent
+    k/pinf there, and elementary variants are dropped."""
+    items = [(d, t, profile) for t, d, profile in complete_profiles(n, d_max)]
+    items += [(d, TripleSpec(2, 3, pinf), RamificationProfile(d, lams))
+              for d, lams, pinf in extra]
+    items.sort(key=lambda e: (e[0], e[1].entries))
     rows = []
-    for r in _family_rows(n, d_max, extra):
-        for base, pulled, napp in r.variants:
-            rows.append((str(r.triple), str(r.degree), str(r.profile),
-                         _fmt_exps(base), _fmt_exps(pulled),
-                         f"apparent={napp}", f"N={r.profile.free_points}",
-                         str(r.verdict)))
+    for d, t, profile in items:
+        # essential points: the weights other than 1 upstairs, free points
+        # included, by the refined Riemann-Hurwitz pullback
+        base = OrbifoldStructure(0, t.entries)
+        n_pts = underlying(pullback(base, profile.with_free_points())).n_points()
+        tail = (f"N={profile.free_points}", str(verdict(profile, n_pts)))
+        q = t.pinf
+        numerators = [1] if q is INF else [k for k in range(1, q // 2 + 1) if gcd(k, q) == 1]
+        for k in numerators:
+            sig = hypergeometric_signature(*(
+                Exponent.generic("theta") if p is INF
+                else Exponent.of(Fraction(k if i == 2 else 1, p))
+                for i, p in enumerate(t.entries)))
+            if is_elementary(sig):
+                continue
+            pulled = pullback_exponents(sig, profile)
+            rows.append((str(t), str(d), str(profile), _fmt_exps(sig.exponents),
+                         _fmt_exps(pulled.exponents), f"apparent={pulled.apparent_count}")
+                        + tail)
     return Table(table_id, title,
                  ("triple", "d", "branch data", "base exponents",
                   "exponents", "apparent", "free", "verdict"), tuple(rows))
 
 
 def _t3_table(d_max: int) -> Table:
-    rows = [(fr.family_name(), ",".join(str(d) for d in fr.degrees))
-            for fr in t3_rows(6, d_max)]
+    """Six-point candidates with an inf entry, grouped into one-parameter
+    families: finite entries fixed, the rest a free symbol p.
+
+    The degrees are recomputed with the symbol treated as larger than any
+    degree in range, i.e. as inf in both filters, without canonicalizing.
+    """
+    families = {}
+    for t, _ in enumerate_candidates(6, d_max):
+        if t.pinf is INF:
+            families.setdefault(tuple(p for p in t.entries if p is not INF), t)
+    rows = []
+    for prefix, t in sorted(families.items()):
+        name = "(" + ",".join([str(q) for q in prefix] + ["p"] * (3 - len(prefix))) + ")"
+        degrees = [str(d) for d in range(2, d_max + 1)
+                   if floor_identity_holds(t, d) and chi_inequality_holds(t, d, 6)]
+        rows.append((name, ",".join(degrees)))
     return Table("T3", "six-point candidate families", ("family", "degrees"), tuple(rows))
 
 
 def _intermediate_table(table_id: str, infinite: bool, d_max: int) -> Table:
+    """One row per five-point candidate, infinite=True keeping the triples
+    containing inf and False the all-finite ones: the profile of maximal
+    free count, which may be infeasible (N = -1), with its status toward
+    five essential points."""
     rows = []
-    for r in intermediate_rows(5, d_max, infinite=infinite):
-        rows.append((str(r.triple), str(r.degree), str(r.profile),
-                     f"n={r.n_points}", f"N={r.profile.free_points}", r.status))
+    for t, d in enumerate_candidates(5, d_max):
+        if (INF in t.entries) != infinite:
+            continue
+        # the last option over each fiber splits its remainder into ones
+        lams, counts = zip(*(_fiber_options(p, d)[-1] for p in t.entries))
+        n_points = sum(counts)
+        profile = RamificationProfile(d, lams)
+        # a row with at most three essential points is degenerate on its own;
+        # otherwise its free count is measured against the target
+        status = verdict(profile, n_points if n_points <= 3 else 5)
+        rows.append((str(t), str(d), str(profile), f"n={n_points}",
+                     f"N={profile.free_points}", str(status)))
     kind = "inf-weight" if infinite else "finite-weight"
     return Table(table_id,
                  f"five-point candidates over {kind} triples, maximal free count",
@@ -446,7 +362,10 @@ def _intermediate_table(table_id: str, infinite: bool, d_max: int) -> Table:
 
 
 def _n7_table(d_max: int) -> Table:
-    rows = [(str(n), str(c), "none" if c == 0 else "") for n, c in n7_summary(7, 12, d_max)]
+    rows = []
+    for n in range(7, 13):
+        count = len(complete_profiles(n, d_max))
+        rows.append((str(n), str(count), "" if count else "none"))
     return Table("N7", "complete profiles with seven or more points",
                  ("n", "complete profiles", "note"), tuple(rows))
 

@@ -13,13 +13,7 @@ from importlib import resources
 
 from garnier.cli import main as cli_main
 from garnier.covers import check_f_factorization
-from garnier.enumeration import (
-    _T2_EXTRA,
-    _family_rows,
-    complete_profiles,
-    render_table,
-    reproduce_table,
-)
+from garnier.enumeration import complete_profiles, render_table, reproduce_table
 from garnier.exactalg import format_quad
 from garnier.hurwitz import find_tuple, realize_profile, verify_tuple
 from garnier.orbifold import (
@@ -161,10 +155,10 @@ def test_criterion_07_hurwitz_certificates():
 
 def test_criterion_08_exponent_table():
     t0 = time.perf_counter()
-    rows = _family_rows(5, 42, _T2_EXTRA)
-    groups = {(str(r.triple), r.degree) for r in rows}
-    flat = {(str(r.triple), r.degree, tuple(str(e) for e in pulled))
-            for r in rows for _, pulled, _ in r.variants}
+    # one row per exponent variant; column 4 holds the pulled-back exponents
+    rows = reproduce_table("T2", 42).rows
+    groups = {(r[0], int(r[1])) for r in rows}
+    flat = {(r[0], int(r[1]), tuple(r[4].strip("()").split(","))) for r in rows}
     ok = groups == {("(2,3,inf)", 3), ("(2,3,inf)", 4), ("(2,3,inf)", 6),
                     ("(2,3,8)", 9), ("(2,3,7)", 12)}
     ok = ok and ("(2,3,inf)", 4, ("1/3", "theta", "theta", "theta", "theta")) in flat

@@ -104,6 +104,48 @@ def test_tables_json(capsys):
     assert payload["header"][0] == "triple"
 
 
+# sha256 of the stdout of `garnier tables --id X` for the outputs the
+# goldens leave out: the text tables at --dmax 2 and 12 and the JSON at 42
+_TABLE_STDOUT_SHA256 = {
+    ("--dmax", "2"): {
+        "T1": "09f76620da5e7b816595329f653d504284ba76d7bfefbc8d35c47287b5f6db3b",
+        "T2": "fa2ab944023c7db8be0e048d15528acd7500b5f348a19ab93afc5134d2bda23f",
+        "T3": "a83fe682457c8b5161e4c6ce4ab76b40c56358cfe7c3b18d4c7f3d7054536059",
+        "T4": "1c8bc59e8287356190986e99f428ef93b4e45f5890c1aa64d6dd56778567b0a4",
+        "N2a": "a1254f21748c582bd4b33891954b7bf1bb2912846a2107e9248dee2244b42272",
+        "N2b": "2a3d80910cbdbeb3b6d4c2543e54448690cacbb60fc425dc4f58db07093bb05d",
+        "N7": "1e684ef2ed15caa4949b550eacb0b28e150552442665df139a374c5cd420877f",
+    },
+    ("--dmax", "12"): {
+        "T1": "2cc9e8f767a9c1180699a19bdd8e4fd131948793b6cfebe77c813ade71311d16",
+        "T2": "01d7c6f61c14a912f08a00fc658ebfb5adfd531223a0edf8f69d4b448a4417a7",
+        "T3": "21eb070c8be2fcdf8da775aa141072484d2c57fb61c2398147f7d8ac8c50986f",
+        "T4": "063f9a6f66061c62c1cfec5c512c47cc2dd67525b5f27c09aeebca02f33430e6",
+        "N2a": "0b0c6bc84029f46d2c8655d542180bb6578fbd35cbbd37c36dd08fea0c1821f3",
+        "N2b": "c461779a8ee0efe47d5ae4c0c1444ead8ab39835b4149229f736eb7bf3f410e5",
+        "N7": "1e684ef2ed15caa4949b550eacb0b28e150552442665df139a374c5cd420877f",
+    },
+    ("--json",): {
+        "T1": "058b3dee285f47ec9a50e251622e2a47e396fb8716b7c1f251d58e0a97101cb9",
+        "T2": "0eed84b720eed9fa4e7a074d0368599772598c9411a8e74ed597ef3fc6e9e3c3",
+        "T3": "99dd37f6d13bbd495b5f523b691acfe9028b7f71883d64a2bc5c13df2bc71ae8",
+        "T4": "9ad98c8ae2e981388c4ffbc309d62063ada5f8bc6f9837e5b5992bccd5ed5867",
+        "N2a": "26da037559e2dd899088adcae448139fa3a5b7583ed7604b66fd3f89f6f80dcf",
+        "N2b": "0e00053d73ddc6afa822339e599ec840ac73321d8d6df4807113e196eeabacc0",
+        "N7": "f5f330b0ae73be8e9cffaa0916c6d58f5282baf1e3684a0737c2720b2f5b9abb",
+    },
+}
+
+
+@pytest.mark.parametrize("extra", list(_TABLE_STDOUT_SHA256),
+                         ids=lambda v: "".join(v).lstrip("-"))
+@pytest.mark.parametrize("tid", ("T1", "T2", "T3", "T4", "N2a", "N2b", "N7"))
+def test_tables_stdout_pinned(capsys, extra, tid):
+    code, out, _ = run(capsys, "tables", "--id", tid, *extra)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _TABLE_STDOUT_SHA256[extra][tid]
+
+
 def test_tables_bad_id_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["tables", "--id", "T9"])

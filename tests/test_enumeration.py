@@ -7,27 +7,22 @@ import pytest
 
 from garnier.enumeration import (
     TABLE_IDS,
-    FamilyRow,
     RamificationProfile,
     TripleSpec,
     VerdictKind,
     _T2_EXTRA,
     _candidate_pairs,
-    _family_rows,
     chi_inequality_holds,
     complete_profiles,
     enumerate_candidates,
     enumerate_profiles,
     floor_identity_holds,
-    intermediate_rows,
     lookup_table_id,
     multipoint_bases,
     multipoint_complete_search,
-    n7_summary,
     partitions_of,
     render_table,
     reproduce_table,
-    t3_rows,
     verdict,
 )
 from garnier.orbifold import INF, OrbifoldStructure, pullback, underlying
@@ -396,83 +391,119 @@ def test_complete_profiles_match_brute_force():
         assert got == brute.get(n, set()), n
 
 
+@pytest.mark.slow
+def test_complete_profiles_match_brute_force_d24():
+    # the same check up to d = 24, opt-in (pytest -m slow): it adds the n = 4
+    # (2,3,7) d = 18 row
+    brute = _brute_complete(24, 7)
+    assert {n: len(rows) for n, rows in brute.items()} == {4: 10, 5: 3, 6: 1}
+    assert any(es == (2, 3, 7) and d == 18 for es, d, _ in brute[4])
+    for n in (4, 5, 6, 7):
+        got = {(t.entries, d, p.partitions) for t, d, p in complete_profiles(n, 24)}
+        assert got == brute.get(n, set()), n
+
+
+def _rows_by_key(table_id):
+    """Table rows keyed by (printed triple, degree)."""
+    return {(r[0], int(r[1])): r for r in reproduce_table(table_id).rows}
+
+
 def test_intermediate_rows_finite():
-    rows = intermediate_rows(5, infinite=False)
-    by_key = {(str(r.triple), r.degree): r for r in rows}
-    assert by_key[("(2,3,7)", 7)].profile.free_points == -1
-    assert by_key[("(2,3,7)", 7)].status == "IMPOSSIBLE"
-    assert by_key[("(2,3,7)", 8)].profile.free_points == 0
-    assert by_key[("(2,3,7)", 8)].status == "DEGENERATE_HYPERGEOMETRIC"
-    assert by_key[("(2,3,7)", 9)].profile.free_points == 0
-    assert by_key[("(2,3,7)", 10)].profile.free_points == 1
-    assert by_key[("(2,3,7)", 10)].status == "PARTIAL(deficit=1)"
-    assert by_key[("(2,3,7)", 12)].profile.free_points == 2
-    assert by_key[("(2,3,7)", 12)].status == "COMPLETE"
-    assert by_key[("(2,3,8)", 8)].profile.free_points == -1
-    assert by_key[("(2,3,8)", 9)].profile.free_points == -1
-    assert set(by_key) == {("(2,3,7)", d) for d in (7, 8, 9, 10, 12)} | {
+    # columns: triple, d, branch data, points, free, status
+    rows = _rows_by_key("N2b")
+    assert rows[("(2,3,7)", 7)][4:] == ("N=-1", "IMPOSSIBLE")
+    assert rows[("(2,3,7)", 8)][4:] == ("N=0", "DEGENERATE_HYPERGEOMETRIC")
+    assert rows[("(2,3,7)", 9)][4] == "N=0"
+    assert rows[("(2,3,7)", 10)][4:] == ("N=1", "PARTIAL(deficit=1)")
+    assert rows[("(2,3,7)", 12)][4:] == ("N=2", "COMPLETE")
+    assert rows[("(2,3,8)", 8)][4] == "N=-1"
+    assert rows[("(2,3,8)", 9)][4] == "N=-1"
+    assert set(rows) == {("(2,3,7)", d) for d in (7, 8, 9, 10, 12)} | {
         ("(2,3,8)", 8), ("(2,3,8)", 9)}
 
 
 def test_intermediate_rows_infinite():
-    rows = intermediate_rows(5, infinite=True)
-    by_key = {(str(r.triple), r.degree): r for r in rows}
-    assert by_key[("(2,3,inf)", 3)].status == "PARTIAL(deficit=1)"
-    assert by_key[("(2,3,inf)", 4)].status == "COMPLETE"
-    assert by_key[("(2,3,inf)", 6)].status == "COMPLETE"
-    assert by_key[("(2,3,inf)", 6)].profile.free_points == 3  # max-free profile splits the 2
-    assert by_key[("(2,4,inf)", 4)].status == "PARTIAL(deficit=1)"
-    assert by_key[("(2,inf,inf)", 2)].status == "PARTIAL(deficit=1)"
-    assert by_key[("(3,3,inf)", 3)].status == "DEGENERATE_HYPERGEOMETRIC"
+    rows = _rows_by_key("N2a")
+    assert rows[("(2,3,inf)", 3)][5] == "PARTIAL(deficit=1)"
+    assert rows[("(2,3,inf)", 4)][5] == "COMPLETE"
+    assert rows[("(2,3,inf)", 6)][5] == "COMPLETE"
+    assert rows[("(2,3,inf)", 6)][4] == "N=3"  # max-free profile splits the 2
+    assert rows[("(2,4,inf)", 4)][5] == "PARTIAL(deficit=1)"
+    assert rows[("(2,inf,inf)", 2)][5] == "PARTIAL(deficit=1)"
+    assert rows[("(3,3,inf)", 3)][5] == "DEGENERATE_HYPERGEOMETRIC"
 
 
 def test_t2_rows_shape():
-    rows = _family_rows(5, extra=_T2_EXTRA)
-    assert [(str(r.triple), r.degree) for r in rows] == [
+    # columns: triple, d, branch data, base exponents, exponents, apparent,
+    # free, verdict; one row per non-elementary exponent variant
+    rows = reproduce_table("T2").rows
+    assert list(dict.fromkeys((r[0], int(r[1])) for r in rows)) == [
         ("(2,3,inf)", 3), ("(2,3,inf)", 4), ("(2,3,inf)", 6),
         ("(2,3,8)", 9), ("(2,3,7)", 12)]
-    flat = [(str(r.triple), r.degree, tuple(str(e) for e in pulled), napp)
-            for r in rows for _, pulled, napp in r.variants]
-    assert ("(2,3,inf)", 4, ("1/3", "theta", "theta", "theta", "theta"), 3) in flat
-    assert ("(2,3,7)", 12, ("2/7",) * 5, 11) in flat
-    assert ("(2,3,7)", 12, ("3/7",) * 5, 11) in flat
-    assert ("(2,3,8)", 9, ("1/2", "1/3", "1/3", "1/3", "1/8"), 7) in flat
-    assert ("(2,3,8)", 9, ("1/2", "1/3", "1/3", "1/3", "3/8"), 7) in flat
+    flat = [(r[0], int(r[1]), r[4], r[5]) for r in rows]
+    assert ("(2,3,inf)", 4, "(1/3,theta,theta,theta,theta)", "apparent=3") in flat
+    assert ("(2,3,7)", 12, "(2/7,2/7,2/7,2/7,2/7)", "apparent=11") in flat
+    assert ("(2,3,7)", 12, "(3/7,3/7,3/7,3/7,3/7)", "apparent=11") in flat
+    assert ("(2,3,8)", 9, "(1/2,1/3,1/3,1/3,1/8)", "apparent=7") in flat
+    assert ("(2,3,8)", 9, "(1/2,1/3,1/3,1/3,3/8)", "apparent=7") in flat
     assert len(flat) == 8
 
 
 def test_t2_rows_filter_elementary_variants():
     # over (2,3,8) only numerators 1 and 3 survive; 2/8 and 4/8 are not reduced
-    row = [r for r in _family_rows(5, extra=_T2_EXTRA) if r.degree == 9][0]
-    nums = sorted(base[2].rational for base, _, _ in row.variants)
+    bases = [r[3] for r in reproduce_table("T2").rows if r[1] == "9"]
+    nums = sorted(Fraction(base.strip("()").split(",")[2]) for base in bases)
     assert nums == [Fraction(1, 8), Fraction(3, 8)]
 
 
 def test_t4_rows():
-    rows = _family_rows(6)
+    rows = reproduce_table("T4").rows
     assert len(rows) == 1
     r = rows[0]
-    assert (str(r.triple), r.degree) == ("(2,3,inf)", 6)
-    base, pulled, napp = r.variants[0]
-    assert tuple(str(e) for e in pulled) == ("theta",) * 6
-    assert napp == 5
-    assert r.profile.free_points == 3
+    assert (r[0], int(r[1])) == ("(2,3,inf)", 6)
+    assert r[4] == "(" + ",".join(["theta"] * 6) + ")"
+    assert r[5] == "apparent=5"
+    assert r[6] == "N=3"
 
 
 def test_t3_rows():
-    rows = t3_rows()
-    got = {r.family_name(): r.degrees for r in rows}
+    got = dict(reproduce_table("T3").rows)
     assert got == {
-        "(2,p,p)": (2,),
-        "(2,3,p)": (2, 3, 4, 6),
-        "(2,4,p)": (2, 4),
-        "(3,3,p)": (3,),
+        "(2,p,p)": "2",
+        "(2,3,p)": "2,3,4,6",
+        "(2,4,p)": "2,4",
+        "(3,3,p)": "3",
     }
-    assert FamilyRow((2,), (2,)).family_name() == "(2,p,p)"
+    # a family with one finite entry names the other two p
+    assert reproduce_table("T3", 2).rows == (("(2,p,p)", "2"),)
 
 
 def test_n7_summary_empty():
-    assert n7_summary(7, 12) == [(n, 0) for n in range(7, 13)]
+    assert reproduce_table("N7").rows == tuple(
+        (str(n), "0", "none") for n in range(7, 13))
+
+
+def test_t2_quoted_rows():
+    # the two partial T2 rows are quoted, not enumerated: each splits one
+    # forced part over a finite fiber into ones and has n = 5 and N = 1
+    t2 = {r[:3]: r for r in reproduce_table("T2").rows}
+    for d, lams, pinf in _T2_EXTRA:
+        t = TripleSpec(2, 3, pinf)
+        profile = RamificationProfile(d, lams)
+        assert profile.partitions not in {
+            p.partitions for p, _ in enumerate_profiles(t.entries, d, 5)}
+        # forced parts missing per finite fiber: exactly one, and the
+        # fiber that misses it holds at least p ones
+        missing = {p: d // p - lam.count(p)
+                   for p, lam in zip(t.entries, lams) if p is not INF}
+        assert sorted(missing.values()) == [0] * (len(missing) - 1) + [1]
+        split = next(p for p, m in missing.items() if m)
+        assert lams[t.entries.index(split)].count(1) >= split
+        base = OrbifoldStructure(0, t.entries)
+        n_pts = underlying(pullback(base, profile.with_free_points())).n_points()
+        assert n_pts == 5 and profile.free_points == 1
+        assert str(verdict(profile, n_pts)) == "PARTIAL(deficit=1)"
+        assert t2[(str(t), str(d), str(profile))][6:] == ("N=1", "PARTIAL(deficit=1)")
 
 
 def _sorted_product_sweep(k, weight_cap):

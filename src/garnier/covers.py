@@ -31,7 +31,7 @@ from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
 from .exactalg import (ALPHA, ONE, ZERO, Poly, QuadElement, discriminant,
-                       exact_sqrt, format_quad)
+                       evaluate_rows, exact_sqrt, format_quad)
 
 
 class DegenerateInput(ValueError):
@@ -158,8 +158,8 @@ def f2_poly() -> Tuple[Poly, ...]:
 
 
 def evaluate_st(f: Tuple[Poly, ...], s: QuadElement, t: QuadElement) -> QuadElement:
-    """f(s, t) for f given by its rows: each row at t, then s."""
-    return Poly([row.evaluate(t) for row in f]).evaluate(s)
+    """f(s, t) for F, F1 or F2 given by its rows, with one gcd."""
+    return evaluate_rows(f, s, t)
 
 
 def check_f_factorization() -> Tuple[QuadElement, bool]:

@@ -283,13 +283,13 @@ _T2_EXTRA = (
 def _family_table(table_id: str, n: int, extra, title: str, d_max: int) -> Table:
     """n-point pullback families with exponent data: the complete profiles
     from the enumeration plus the extra (d, partitions, pinf) profiles over
-    (2,3,pinf), in degree order.  The base has exponent 1/p at finite-weight
-    points and a generic symbol at weight inf; over a finite pinf every
-    reduced numerator k in (0, pinf/2] gives a variant row with exponent
-    k/pinf there, and elementary variants are dropped."""
+    (2,3,pinf) with d <= d_max, in degree order.  The base has exponent 1/p
+    at finite-weight points and a generic symbol at weight inf; over a
+    finite pinf every reduced numerator k in (0, pinf/2] gives a variant
+    row with exponent k/pinf there, and elementary variants are dropped."""
     items = [(d, t, profile) for t, d, profile in complete_profiles(n, d_max)]
     items += [(d, TripleSpec(2, 3, pinf), RamificationProfile(d, lams))
-              for d, lams, pinf in extra]
+              for d, lams, pinf in extra if d <= d_max]
     items.sort(key=lambda e: (e[0], e[1].entries))
     rows = []
     for d, t, profile in items:

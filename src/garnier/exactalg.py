@@ -8,16 +8,17 @@ Everything is immutable and exact; no floats appear anywhere.
 An element of Q(alpha) is stored as integer numerators over one common
 denominator, (a + b*alpha)/d with d > 0 and gcd(a, b, d) == 1 (the usual
 representation of number-field elements, Cohen, *A Course in Computational
-Algebraic Number Theory*, 1993, ch. 4).  Its arithmetic, ``exact_sqrt``,
-and the evaluation (Horner) and product of polynomials run on Python ints
-over one common denominator, with one gcd per result, and build no
-Fraction; only the ``a``, ``b`` and ``norm()`` accessors return Fractions.
-A polynomial's values and products are QuadElements whatever its
-coefficients, rational ones included.
+Algebraic Number Theory*, 1993, ch. 4), and a polynomial as integer pairs
+(a_i, b_i) over one denominator shared by all its coefficients.  The field
+and polynomial arithmetic, division, ``exact_sqrt`` and evaluation (Horner)
+run on Python ints with one gcd per result and build no Fraction; only the
+``a``, ``b`` and ``norm()`` accessors return Fractions.  A polynomial's
+coefficients and values are QuadElements, rational ones included.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import zip_longest
 from math import gcd, isqrt, lcm
 from typing import Optional, Union
 
@@ -129,14 +130,16 @@ class QuadElement:
         return _quad(a * d, -b * d, n)
 
     def __truediv__(self, other):
-        if _operand(other) is None:
+        o = _operand(other)
+        if o is None:
             return NotImplemented
-        return self * QuadElement.coerce(other).inverse()
+        return _div(self._abd, o)
 
     def __rtruediv__(self, other):
-        if _operand(other) is None:
+        o = _operand(other)
+        if o is None:
             return NotImplemented
-        return QuadElement.coerce(other) * self.inverse()
+        return _div(o, self._abd)
 
     def __pow__(self, n: int):
         if n < 0:
@@ -195,6 +198,17 @@ def _quad(a: int, b: int, d: int) -> QuadElement:
     z = _new(QuadElement)
     _set_abd(z, (a, b, d))
     return z
+
+
+def _div(x, y) -> QuadElement:
+    """x / y for (a, b, d) triples with one gcd: (a + b alpha)/d over
+    (c + e alpha)/f is f (a + b alpha)(c - e alpha) / (d (c^2 + 3 e^2))."""
+    a, b, d = x
+    c, e, f = y
+    n = c * c + 3 * e * e
+    if n == 0:
+        raise ZeroDivisionError("division by zero in Q(alpha)")
+    return _quad(f * (a * c + 3 * b * e), f * (b * c - a * e), d * n)
 
 
 def _operand(x):
@@ -259,37 +273,37 @@ def exact_sqrt(z: QuadElement) -> Optional[QuadElement]:
     return cand if cand * cand == z else None
 
 
-def _inv_coeff(c):
-    # exact inverse; Fraction(1, c) takes int and Fraction and rejects floats
-    return c.inverse() if isinstance(c, QuadElement) else Fraction(1, c)
-
-
-def _int_rows(coeffs):
-    """The coefficients as ([(a, b), ...], D) with c = (a + b*alpha)/D for
-    one common D; TypeError unless each is an int, Fraction or QuadElement."""
-    abds = [_operand(c) for c in coeffs]
-    if None in abds:
-        raise TypeError(f"not a field scalar: {coeffs[abds.index(None)]!r}")
-    den = lcm(*[d for _, _, d in abds])
-    return [(a * (den // d), b * (den // d)) for a, b, d in abds], den
+def _horner(rows, x):
+    """(a, b, e^n) with e^n f(x) = a + b*alpha for f's integer pairs (c_0,
+    ..., c_n), f's denominator left out, and x = (p + q alpha)/e as (p, q, e)."""
+    p, q, e = x
+    a, b = rows[-1] if rows else (0, 0)
+    scale = 1
+    for ca, cb in reversed(rows[:-1]):
+        scale *= e
+        a, b = a * p - 3 * b * q + ca * scale, a * q + b * p + cb * scale
+    return a, b, scale
 
 
 class Poly:
-    """Dense univariate polynomial over Q or Q(alpha): int, Fraction or
-    QuadElement coefficients (TypeError otherwise), trailing zeros trimmed.
-    Products and values are QuadElements, on integer pairs over one common
-    denominator with one gcd each."""
+    """Dense univariate polynomial over Q or Q(alpha), built from int,
+    Fraction or QuadElement coefficients (TypeError otherwise).  It holds
+    int pairs _rows over one _den > 0, coefficient i (a_i + b_i*alpha)/den,
+    trailing zero pairs trimmed and gcd(den, a_0, b_0, a_1, ...) == 1: one
+    representation per polynomial.  Each operation normalises its result
+    with one gcd; ``coeffs`` and ``lc`` build QuadElements when read."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("_rows", "_den")
 
     def __init__(self, coeffs):
         cs = list(coeffs)
-        for c in cs:
-            if _operand(c) is None:
-                raise TypeError(f"not a field scalar: {c!r}")
-        while cs and not cs[-1]:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        abds = [_operand(c) for c in cs]
+        if None in abds:
+            raise TypeError(f"not a field scalar: {cs[abds.index(None)]!r}")
+        den = lcm(*[d for _, _, d in abds])
+        f = _poly([(a * (den // d), b * (den // d)) for a, b, d in abds], den)
+        _set_rows(self, f._rows)
+        _set_den(self, f._den)
 
     def __setattr__(self, *_):
         raise AttributeError("Poly is immutable")
@@ -302,54 +316,63 @@ class Poly:
     def x(cls) -> "Poly":
         return cls([0, 1])
 
+    @property
+    def coeffs(self):
+        den = self._den
+        return tuple(_quad(a, b, den) for a, b in self._rows)
+
     def degree(self) -> int:
         # degree of the zero polynomial is -1 by convention
-        return len(self.coeffs) - 1
+        return len(self._rows) - 1
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self._rows)
 
     def lc(self):
         if not self:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return _quad(*self._rows[-1], self._den)
 
     def __add__(self, other):
         if not isinstance(other, Poly):
             other = Poly.const(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [0] * (n - len(self.coeffs))
-        b = list(other.coeffs) + [0] * (n - len(other.coeffs))
-        return Poly([x + y for x, y in zip(a, b)])
+        pairs = zip_longest(self._rows, other._rows, fillvalue=(0, 0))
+        dx, dy = self._den, other._den
+        if dx == dy:
+            return _poly([(a + c, b + e) for (a, b), (c, e) in pairs], dx)
+        return _poly([(a * dy + c * dx, b * dy + e * dx)
+                      for (a, b), (c, e) in pairs], dx * dy)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly([-c for c in self.coeffs])
+        return _poly([(-a, -b) for a, b in self._rows], self._den)
 
     def __sub__(self, other):
-        if not isinstance(other, Poly):
-            other = Poly.const(other)
-        return self + (-other)
+        return self + -(other if isinstance(other, Poly) else Poly.const(other))
 
     def __rsub__(self, other):
         return Poly.const(other) + (-self)
 
     def __mul__(self, other):
         if not isinstance(other, Poly):
-            return Poly([c * other for c in self.coeffs])
+            o = _operand(other)
+            if o is None:
+                return NotImplemented
+            c, e, d = o
+            return _poly([(a * c - 3 * b * e, a * e + b * c)
+                          for a, b in self._rows], self._den * d)
         if not self or not other:
             return Poly([])
         # the convolution on integer pairs, alpha^2 = -3
-        xs, dx = _int_rows(self.coeffs)
-        ys, dy = _int_rows(other.coeffs)
+        xs, ys = self._rows, other._rows
         ra = [0] * (len(xs) + len(ys) - 1)
         rb = ra[:]
         for i, (a, b) in enumerate(xs):
             for j, (c, e) in enumerate(ys, i):
                 ra[j] += a * c - 3 * b * e
                 rb[j] += a * e + b * c
-        return Poly([_quad(a, b, dx * dy) for a, b in zip(ra, rb)])
+        return _poly(list(zip(ra, rb)), self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -365,35 +388,67 @@ class Poly:
     def __eq__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self._rows == other._rows and self._den == other._den
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self._rows, self._den))
 
     def evaluate(self, x) -> QuadElement:
-        if not self:
-            return ZERO
-        # Horner on ints: with x = (p + q alpha)/e, D e^n f(x) is the sum
-        # of (D c_i) (p + q alpha)^i e^(n-i)
-        cs, den = _int_rows(self.coeffs)
-        [(p, q)], e = _int_rows((x,))
-        a, b = cs[-1]
-        scale = 1
-        for ca, cb in reversed(cs[:-1]):
-            scale *= e
-            a, b = a * p - 3 * b * q + ca * scale, a * q + b * p + cb * scale
-        return _quad(a, b, den * scale)
+        o = _operand(x)
+        if o is None:
+            raise TypeError(f"not a field scalar: {x!r}")
+        a, b, scale = _horner(self._rows, o)
+        return _quad(a, b, self._den * scale)
 
     def derivative(self) -> "Poly":
-        return Poly([i * c for i, c in enumerate(self.coeffs)][1:])
+        return _poly([(i * a, i * b) for i, (a, b) in enumerate(self._rows)][1:],
+                     self._den)
 
     def monic(self) -> "Poly":
+        # f / ((c + e alpha)/den) = f's pairs times (c - e alpha), over c^2 + 3 e^2
         if not self:
             return self
-        return self * _inv_coeff(self.lc())
+        c, e = self._rows[-1]
+        return _poly([(a * c + 3 * b * e, b * c - a * e) for a, b in self._rows],
+                     c * c + 3 * e * e)
 
     def __repr__(self):
         return f"Poly([{','.join(map(str, self.coeffs))}])"
+
+
+_set_rows = Poly._rows.__set__
+_set_den = Poly._den.__set__
+
+
+def _poly(rows, den: int) -> Poly:
+    """The Poly of the list of int pairs rows over den > 0, with one gcd."""
+    while rows and not (rows[-1][0] or rows[-1][1]):
+        rows.pop()
+    g = gcd(den, *[x for row in rows for x in row])
+    if g != 1:
+        rows = [(a // g, b // g) for a, b in rows]
+        den //= g
+    f = _new(Poly)
+    _set_rows(f, tuple(rows))
+    _set_den(f, den)
+    return f
+
+
+def evaluate_rows(rows, s, t) -> QuadElement:
+    """f(s, t) for f's rows, one Poly in t per power of s, with one gcd: for
+    t = (p + q alpha)/e each row at t is an unnormalised pair over D e^n (D
+    the rows' lcm denominator, n + 1 the longest row, shorter rows times the
+    powers of e they lack), then Horner in s runs on the pairs."""
+    xt = _operand(t)
+    n = max(len(row._rows) for row in rows) or 1  # all rows zero: n - 1 = 0
+    den = lcm(*[row._den for row in rows])
+    pairs = []
+    for row in rows:
+        a, b, _ = _horner(row._rows, xt)
+        k = den // row._den * xt[2] ** (n - len(row._rows))
+        pairs.append((a * k, b * k))
+    a, b, scale = _horner(pairs, _operand(s))
+    return _quad(a, b, den * xt[2] ** (n - 1) * scale)
 
 
 def _det(matrix):
@@ -415,9 +470,8 @@ def _det(matrix):
             sign = -sign
         pv = m[col][col]
         det = det * pv
-        pinv = _inv_coeff(pv)
         for r in range(col + 1, n):
-            f = m[r][col] * pinv
+            f = m[r][col] / pv
             if not f:
                 continue
             m[r] = [a - f * b for a, b in zip(m[r], m[col])]
@@ -451,4 +505,4 @@ def discriminant(p: Poly):
         raise ValueError("discriminant needs degree >= 1")
     r = resultant(p, p.derivative())
     sign = -1 if (n * (n - 1) // 2) % 2 else 1
-    return r * _inv_coeff(p.lc()) * sign
+    return r / p.lc() * sign

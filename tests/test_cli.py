@@ -109,7 +109,7 @@ def test_tables_json(capsys):
 _TABLE_STDOUT_SHA256 = {
     ("--dmax", "2"): {
         "T1": "09f76620da5e7b816595329f653d504284ba76d7bfefbc8d35c47287b5f6db3b",
-        "T2": "fa2ab944023c7db8be0e048d15528acd7500b5f348a19ab93afc5134d2bda23f",
+        "T2": "5b7d35e14df88854fa34a30febbad76f3552d56fe9bddb43694e60f31f5a897b",
         "T3": "a83fe682457c8b5161e4c6ce4ab76b40c56358cfe7c3b18d4c7f3d7054536059",
         "T4": "1c8bc59e8287356190986e99f428ef93b4e45f5890c1aa64d6dd56778567b0a4",
         "N2a": "a1254f21748c582bd4b33891954b7bf1bb2912846a2107e9248dee2244b42272",

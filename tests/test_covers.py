@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -17,6 +19,7 @@ from garnier.covers import (
     check_f_factorization,
     cross_ratio,
     draw_uv,
+    evaluate_st,
     f1_poly,
     f2_poly,
     f_poly,
@@ -41,6 +44,12 @@ def at_s_first(rows, s, t):
     rows of F, F1 and F2 all have the same length."""
     cols = [Poly([row.coeffs[j] for row in rows]) for j in range(len(rows[0].coeffs))]
     return Poly([col.evaluate(s) for col in cols]).evaluate(t)
+
+
+def row_by_row(rows, s, t):
+    """Reference: each row at t, normalised, then the Poly of those values
+    at s."""
+    return Poly([row.evaluate(t) for row in rows]).evaluate(s)
 
 
 UV = UVPoint(q(2), q(3))
@@ -394,17 +403,62 @@ def test_solution_record_evaluates_each_bipoly_once(monkeypatch):
 
 def test_solution_record_evaluates_the_unit_fiber_once(monkeypatch):
     # unit_num at 0, 1, t1 and t2 once, read by all three checks over the
-    # unit fiber; the total counts every Poly.evaluate, nested rows included
+    # unit fiber; evaluate_st takes its rows without Poly.evaluate, so the
+    # total is those 4, dnum at q1, q2 and c, and p, num and x^2+a1x+a0 at c
+    num, den = phi_from_params(params_from_st(uv_lift(UV)))
+    unit_num = num - den
     calls = []
     original = Poly.evaluate
 
     def counting(self, x):
-        calls.append(x)
+        calls.append((self, x))
         return original(self, x)
 
     monkeypatch.setattr(Poly, "evaluate", counting)
-    assert solution_record(UV).ok
-    assert len(calls) == 24
+    rec = solution_record(UV)
+    assert rec.ok
+    assert [x for p, x in calls if p == unit_num] == [0, 1, rec.t1, rec.t2]
+    assert len(calls) == 10
+
+
+def _rand_scalar(rng):
+    a = Fraction(rng.randint(-20, 20), rng.randint(1, 9))
+    b = Fraction(rng.randint(-20, 20), rng.randint(1, 9)) if rng.random() < 0.7 else 0
+    return QuadElement(a, b)
+
+
+def test_evaluate_st_matches_row_by_row_reference():
+    # rows of unequal length and denominator, zero rows included, at random
+    # points: one unnormalised pass equals normalising every row
+    rng = random.Random(19)
+    for _ in range(300):
+        rows = tuple(Poly([_rand_scalar(rng) for _ in range(rng.randint(0, 6))])
+                     for _ in range(rng.randint(1, 5)))
+        s, t = _rand_scalar(rng), _rand_scalar(rng)
+        assert evaluate_st(rows, s, t) == row_by_row(rows, s, t), (rows, s, t)
+    rows = (Poly([1, ALPHA, Fraction(1, 3)]), Poly([]), Poly([Fraction(2, 5)]),
+            Poly([0, 0, 0, 1, ALPHA]))
+    s, t = q(Fraction(2, 3), Fraction(1, 5)), q(Fraction(-3, 7), 2)
+    assert evaluate_st(rows, s, t) == row_by_row(rows, s, t) != 0
+    assert evaluate_st((Poly([]), Poly([])), s, t) == 0
+    for f in (f_poly(), f1_poly(), f2_poly()):
+        assert evaluate_st(f, s, t) == row_by_row(f, s, t)
+
+
+def test_family_stream_pinned():
+    # the family benchmark's stream: the first 100 records drawn from
+    # Random("family:1"), degenerate draws skipped; the digest pins every
+    # point, value and check of each record
+    rng = random.Random("family:1")
+    records = []
+    while len(records) < 100:
+        try:
+            records.append(solution_record(draw_uv(rng)).to_dict())
+        except DegenerateInput:
+            continue
+    blob = json.dumps(records, sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == (
+        "ee839494e8261b29ecebc9a2015ed8e4a174aeb9ac1db83d6d0713939fa62d2a")
 
 
 def test_solution_record_builds_no_fraction(monkeypatch):

@@ -506,6 +506,17 @@ def test_t2_quoted_rows():
         assert t2[(str(t), str(d), str(profile))][6:] == ("N=1", "PARTIAL(deficit=1)")
 
 
+def test_t2_rows_respect_dmax():
+    # the quoted rows obey d_max like the enumerated ones
+    for d_max in range(2, 13):
+        rows = reproduce_table("T2", d_max).rows
+        assert all(int(r[1]) <= d_max for r in rows), d_max
+        keys = {(r[1], r[2]) for r in rows}
+        for d, lams, _ in _T2_EXTRA:
+            key = (str(d), str(RamificationProfile(d, lams)))
+            assert (key in keys) == (d <= d_max), (d_max, d)
+
+
 def _sorted_product_sweep(k, weight_cap):
     """Reference: every k-tuple of {2..cap, inf} from itertools.product, kept
     when non-decreasing with 0 < -chi <= 1/2, with budget int(1/(-chi))."""

@@ -245,6 +245,28 @@ def test_matches_fraction_pair_reference():
         assert format_quad(x) == format_quad(QuadElement(rx.a, rx.b))
 
 
+def test_division_matches_multiplying_by_the_inverse():
+    # one-gcd division against x * y.inverse(), with an int or a Fraction on
+    # either side of a QuadElement; a zero divisor raises
+    rng = random.Random(31)
+    for _ in range(500):
+        x, _ = _rand_operand(rng)
+        y, _ = _rand_operand(rng)
+        qx, qy = QuadElement.coerce(x), QuadElement.coerce(y)
+        for num, den in ((qx, y), (x, qy), (qx, qy)):
+            if not qy:
+                with pytest.raises(ZeroDivisionError):
+                    num / den
+                continue
+            got = num / den
+            assert got == qx * qy.inverse() and _normalised(got), (x, y)
+    with pytest.raises(ZeroDivisionError):
+        ALPHA / ZERO
+    with pytest.raises(ZeroDivisionError):
+        Fraction(1, 2) / ZERO
+    assert 0 / (1 + ALPHA) == ZERO
+
+
 def test_exact_sqrt_matches_reference():
     rng = random.Random(5)
     for _ in range(200):
@@ -430,6 +452,46 @@ def test_poly_kernels_match_generic_loops():
             assert got == want and _normalised(got), (p, x)
         got, want = p * r, _generic_mul(p, r)
         assert got == want and all(map(_normalised, got.coeffs)), (p, r)
+
+
+def _stored(p):
+    # the stored form, and a check that it is the normal one
+    assert p._den > 0 and gcd(p._den, *[c for row in p._rows for c in row]) == 1
+    assert not p._rows or p._rows[-1] != (0, 0)
+    return p._rows, p._den
+
+
+def test_poly_normal_form():
+    # one polynomial, whatever its coefficients' types or the arithmetic
+    # that reached it, has one stored form: equal ==, hash and coeffs
+    x, half = Poly.x(), Fraction(1, 2)
+    p = ALPHA / 2 * x ** 2 + 3 * x + half
+    zero = Poly([])
+    routes = {
+        p: [Poly([half, 3, ALPHA / 2]),
+            Poly([q(half), QuadElement(3), q(0, half)]),
+            Poly([Fraction(3, 6), Fraction(6, 2), ALPHA * Fraction(2, 4), 0, ZERO]),
+            (ALPHA * x ** 2 + 6 * x + 1) * half,
+            (ALPHA * x ** 2 + 6 * x + 1).monic() * (ALPHA / 2),
+            Poly([0, half, Fraction(3, 2), ALPHA / 6]).derivative(),
+            (p + x ** 5) - x ** 5,
+            -(-p)],
+        zero: [Poly([0]), Poly([Fraction(0), ZERO]), p - p, p * 0,
+               Poly.const(ZERO), x.derivative().derivative(),
+               x * half - x * Fraction(2, 4)],
+    }
+    for want, got in routes.items():
+        for r in got:
+            assert r == want and hash(r) == hash(want), (r, want)
+            assert r.coeffs == want.coeffs and _stored(r) == _stored(want)
+    assert p.coeffs == (q(half), q(3), q(0, half))
+    assert all(map(_normalised, p.coeffs)) and p.lc() == q(0, half)
+    assert zero._rows == () and zero._den == 1
+    rng = random.Random(41)
+    for _ in range(200):
+        p, r = _rand_poly(rng, False), _rand_poly(rng, rng.random() < 0.5)
+        for s in ((p + r) - r, Poly(p.coeffs), r + p - r, (p * r + p) - p * r):
+            assert s == p and hash(s) == hash(p) and _stored(s) == _stored(p), (p, r)
 
 
 def test_poly_basics():

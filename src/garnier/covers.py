@@ -7,8 +7,8 @@ points q1, q2.  The parameter surface is rational in (s, t); extracting
 q1, q2 exactly requires the discriminant quartic F(s, t) to become a
 square, which happens on a double cover rationalized over Q(alpha),
 alpha^2 = -3, where F splits into two conics F1 F2.  F, F1 and F2 are
-tuples of Polys in t, one row per power of s; evaluate_st takes them at a
-point.
+tuples of Polys in t, one row per power of s; evaluate_st, which is
+exactalg.evaluate_rows, takes them at a point with one gcd.
 
 The (u, v) chart implemented here parametrizes that double cover through
 the pencil of conics through the four points F1 = F2 = 0: the conic
@@ -25,13 +25,13 @@ checks each identity of the construction once, as a named check.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
 from .exactalg import (ALPHA, ONE, ZERO, Poly, QuadElement, discriminant,
-                       evaluate_rows, exact_sqrt, format_quad)
+                       evaluate_rows as evaluate_st, exact_sqrt, format_quad)
 
 
 class DegenerateInput(ValueError):
@@ -157,11 +157,6 @@ def f2_poly() -> Tuple[Poly, ...]:
     return tuple(Poly([c.conj() for c in row.coeffs]) for row in f1_poly())
 
 
-def evaluate_st(f: Tuple[Poly, ...], s: QuadElement, t: QuadElement) -> QuadElement:
-    """f(s, t) for F, F1 or F2 given by its rows, with one gcd."""
-    return evaluate_rows(f, s, t)
-
-
 def check_f_factorization() -> Tuple[QuadElement, bool]:
     """Constant kappa with F = kappa * F1 * F2: the rows of F1 F2 are the
     convolution of the rows of F1 and F2; kappa is read off the leading
@@ -208,7 +203,7 @@ class UVPoint:
 
     u: QuadElement
     v: QuadElement
-    vprime: QuadElement = QuadElement(0)
+    vprime: QuadElement = field(init=False)
 
     def __post_init__(self):
         u, v = _q(self.u), _q(self.v)

@@ -2,7 +2,8 @@
 
 Rationals are stdlib ``fractions.Fraction``.  On top of those this module
 provides the quadratic field Q(alpha) with alpha^2 = -3, dense univariate
-polynomials over Q or Q(alpha), Sylvester resultants and discriminants.
+polynomials over Q or Q(alpha), and resultants and discriminants by the
+Euclidean remainder sequence.
 Everything is immutable and exact; no floats appear anywhere.
 
 An element of Q(alpha) is stored as integer numerators over one common
@@ -25,15 +26,6 @@ from typing import Optional, Union
 Scalar = Union[int, Fraction, "QuadElement"]
 
 
-def _num_den(x):
-    # (numerator, denominator) of an int or a Fraction
-    if isinstance(x, int):
-        return x, 1
-    if isinstance(x, Fraction):
-        return x.numerator, x.denominator
-    raise TypeError(f"not a rational scalar: {x!r}")
-
-
 class QuadElement:
     """Element (a + b*alpha)/d of Q(alpha), alpha^2 = -3.
 
@@ -46,12 +38,14 @@ class QuadElement:
     __slots__ = ("_abd",)
 
     def __init__(self, a: Union[int, Fraction] = 0, b: Union[int, Fraction] = 0):
-        an, ad = _num_den(a)
-        bn, bd = _num_den(b)
+        for x in (a, b):
+            if not isinstance(x, (int, Fraction)):
+                raise TypeError(f"not a rational scalar: {x!r}")
         # a and b are reduced, so over the lcm of their denominators
         # gcd(a, b, d) is already 1
+        ad, bd = a.denominator, b.denominator
         d = lcm(ad, bd)
-        _set_abd(self, (an * (d // ad), bn * (d // bd), d))
+        _set_abd(self, (a.numerator * (d // ad), b.numerator * (d // bd), d))
 
     def __setattr__(self, *_):
         raise AttributeError("QuadElement is immutable")
@@ -84,7 +78,7 @@ class QuadElement:
 
     def __neg__(self):
         a, b, d = self._abd
-        return _from_abd((-a, -b, d))
+        return _quad(-a, -b, d)
 
     def __sub__(self, other):
         o = _operand(other)
@@ -114,7 +108,7 @@ class QuadElement:
 
     def conj(self) -> "QuadElement":
         a, b, d = self._abd
-        return _from_abd((a, -b, d))
+        return _quad(a, -b, d)
 
     def norm(self) -> Fraction:
         # (a^2 + 3 b^2) / d^2, multiplicative over Q(alpha)
@@ -122,12 +116,7 @@ class QuadElement:
         return Fraction(a * a + 3 * b * b, d * d)
 
     def inverse(self) -> "QuadElement":
-        # d / (a + b alpha) = d (a - b alpha) / (a^2 + 3 b^2)
-        a, b, d = self._abd
-        n = a * a + 3 * b * b
-        if n == 0:
-            raise ZeroDivisionError("division by zero in Q(alpha)")
-        return _quad(a * d, -b * d, n)
+        return _div((1, 0, 1), self._abd)
 
     def __truediv__(self, other):
         o = _operand(other)
@@ -179,13 +168,6 @@ class QuadElement:
 
 _new = object.__new__
 _set_abd = QuadElement._abd.__set__
-
-
-def _from_abd(abd) -> QuadElement:
-    # abd must already be normalised
-    z = _new(QuadElement)
-    _set_abd(z, abd)
-    return z
 
 
 def _quad(a: int, b: int, d: int) -> QuadElement:
@@ -405,12 +387,7 @@ class Poly:
                      self._den)
 
     def monic(self) -> "Poly":
-        # f / ((c + e alpha)/den) = f's pairs times (c - e alpha), over c^2 + 3 e^2
-        if not self:
-            return self
-        c, e = self._rows[-1]
-        return _poly([(a * c + 3 * b * e, b * c - a * e) for a, b in self._rows],
-                     c * c + 3 * e * e)
+        return self * (1 / self.lc()) if self else self
 
     def __repr__(self):
         return f"Poly([{','.join(map(str, self.coeffs))}])"
@@ -451,51 +428,35 @@ def evaluate_rows(rows, s, t) -> QuadElement:
     return _quad(a, b, den * xt[2] ** (n - 1) * scale)
 
 
-def _det(matrix):
-    """Exact determinant by Gaussian elimination over a field."""
-    m = [row[:] for row in matrix]
-    n = len(m)
-    sign = 1
-    det = 1
-    for col in range(n):
-        pivot = None
-        for r in range(col, n):
-            if m[r][col]:
-                pivot = r
-                break
-        if pivot is None:
-            return 0 * det
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            sign = -sign
-        pv = m[col][col]
-        det = det * pv
-        for r in range(col + 1, n):
-            f = m[r][col] / pv
-            if not f:
-                continue
-            m[r] = [a - f * b for a, b in zip(m[r], m[col])]
-    return det * sign
+def _rem(f: Poly, g: Poly) -> Poly:
+    """f mod g for g != 0, by long division on the coefficients."""
+    r, gc, n = list(f.coeffs), g.coeffs, g.degree()
+    lc = gc[n]
+    while len(r) > n:
+        # cancel the top term against x^shift g
+        k = r.pop() / lc
+        shift = len(r) - n
+        for i in range(n):
+            r[shift + i] -= k * gc[i]
+    return Poly(r)
 
 
 def resultant(p: Poly, q: Poly):
-    """Sylvester-matrix resultant; exact over the coefficient field."""
+    """res(p, q) over the coefficient field by the Euclidean remainder
+    sequence (Cohen, 1993, sec. 3.3): with r = p mod q,
+    res(p, q) = (-1)^(mn) lc(q)^(m - deg r) res(q, r) for m = deg p,
+    n = deg q; res(p, q) = lc(q)^m for constant q and 0 when r = 0."""
     if not p or not q:
         raise ValueError("resultant of the zero polynomial")
-    m, n = p.degree(), q.degree()
-    if m == 0:
-        return p.coeffs[0] ** n
-    if n == 0:
-        return q.coeffs[0] ** m
-    size = m + n
-    rows = []
-    pc = list(reversed(p.coeffs))
-    qc = list(reversed(q.coeffs))
-    for i in range(n):
-        rows.append([0] * i + pc + [0] * (size - m - 1 - i))
-    for i in range(m):
-        rows.append([0] * i + qc + [0] * (size - n - 1 - i))
-    return _det(rows)
+    out = ONE
+    while q.degree() > 0:
+        m, n = p.degree(), q.degree()
+        r = _rem(p, q)
+        if not r:
+            return ZERO
+        out *= (-1) ** (m * n) * q.lc() ** (m - r.degree())
+        p, q = q, r
+    return out * q.lc() ** p.degree()
 
 
 def discriminant(p: Poly):

@@ -31,7 +31,7 @@ from garnier.covers import (
     uv_lift,
     verify_family,
 )
-from garnier.exactalg import ALPHA, ONE, Poly, QuadElement, format_quad
+from garnier.exactalg import ALPHA, ONE, Poly, QuadElement, discriminant, format_quad
 
 
 def q(a, b=0):
@@ -63,6 +63,16 @@ def test_uvpoint_validation():
     with pytest.raises(DegenerateInput):
         UVPoint(q(2), q(-1))
     assert UV.vprime == 2 * ALPHA * q(10) / q(-8)
+
+
+def test_uvpoint_vprime_is_derived():
+    # vprime follows from v alone: passing one is an error, not ignored
+    with pytest.raises(TypeError):
+        UVPoint(q(2), q(3), q(99))
+    with pytest.raises(TypeError):
+        UVPoint(q(2), q(3), vprime=q(99))
+    assert "vprime=" in repr(UV) and UV == UVPoint(q(2), q(3))
+    assert UV.vprime == q(0, Fraction(-5, 2))
 
 
 def test_stpoint_validation():
@@ -459,6 +469,22 @@ def test_family_stream_pinned():
     blob = json.dumps(records, sort_keys=True).encode()
     assert hashlib.sha256(blob).hexdigest() == (
         "ee839494e8261b29ecebc9a2015ed8e4a174aeb9ac1db83d6d0713939fa62d2a")
+
+
+def test_discriminant_of_the_double_fiber_over_0():
+    # solution_record's one discriminant: p = x^2 + a1 x + a0 on the family
+    # benchmark's stream, degenerate draws skipped
+    rng = random.Random("family:1")
+    seen = 0
+    while seen < 100:
+        try:
+            params = solution_record(draw_uv(rng)).params
+        except DegenerateInput:
+            continue
+        a0, a1 = params.a0, params.a1
+        d = discriminant(Poly([a0, a1, ONE]))
+        assert d == a1 * a1 - 4 * a0 and type(d) is QuadElement, (a0, a1)
+        seen += 1
 
 
 def test_solution_record_builds_no_fraction(monkeypatch):

@@ -290,14 +290,22 @@ def test_normal_form_and_immutability():
     assert (q(Fraction(1, 3)) * 3)._abd == (1, 0, 1)
     assert (q(Fraction(1, 2), Fraction(1, 2)) + q(Fraction(1, 2), Fraction(-1, 2)))._abd == (1, 0, 1)
     assert ZERO._abd == (0, 0, 1) and (q(5, 3) * 0)._abd == (0, 0, 1)
+    # negation, conjugation and inversion land on the normal form too
+    x = q(Fraction(2, 3), Fraction(-4, 9))
+    assert x._abd == (6, -4, 9)
+    assert (-x)._abd == (-6, 4, 9) and x.conj()._abd == (6, 4, 9)
+    assert x.inverse()._abd == (9, 6, 14) and x.inverse() * x == ONE
+    assert (-ZERO)._abd == ZERO.conj()._abd == (0, 0, 1)
+    assert ALPHA.inverse()._abd == (0, -1, 3) and q(-4).inverse()._abd == (-1, 0, 4)
     assert repr(q(Fraction(1, 2), -3)) == "QuadElement(Fraction(1, 2), Fraction(-3, 1))"
     z = q(1, 2)
     for name in ("a", "b", "_abd", "c"):
         with pytest.raises(AttributeError):
             setattr(z, name, 1)
     assert z == q(1, 2)
-    with pytest.raises(TypeError):
-        QuadElement(0.5)
+    for bad in ((0.5,), (1, 0.5), (QuadElement(1),), (0, ALPHA), ("1",)):
+        with pytest.raises(TypeError, match="not a rational scalar"):
+            QuadElement(*bad)
     assert z.__add__(0.5) is NotImplemented and z.__eq__("1") is NotImplemented
 
 
@@ -487,11 +495,17 @@ def test_poly_normal_form():
     assert p.coeffs == (q(half), q(3), q(0, half))
     assert all(map(_normalised, p.coeffs)) and p.lc() == q(0, half)
     assert zero._rows == () and zero._den == 1
+    assert zero.monic() is zero
     rng = random.Random(41)
     for _ in range(200):
         p, r = _rand_poly(rng, False), _rand_poly(rng, rng.random() < 0.5)
         for s in ((p + r) - r, Poly(p.coeffs), r + p - r, (p * r + p) - p * r):
             assert s == p and hash(s) == hash(p) and _stored(s) == _stored(p), (p, r)
+        if p:
+            # monic: the stored form of p / lc(p), whatever p's scale
+            m = p.monic()
+            assert m.lc() == ONE and m == Poly([c / p.lc() for c in p.coeffs])
+            assert _stored(m) == _stored((p * ALPHA).monic()) == _stored(m.monic())
 
 
 def test_poly_basics():
@@ -575,7 +589,7 @@ def test_resultant_and_discriminant():
     x = Poly.x()
     assert resultant(x ** 2 - 3, x ** 2 - 2) == 1
     assert resultant(x - 2, x ** 2 - 4) == 0
-    # a common root in Q(alpha): elimination ends on a zero column
+    # a common root in Q(alpha): the remainder sequence ends on zero
     assert resultant(x - ALPHA, x ** 2 + 3) == 0
     assert resultant(x - ALPHA, x ** 2 + 1) == -2
     d = discriminant(x ** 2 - 3 * x + 2)
@@ -585,3 +599,110 @@ def test_resultant_and_discriminant():
     assert discriminant((x - 1) * (x - 2) * (x - 3)) == 4
     assert discriminant((x - 1) ** 2) == 0
     assert discriminant(2 * x ** 2 + 3 * x + 1) == 1  # b^2 - 4ac
+    with pytest.raises(ValueError):
+        resultant(Poly([]), x)
+    with pytest.raises(ValueError):
+        resultant(x, Poly([]))
+    with pytest.raises(ValueError):
+        discriminant(Poly.const(ALPHA))
+
+
+def _det(matrix):
+    """Reference: exact determinant by Gaussian elimination over a field."""
+    m = [row[:] for row in matrix]
+    n = len(m)
+    sign = 1
+    det = ONE
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if m[r][col]), None)
+        if pivot is None:
+            return ZERO
+        if pivot != col:
+            m[col], m[pivot] = m[pivot], m[col]
+            sign = -sign
+        pv = m[col][col]
+        det = det * pv
+        for r in range(col + 1, n):
+            f = m[r][col] / pv
+            m[r] = [a - f * b for a, b in zip(m[r], m[col])]
+    return det * sign
+
+
+def _sylvester_resultant(f, g):
+    """Reference: the determinant of the Sylvester matrix of f and g."""
+    m, n = f.degree(), g.degree()
+    if m == 0:
+        return f.lc() ** n
+    if n == 0:
+        return g.lc() ** m
+    fc, gc = list(reversed(f.coeffs)), list(reversed(g.coeffs))
+    rows = [[0] * i + fc + [0] * (n - 1 - i) for i in range(n)]
+    rows += [[0] * i + gc + [0] * (m - 1 - i) for i in range(m)]
+    return _det(rows)
+
+
+def _rand_quad_poly(rng, degree):
+    """A Poly of exactly this degree with Q(alpha) coefficients, some zero."""
+    cs = [QuadElement(_rand_fraction(rng), _rand_fraction(rng))
+          if rng.random() < 0.8 else ZERO for _ in range(degree)]
+    lead = ZERO
+    while not lead:
+        lead = QuadElement(_rand_fraction(rng), _rand_fraction(rng))
+    return Poly(cs + [lead])
+
+
+def test_resultant_matches_sylvester_reference():
+    # every pair of degrees 0..5 either way round (m < n, constants), plain
+    # and with a forced common root or factor; the result is a QuadElement
+    rng = random.Random(53)
+    x = Poly.x()
+    zeros = 0
+    for m in range(6):
+        for n in range(6):
+            for k in range(12):
+                p, r = _rand_quad_poly(rng, m), _rand_quad_poly(rng, n)
+                if k % 3 == 1 and m and n:
+                    root = QuadElement(_rand_fraction(rng), _rand_fraction(rng))
+                    p = _rand_quad_poly(rng, m - 1) * (x - root)
+                    r = _rand_quad_poly(rng, n - 1) * (x - root)
+                elif k % 3 == 2 and min(m, n) >= 2:
+                    common = _rand_quad_poly(rng, 2)
+                    p = _rand_quad_poly(rng, m - 2) * common
+                    r = _rand_quad_poly(rng, n - 2) * common
+                got = resultant(p, r)
+                assert got == _sylvester_resultant(p, r), (p, r)
+                assert type(got) is QuadElement and _normalised(got)
+                zeros += not got
+    assert zeros > 100
+
+
+def test_resultant_when_the_remainder_drops_degrees():
+    # p = h q + r with deg r at most deg q - 2: the power of lc(q) takes up
+    # the degrees the remainder skips
+    rng = random.Random(59)
+    x = Poly.x()
+    cases = [(x ** 4 + 1, x ** 3 - ALPHA), (ALPHA * x ** 5, 3 * x ** 2 + x ** 4),
+             (x ** 3 + 2 * x, x ** 2 + 2)]
+    for _ in range(60):
+        n = rng.randint(2, 5)
+        r = _rand_quad_poly(rng, n)
+        rem = _rand_quad_poly(rng, rng.randint(0, n - 2))
+        cases.append((_rand_quad_poly(rng, rng.randint(0, 3)) * r + rem, r))
+    for p, r in cases:
+        assert resultant(p, r) == _sylvester_resultant(p, r), (p, r)
+    assert resultant(x ** 3 + 2 * x, x ** 2 + 2) == 0
+
+
+def test_resultant_identities():
+    # res(f, g) = (-1)^(mn) res(g, f) and res(f g, h) = res(f, h) res(g, h)
+    rng = random.Random(61)
+    for _ in range(150):
+        f, g, h = (_rand_quad_poly(rng, rng.randint(0, 4)) for _ in range(3))
+        m, n = f.degree(), g.degree()
+        assert resultant(f, g) == (-1) ** (m * n) * resultant(g, f), (f, g)
+        assert resultant(f * g, h) == resultant(f, h) * resultant(g, h), (f, g, h)
+    x = Poly.x()
+    # a constant operand: res(c, g) = c^n and res(f, c) = c^m
+    assert resultant(Poly.const(ALPHA), x ** 3 + 1) == ALPHA ** 3
+    assert resultant(x ** 2 + x, Poly.const(2)) == 4
+    assert resultant(Poly.const(5), Poly.const(7)) == 1

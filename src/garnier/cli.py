@@ -142,11 +142,7 @@ def _parse_types(text: str):
 
 
 def _cmd_hurwitz(args) -> int:
-    try:
-        cert = find_tuple(args.types, args.degree)
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    cert = find_tuple(args.types, args.degree)
     if cert.exists:
         print("EXISTS")
         for t, p in zip(args.types, cert.tuple_.perms):

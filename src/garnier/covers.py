@@ -44,6 +44,7 @@ class RejectedDraws(RuntimeError):
 
 
 MAX_REJECTED_IN_A_ROW = 50
+DRAW_BOUND = 20
 
 
 _q = QuadElement.coerce
@@ -347,14 +348,15 @@ def cross_ratio(t1: QuadElement, t2: QuadElement) -> QuadElement:
     return (t1 * (1 - t2)) / (t2 * (1 - t1))
 
 
-def draw_uv(rng: random.Random, bound: int = 20) -> UVPoint:
+def draw_uv(rng: random.Random) -> UVPoint:
     """Random chart point with rejection; numerators and denominators are
-    uniform on [-bound, bound]."""
+    uniform on [-DRAW_BOUND, DRAW_BOUND]."""
+    b = DRAW_BOUND
     while True:
         try:
             # a zero denominator redraws before the second pair is drawn
-            u = Fraction(rng.randint(-bound, bound), rng.randint(-bound, bound))
-            v = Fraction(rng.randint(-bound, bound), rng.randint(-bound, bound))
+            u = Fraction(rng.randint(-b, b), rng.randint(-b, b))
+            v = Fraction(rng.randint(-b, b), rng.randint(-b, b))
             return UVPoint(_q(u), _q(v))
         except (ZeroDivisionError, DegenerateInput):
             continue

@@ -15,8 +15,7 @@ from math import gcd, prod
 from typing import List, Optional, Sequence, Tuple
 
 from .fuchsian import Exponent, hypergeometric_signature, is_elementary, pullback_exponents
-from .orbifold import (INF, OrbifoldStructure, RamificationProfile, partitions_of,
-                       pullback, underlying, weight_reciprocal)
+from .orbifold import INF, RamificationProfile, partitions_of, weight_reciprocal
 
 DEFAULT_DMAX = 42
 
@@ -286,18 +285,14 @@ def _family_table(table_id: str, n: int, extra, title: str, d_max: int) -> Table
     (2,3,pinf) with d <= d_max, in degree order.  The base has exponent 1/p
     at finite-weight points and a generic symbol at weight inf; over a
     finite pinf every reduced numerator k in (0, pinf/2] gives a variant
-    row with exponent k/pinf there, and elementary variants are dropped."""
+    row with exponent k/pinf there, and elementary variants are dropped.
+    A row's verdict counts its non-apparent pulled-back exponents as essential."""
     items = [(d, t, profile) for t, d, profile in complete_profiles(n, d_max)]
     items += [(d, TripleSpec(2, 3, pinf), RamificationProfile(d, lams))
               for d, lams, pinf in extra if d <= d_max]
     items.sort(key=lambda e: (e[0], e[1].entries))
     rows = []
     for d, t, profile in items:
-        # essential points: the weights other than 1 upstairs, free points
-        # included, by the refined Riemann-Hurwitz pullback
-        base = OrbifoldStructure(0, t.entries)
-        n_pts = underlying(pullback(base, profile.with_free_points())).n_points()
-        tail = (f"N={profile.free_points}", str(verdict(profile, n_pts)))
         q = t.pinf
         numerators = [1] if q is INF else [k for k in range(1, q // 2 + 1) if gcd(k, q) == 1]
         for k in numerators:
@@ -309,8 +304,9 @@ def _family_table(table_id: str, n: int, extra, title: str, d_max: int) -> Table
                 continue
             pulled = pullback_exponents(sig, profile)
             rows.append((str(t), str(d), str(profile), _fmt_exps(sig.exponents),
-                         _fmt_exps(pulled.exponents), f"apparent={pulled.apparent_count}")
-                        + tail)
+                         _fmt_exps(pulled.exponents), f"apparent={pulled.apparent_count}",
+                         f"N={profile.free_points}",
+                         str(verdict(profile, len(pulled.exponents)))))
     return Table(table_id, title,
                  ("triple", "d", "branch data", "base exponents",
                   "exponents", "apparent", "free", "verdict"), tuple(rows))

@@ -113,8 +113,8 @@ def pullback_exponents(sig: FuchsianSignature,
     sig.exponents).
 
     A point of index k over exponent theta carries exponent k*theta; it is
-    apparent exactly when that is a positive integer.  Apparent points are
-    counted, not listed.
+    apparent exactly when that is a nonzero integer (weight 1/|k*theta| of
+    numerator 1, see orbifold_of).  Apparent points are counted, not listed.
     """
     if len(profile.partitions) != len(sig.exponents):
         raise ValueError("need one partition per singular point")
@@ -123,7 +123,7 @@ def pullback_exponents(sig: FuchsianSignature,
     for base, parts in zip(sig.exponents, profile.partitions):
         for k in parts:
             e = base.scaled(k)
-            if e.is_rational() and e.rational.denominator == 1 and e.rational >= 1:
+            if e.is_rational() and e.rational.denominator == 1 and e.rational != 0:
                 apparent += 1
             else:
                 kept.append(e)

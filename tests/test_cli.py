@@ -4,6 +4,7 @@ import argparse
 import hashlib
 import json
 import re
+import shlex
 from pathlib import Path
 
 import pytest
@@ -238,11 +239,10 @@ def test_hurwitz_stdout_is_pinned(capsys):
 
 
 def test_hurwitz_bad_input(capsys):
-    code, _, err = run(capsys, "hurwitz", "--degree", "4", "--types", "2,2;5")
-    assert code == 2
-    assert "error" in err
-    code, _, err = run(capsys, "hurwitz", "--degree", "99", "--types", "99")
-    assert code == 2
+    assert run(capsys, "hurwitz", "--degree", "4", "--types", "2,2;5") == (
+        2, "", "error: type (5,) is not a partition of 4\n")
+    assert run(capsys, "hurwitz", "--degree", "99", "--types", "99") == (
+        2, "", "error: degree 99 above search cap 16\n")
 
 
 def test_verify_deg4(capsys):
@@ -376,3 +376,50 @@ def test_main_matches_the_full_parser(capsys, monkeypatch, argv):
 def test_commands_match_readme_usage():
     usage = README.read_text("utf-8").split("## Command line", 1)[1].split("\n## ", 1)[0]
     assert set(COMMANDS) == set(re.findall(r"^garnier ([\w-]+)", usage, re.M))
+
+
+# sha256 of "<exit code>\n<stdout>" for every `garnier ...` line of the
+# README's command-line block, keyed by its arguments
+_README_SHA256 = {
+    "chi --weights 2,3,7":
+        "36bee2bcc07d363c960ea3980f4a4aaf5939c15d16df35dae7f7118092d8f86d",
+    "classify --weights inf,inf":
+        "12bf8e4f04ac075999a729de31df4db3d0b3d363547037930c32a77742ed7b99",
+    "enumerate --n 5":
+        "5b41459c7b9051ee66ae99467681a11d7abb5db31db8e0c122f262b9abaa015c",
+    "enumerate --n 7":
+        "5df8e65b3adc2478e46e62361fc57957de0dc86e03dbd09dd5758e0c1f2a34da",
+    "tables --id T1":
+        "01e17a3a83d387f7ee60db9fd9a090741d1f86ac5a45a90fd7d44e58755ffa62",
+    "tables --id T2 --golden":
+        "5d88f9aac817baad2dcc430dff6f514bd17083dd1dfa8c9b929c8a561ee1beac",
+    "tables --id N2b --json":
+        "1f47224569a33019f81230524d4b6c390f8528a84664aaf75085a02f7dea7efe",
+    "tables --id T1 --dmax 12":
+        "01e17a3a83d387f7ee60db9fd9a090741d1f86ac5a45a90fd7d44e58755ffa62",
+    "hurwitz --degree 4 --types 2,2;3,1;1,1,1,1;2,1,1;2,1,1":
+        "aa3f249d5c9cbc41551b4f79628988f61db94ff908cdf80d2eddda50fedea69f",
+    "hurwitz --degree 4 --types 2,2;2,2;3,1":
+        "494bcf9b6ed1c6a61309b11d7356576932a18c1b7eb2ffc9acb37ce98de42c90",
+    "verify-deg4 --samples 30 --seed 1":
+        "91cfe827000313fbdf689b3bfe5cac35f689a34c59f8c0843cbd695452b86cc4",
+    "verify-deg4 --samples 5 --json":
+        "957b13ee2e21ce3067ea9aecfea275103a687ad233e2ba2d369c9aa22ce9a432",
+}
+
+
+def _readme_commands():
+    usage = README.read_text("utf-8").split("## Command line", 1)[1].split("\n## ", 1)[0]
+    block = usage.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = (shlex.split(line, comments=True) for line in block.splitlines())
+    return [argv[1:] for argv in lines if argv and argv[0] == "garnier"]
+
+
+def test_readme_commands_stdout_pinned(capsys, monkeypatch):
+    # every README command runs as printed, with GARNIER_SEED unset
+    monkeypatch.delenv("GARNIER_SEED", raising=False)
+    got = {}
+    for argv in _readme_commands():
+        code, out, _ = run(capsys, *argv)
+        got[" ".join(argv)] = hashlib.sha256(f"{code}\n{out}".encode()).hexdigest()
+    assert got == _README_SHA256

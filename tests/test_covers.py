@@ -344,11 +344,11 @@ def test_off_surface_parameters_fail_their_check(monkeypatch):
         p = original(pt)
         return DegFourParams(p.a0, p.a1 + Fraction(1, 1000), p.c)
 
-    def capped(rng, bound=20):
+    def capped(rng):
         draws.append(rng)
         if len(draws) > 100:
             raise AssertionError("verify_family keeps redrawing")
-        return draw(rng, bound)
+        return draw(rng)
 
     monkeypatch.setattr(covers, "params_from_st", off_surface)
     monkeypatch.setattr(covers, "draw_uv", capped)
@@ -366,11 +366,11 @@ def test_verify_family_stops_after_rejected_draws(monkeypatch):
     def degenerate(uv):
         raise DegenerateInput("degenerate everywhere")
 
-    def counting(rng, bound=20):
+    def counting(rng):
         draws.append(rng)
         if len(draws) > 10 * MAX_REJECTED_IN_A_ROW:
             raise AssertionError("verify_family keeps redrawing")
-        return original(rng, bound)
+        return original(rng)
 
     monkeypatch.setattr(covers, "solution_record", degenerate)
     monkeypatch.setattr(covers, "draw_uv", counting)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 import pytest
 
@@ -25,6 +26,7 @@ from garnier.enumeration import (
     reproduce_table,
     verdict,
 )
+from garnier.fuchsian import Exponent, hypergeometric_signature, pullback_exponents
 from garnier.orbifold import INF, OrbifoldStructure, pullback, underlying
 
 
@@ -256,19 +258,57 @@ def test_nonapparent_counts():
         pullback(base, RamificationProfile(4, [(2, 2), (3, 1)]))
 
 
+def _base_signatures(t):
+    """The family tables' base signatures over t: 1/p at finite weights and
+    theta at inf, and k/pinf at a finite pinf for each reduced k <= pinf/2."""
+    q = t.pinf
+    numerators = [1] if q is INF else [k for k in range(1, q // 2 + 1) if gcd(k, q) == 1]
+    for k in numerators:
+        yield hypergeometric_signature(*(
+            Exponent.generic("theta") if p is INF else Fraction(k if i == 2 else 1, p)
+            for i, p in enumerate(t.entries)))
+
+
+def _orbifold_count(t, profile):
+    """Essential points as the weighted points of the underlying pullback of
+    the base structure, free points included."""
+    base = OrbifoldStructure(0, t.entries)
+    up = underlying(pullback(base, profile.with_free_points()))
+    assert up.genus == 0
+    return up.n_points()
+
+
 def test_essential_counts_match_orbifold_pullback():
     # every profile the enumeration gives over the n = 3..8 candidates: its
     # essential-point total from _fiber_options equals the number of
-    # weighted points of the underlying pulled-back structure, on genus 0
+    # weighted points of the underlying pulled-back structure, on genus 0,
+    # and the number of non-apparent pulled-back exponents of every base
+    # signature the family tables use
     checked = 0
     for n in range(3, 9):
         for t, d in enumerate_candidates(n, 42):
-            base = OrbifoldStructure(0, t.entries)
             for profile, n_total in enumerate_profiles(t.entries, d):
-                up = underlying(pullback(base, profile.with_free_points()))
-                assert (up.n_points(), up.genus) == (n_total, 0), (str(t), d, str(profile))
+                key = (str(t), d, str(profile))
+                assert _orbifold_count(t, profile) == n_total, key
+                for sig in _base_signatures(t):
+                    assert len(pullback_exponents(sig, profile).exponents) == n_total, key
                 checked += 1
     assert checked == 154
+
+
+@pytest.mark.parametrize("tid", ["T2", "T4"])
+def test_family_rows_match_orbifold_verdict(tid):
+    # every printed row: free count and verdict as the orbifold pullback of
+    # its triple and branch data gives them
+    rows = reproduce_table(tid).rows
+    assert rows
+    for row in rows:
+        t = TripleSpec(*(INF if p == "inf" else int(p) for p in row[0][1:-1].split(",")))
+        profile = RamificationProfile(int(row[1]), (
+            tuple(int(k) for k in lam[1:-1].split(",")) for lam in row[2].split()))
+        assert str(profile) == row[2]
+        want = verdict(profile, _orbifold_count(t, profile))
+        assert row[6:] == (f"N={profile.free_points}", str(want)), row
 
 
 def test_enumerate_profiles_forced_parts():
@@ -499,8 +539,7 @@ def test_t2_quoted_rows():
         assert sorted(missing.values()) == [0] * (len(missing) - 1) + [1]
         split = next(p for p, m in missing.items() if m)
         assert lams[t.entries.index(split)].count(1) >= split
-        base = OrbifoldStructure(0, t.entries)
-        n_pts = underlying(pullback(base, profile.with_free_points())).n_points()
+        n_pts = _orbifold_count(t, profile)
         assert n_pts == 5 and profile.free_points == 1
         assert str(verdict(profile, n_pts)) == "PARTIAL(deficit=1)"
         assert t2[(str(t), str(d), str(profile))][6:] == ("N=1", "PARTIAL(deficit=1)")

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -14,7 +16,7 @@ from garnier.fuchsian import (
     underlying_orbifold_of,
 )
 from garnier.orbifold import (INF, classify, CurvatureClass, OrbifoldStructure,
-                              RamificationProfile)
+                              RamificationProfile, partitions_of, pullback, underlying)
 
 
 def test_exponent_construction():
@@ -95,6 +97,46 @@ def test_pullback_exponents_degree_twelve():
     out = pullback_exponents(sig, RamificationProfile(12, [(2,) * 6, (3,) * 4, (7, 1, 1, 1, 1, 1)]))
     assert out.apparent_count == 11
     assert tuple(str(e) for e in out.exponents) == ("2/7",) * 5
+
+
+def test_pullback_exponents_negative_exponent():
+    # index 2 over -1/2 gives exponent -1: apparent, as its weight 1/|-1| is
+    sig = hypergeometric_signature(Fraction(-1, 2), Fraction(1, 3), Fraction(1, 7))
+    out = pullback_exponents(sig, RamificationProfile(2, [(2,), (1, 1), (2,)]))
+    assert out.apparent_count == 1
+    assert tuple(str(e) for e in out.exponents) == ("1/3", "1/3", "2/7")
+
+
+# signed exponents for the sweep below; |theta| = 1 is left out, since
+# OrbifoldStructure drops weight-1 points and pullback would then pair the
+# partitions with the wrong points
+_SIGNED = [Fraction(0)] + [s * Fraction(x) for x in ("1/2", "2/3", "3/7", "5/4", "2", "3", "1/6")
+                           for s in (1, -1)]
+
+
+def test_pullback_exponents_sign_and_orbifold_agree():
+    # k*theta and k*(-theta) are both apparent or both essential, and the
+    # essential count equals the orbifold route's: the underlying pullback
+    # of orbifold_of(sig), free points included
+    rng = random.Random(0)
+    checked = 0
+    for d in range(1, 6):
+        for lams in product(partitions_of(d), repeat=3):
+            profile = RamificationProfile(d, lams)
+            if profile.free_points < 0:
+                continue
+            for _ in range(8):
+                exps = [rng.choice(_SIGNED) for _ in range(3)]
+                sig = hypergeometric_signature(*exps)
+                out = pullback_exponents(sig, profile)
+                flipped = pullback_exponents(
+                    hypergeometric_signature(*(abs(e) for e in exps)), profile)
+                up = underlying(pullback(orbifold_of(sig), profile.with_free_points()))
+                counts = (len(out.exponents), out.apparent_count)
+                assert counts == (len(flipped.exponents), flipped.apparent_count), (exps, lams)
+                assert len(out.exponents) == up.n_points(), (exps, lams)
+                checked += 1
+    assert checked == 3336
 
 
 def test_pullback_exponents_validation():

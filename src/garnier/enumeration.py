@@ -11,11 +11,11 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import product
-from math import gcd, prod
+from math import gcd, lcm, prod
 from typing import List, Optional, Sequence, Tuple
 
 from .fuchsian import Exponent, hypergeometric_signature, is_elementary, pullback_exponents
-from .orbifold import INF, RamificationProfile, partitions_of, weight_reciprocal
+from .orbifold import INF, RamificationProfile, partitions_of
 
 DEFAULT_DMAX = 42
 
@@ -123,36 +123,36 @@ def enumerate_candidates(n: int, d_max: int = DEFAULT_DMAX) -> List[Tuple[Triple
 
 @lru_cache(maxsize=None)
 def _fiber_options(p, d: int):
-    """(partition, nonapparent count) choices over one marked point.
+    """(partition, nonapparent count, branching) choices over one marked
+    point; the branching is d minus the number of parts.
 
     Finite weight p forces floor(d/p) index-p parts (these become apparent
     upstairs); the remainder r = d mod p splits arbitrarily, every such part
     being essential.  Weight inf allows any partition, all parts essential.
     """
     if p is INF:
-        return tuple((lam, len(lam)) for lam in partitions_of(d))
+        return tuple((lam, len(lam), d - len(lam)) for lam in partitions_of(d))
     q, r = divmod(d, p)
     forced = (p,) * q
-    return tuple((tuple(sorted(forced + lam, reverse=True)), len(lam))
+    return tuple((tuple(sorted(forced + lam, reverse=True)), len(lam), d - q - len(lam))
                  for lam in partitions_of(r))
 
 
 def enumerate_profiles(weights: Sequence[object], d: int,
                        n: Optional[int] = None) -> List[Tuple[RamificationProfile, int]]:
     """All realizable-by-count profiles over the given marked weights, with
-    the essential-point total; optionally filtered to a fixed total."""
+    the essential-point total; optionally filtered to a fixed total.  Both
+    filters, and N = 2d - 2 - branching >= 0, are decided on the options'
+    integers, so a profile is built only when it is kept."""
     options = [_fiber_options(p, d) for p in weights]
-    out = []
+    budget = 2 * d - 2
+    kept = []
     for combo in product(*options):
         n_total = sum(c[1] for c in combo)
-        if n is not None and n_total != n:
-            continue
-        profile = RamificationProfile(d, (c[0] for c in combo))
-        if profile.free_points < 0:
-            continue
-        out.append((profile, n_total))
-    out.sort(key=lambda e: e[0].partitions)
-    return out
+        if (n is None or n_total == n) and sum(c[2] for c in combo) <= budget:
+            kept.append((tuple(c[0] for c in combo), n_total))
+    kept.sort()
+    return [(RamificationProfile(d, lams), n_total) for lams, n_total in kept]
 
 
 class VerdictKind(Enum):
@@ -202,6 +202,10 @@ def multipoint_bases(k: int, weight_cap: int = 12) -> List[Tuple[Tuple[object, .
     -chi <= 1/2 survives.  Finite weights above the cap behave like inf at
     every admissible degree, so the pool is {2..cap, inf}.
 
+    Everything is an integer in units of 1/L, L = lcm(2..cap): weight p has
+    reciprocal L // p (inf has 0), a prefix carries its reciprocal sum S,
+    and -chi is ((k-2) L - S)/L, so the budget is L // ((k-2) L - S).
+
     The non-decreasing weight tuples are walked depth first in
     lexicographic order.  With `left` entries still to pick, all of them
     >= p, the least -chi a prefix can reach by choosing p next is
@@ -212,23 +216,24 @@ def multipoint_bases(k: int, weight_cap: int = 12) -> List[Tuple[Tuple[object, .
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
     pool = list(range(2, weight_cap + 1)) + [INF]
-    half = Fraction(1, 2)
+    unit = lcm(*pool[:-1])
+    recips = [unit // p for p in pool[:-1]] + [0]
+    top = (k - 2) * unit
     out = []
 
-    def walk(start: int, prefix: Tuple[object, ...], recip_sum: Fraction) -> None:
+    def walk(start: int, prefix: Tuple[object, ...], recip_sum: int) -> None:
         left = k - len(prefix)
         if left == 0:
-            neg_chi = (k - 2) - recip_sum
-            if neg_chi > 0:
-                out.append((prefix, int(1 / neg_chi)))
+            if top > recip_sum:
+                out.append((prefix, unit // (top - recip_sum)))
             return
         for i in range(start, len(pool)):
-            r = weight_reciprocal(pool[i])
-            if (k - 2) - recip_sum - left * r > half:
+            r = recips[i]
+            if 2 * (top - recip_sum - left * r) > unit:
                 break
             walk(i, prefix + (pool[i],), recip_sum + r)
 
-    walk(0, (), Fraction(0))
+    walk(0, (), 0)
     return out
 
 
@@ -342,7 +347,7 @@ def _intermediate_table(table_id: str, infinite: bool, d_max: int) -> Table:
         if (INF in t.entries) != infinite:
             continue
         # the last option over each fiber splits its remainder into ones
-        lams, counts = zip(*(_fiber_options(p, d)[-1] for p in t.entries))
+        lams, counts, _ = zip(*(_fiber_options(p, d)[-1] for p in t.entries))
         n_points = sum(counts)
         profile = RamificationProfile(d, lams)
         # a row with at most three essential points is degenerate on its own;
@@ -358,10 +363,16 @@ def _intermediate_table(table_id: str, infinite: bool, d_max: int) -> Table:
 
 
 def _n7_table(d_max: int) -> Table:
-    rows = []
-    for n in range(7, 13):
-        count = len(complete_profiles(n, d_max))
-        rows.append((str(n), str(count), "" if count else "none"))
+    """Complete profiles per n in 7..12, in one sweep of the n = 7
+    candidates: the chi inequality only tightens as n grows, so a profile
+    with n essential points counts when its candidate passes it at n."""
+    counts = dict.fromkeys(range(7, 13), 0)
+    for t, d in enumerate_candidates(7, d_max):
+        for profile, n_total in enumerate_profiles(t.entries, d):
+            if (n_total in counts and chi_inequality_holds(t, d, n_total)
+                    and verdict(profile, n_total).kind is VerdictKind.COMPLETE):
+                counts[n_total] += 1
+    rows = [(str(n), str(c), "" if c else "none") for n, c in counts.items()]
     return Table("N7", "complete profiles with seven or more points",
                  ("n", "complete profiles", "note"), tuple(rows))
 

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
-from math import gcd
+from itertools import combinations_with_replacement, product
+from math import gcd, prod
 
 import pytest
 
+import garnier.enumeration
+import garnier.orbifold
 from garnier.enumeration import (
     TABLE_IDS,
     RamificationProfile,
@@ -13,6 +15,7 @@ from garnier.enumeration import (
     VerdictKind,
     _T2_EXTRA,
     _candidate_pairs,
+    _fiber_options,
     chi_inequality_holds,
     complete_profiles,
     enumerate_candidates,
@@ -323,6 +326,63 @@ def test_enumerate_profiles_forced_parts():
         assert profile.partitions[1].count(3) == 1
 
 
+def test_fiber_options_branching_field():
+    for p in list(range(2, 14)) + [INF]:
+        for d in range(1, 21):
+            for lam, _, branching in _fiber_options(p, d):
+                assert branching == d - len(lam), (p, d, lam)
+
+
+def _profiles_reference(choices, d):
+    """Every profile with one fiber from each list of (partition, essential
+    count) choices, built and then dropped when N < 0."""
+    out = []
+    for combo in product(*choices):
+        profile = RamificationProfile(d, (c[0] for c in combo))
+        if profile.free_points >= 0:
+            out.append((profile, sum(c[1] for c in combo)))
+    return sorted(out, key=lambda e: e[0].partitions)
+
+
+def _check_profiles_against_reference(max_combos):
+    """enumerate_profiles against the reference over every 3- and 4-point
+    weight tuple from {2..7, inf} and d <= 12 whose product of fiber choices
+    has at most max_combos combinations, for n in {None, 3..7}.  Over weight
+    p a fiber is any partition of d with at least d // p parts equal to p,
+    and its essential points are the other parts; over inf any partition,
+    all parts essential.  Returns the number of (weights, d) cases checked."""
+    checked = 0
+    for d in range(2, 13):
+        parts = _brute_partitions(d)
+        for m in (3, 4):
+            for ws in combinations_with_replacement([2, 3, 4, 5, 6, 7, INF], m):
+                choices = []
+                for p in ws:
+                    q = 0 if p is INF else d // p
+                    choices.append([(lam, len(lam) - q) for lam in parts if lam.count(p) >= q])
+                if prod(map(len, choices)) > max_combos:
+                    continue
+                want = _profiles_reference(choices, d)
+                for n in (None, 3, 4, 5, 6, 7):
+                    got = enumerate_profiles(ws, d, n)
+                    assert got == [e for e in want if n is None or e[1] == n], (ws, d, n)
+                checked += 1
+    return checked
+
+
+def test_enumerate_profiles_matches_reference():
+    # the cases of at most 200 combinations, to fit the tier-1 budget: 1,910
+    # of the 2,002 all-finite cases and 762 of the 1,232 with an inf
+    assert _check_profiles_against_reference(200) == 2672
+
+
+@pytest.mark.slow
+def test_enumerate_profiles_matches_reference_large():
+    # the same check up to 20,000 combinations per case, opt-in (pytest -m
+    # slow)
+    assert _check_profiles_against_reference(20000) == 3174
+
+
 def test_verdict_precedence():
     p = RamificationProfile(4, [(2, 2), (3, 1), (1, 1, 1, 1)])  # N = 2
     assert verdict(p, 2).kind is VerdictKind.IMPOSSIBLE
@@ -572,7 +632,7 @@ def _sorted_product_sweep(k, weight_cap):
 
 
 def test_multipoint_bases_matches_product_sweep():
-    cases = [(k, cap) for k in range(6) for cap in (2, 3, 6)] + [(4, 12)]
+    cases = [(k, cap) for k in range(6) for cap in (2, 3, 6)] + [(4, 12), (3, 20), (4, 14)]
     for k, cap in cases:
         assert multipoint_bases(k, cap) == _sorted_product_sweep(k, cap), (k, cap)
 
@@ -601,6 +661,33 @@ def test_multipoint_bases_bounded():
 def test_multipoint_complete_search_empty():
     for k in (4, 5, 6):
         assert multipoint_complete_search(k) == []
+
+
+def test_multipoint_weights_above_cap_act_as_inf():
+    # every admissible degree of a base stays below each of its finite
+    # weights above 12, so those weights force no part and read as inf
+    for k in range(3, 7):
+        for ws, budget in multipoint_bases(k, 48):
+            assert all(budget < w for w in ws if w is not INF and w > 12), (ws, budget)
+    for k in (4, 5, 6):
+        assert multipoint_complete_search(k, 48) == []
+
+
+def test_multipoint_search_builds_no_fraction(monkeypatch):
+    # the multipoint path decides everything in integers: a Fraction built
+    # through either module it runs through fails here
+    made = []
+
+    class CountingFraction(Fraction):
+        def __new__(cls, *args, **kwargs):
+            made.append(args)
+            return super().__new__(cls, *args, **kwargs)
+
+    for module in (garnier.enumeration, garnier.orbifold):
+        monkeypatch.setattr(module, "Fraction", CountingFraction)
+    for k in (4, 5, 6):
+        assert multipoint_complete_search(k) == []
+    assert made == []
 
 
 def test_reproduce_table_ids():

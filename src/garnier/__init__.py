@@ -14,9 +14,8 @@ __version__ = "0.1.0"
 from .orbifold import (CurvatureClass, INF, OrbifoldStructure,
                        RamificationProfile, classify, euler_char, pullback,
                        underlying)
-from .fuchsian import (Exponent, FuchsianSignature, PulledBackSignature,
-                       is_elementary, orbifold_of, pullback_exponents,
-                       underlying_orbifold_of)
+from .fuchsian import (Exponent, FuchsianSignature, PulledBackSignature, Theta,
+                       is_elementary, orbifold_of, pullback_exponents)
 from .enumeration import (CandidateVerdict, TripleSpec, VerdictKind,
                           enumerate_candidates, enumerate_profiles,
                           reproduce_table, verdict)

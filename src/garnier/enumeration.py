@@ -14,7 +14,8 @@ from itertools import product
 from math import gcd, lcm, prod
 from typing import List, Optional, Sequence, Tuple
 
-from .fuchsian import Exponent, hypergeometric_signature, is_elementary, pullback_exponents
+from .fuchsian import (Exponent, Theta, hypergeometric_signature, is_elementary,
+                       pullback_exponents)
 from .orbifold import INF, RamificationProfile, partitions_of
 
 DEFAULT_DMAX = 42
@@ -288,7 +289,7 @@ def _family_table(table_id: str, n: int, extra, title: str, d_max: int) -> Table
     """n-point pullback families with exponent data: the complete profiles
     from the enumeration plus the extra (d, partitions, pinf) profiles over
     (2,3,pinf) with d <= d_max, in degree order.  The base has exponent 1/p
-    at finite-weight points and a generic symbol at weight inf; over a
+    at finite-weight points and the generic exponent theta at weight inf; over a
     finite pinf every reduced numerator k in (0, pinf/2] gives a variant
     row with exponent k/pinf there, and elementary variants are dropped.
     A row's verdict counts its non-apparent pulled-back exponents as essential."""
@@ -302,8 +303,7 @@ def _family_table(table_id: str, n: int, extra, title: str, d_max: int) -> Table
         numerators = [1] if q is INF else [k for k in range(1, q // 2 + 1) if gcd(k, q) == 1]
         for k in numerators:
             sig = hypergeometric_signature(*(
-                Exponent.generic("theta") if p is INF
-                else Exponent.of(Fraction(k if i == 2 else 1, p))
+                Theta() if p is INF else Fraction(k if i == 2 else 1, p)
                 for i, p in enumerate(t.entries)))
             if is_elementary(sig):
                 continue

@@ -1,8 +1,8 @@
 """Orbifold structures on curves: rational weights, Euler characteristics,
 pullback along coverings, underlying integral structures, uniformization type.
 
-A marked point is its weight: a structure holds its weights in the order
-given, and a covering's partitions pair with them by position.
+A marked point is its weight: a structure holds all its weights, weight 1
+included, in the order given; a covering's partitions pair with them by position.
 """
 from __future__ import annotations
 
@@ -66,8 +66,8 @@ class CurvatureClass(Enum):
 
 @dataclass(frozen=True)
 class OrbifoldStructure:
-    """Genus plus the weights of its marked points, in the order given;
-    weight-1 points are dropped at construction since they carry no data."""
+    """Genus plus the weights of its marked points, all kept in the order
+    given; weights() and n_points() skip weight-1 points, which carry no data."""
 
     genus: int
     support: Tuple[Weight, ...]
@@ -75,15 +75,14 @@ class OrbifoldStructure:
     def __init__(self, genus: int, support=()):
         if genus < 0:
             raise ValueError("genus must be >= 0")
-        kept = tuple(w for w in map(make_weight, support) if w != 1)
         object.__setattr__(self, "genus", genus)
-        object.__setattr__(self, "support", kept)
+        object.__setattr__(self, "support", tuple(map(make_weight, support)))
 
     def weights(self) -> Tuple[Weight, ...]:
-        return tuple(sorted(self.support))
+        return tuple(sorted(w for w in self.support if w != 1))
 
     def n_points(self) -> int:
-        return len(self.support)
+        return len(self.weights())
 
     def is_integral(self) -> bool:
         return all(w is INF or w.denominator == 1 for w in self.support)

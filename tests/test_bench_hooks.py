@@ -40,3 +40,29 @@ def test_worker_profile_contract():
     cert = garnier.hurwitz.realize_profile(profile)
     types = list(profile.partitions) + [(2, 1, 1)] * profile.free_points
     assert cert.exists and garnier.hurwitz.verify_tuple(cert.tuple_.perms, types, 4)
+
+
+
+def test_family_table_reaches_the_fuchsian_and_orbifold_layers():
+    # the classify-tables workload reaches fuchsian and orbifold only through
+    # the T2/T4 builder: wrap those spans with the tracer's own rebinding and
+    # check that T2 calls each of them
+    rebind = runpy.run_path(str(TRACER))["_rebind"]
+    calls = dict.fromkeys(("fuchsian.is_elementary", "fuchsian.pullback_exponents",
+                           "orbifold.classify"), 0)
+    wrapped = []
+    for key in calls:
+        mod_name, _, fn_name = key.partition(".")
+        original = getattr(importlib.import_module(f"garnier.{mod_name}"), fn_name)
+
+        def counting(*args, _fn=original, _key=key, **kwargs):
+            calls[_key] += 1
+            return _fn(*args, **kwargs)
+        rebind(original, counting)
+        wrapped.append((original, counting))
+    try:
+        garnier.enumeration.reproduce_table("T2")
+    finally:
+        for original, counting in wrapped:
+            rebind(counting, original)
+    assert all(calls.values()), calls

@@ -53,6 +53,18 @@ def test_classify_rejects_non_integral(capsys):
     assert "integral" in err
 
 
+@pytest.mark.parametrize("argv, want", [
+    (["chi", "--weights", "1"], "2, SPHERICAL\n"),
+    (["chi", "--weights", "1,2,3,7"], "-1/42, HYPERBOLIC\n"),
+    (["classify", "--weights", "1,5"], "NOT_UNIFORMIZABLE\n"),
+    # 1/3 has numerator 1: weight 1 in the underlying structure
+    (["chi", "--weights", "1/3,2"], "7/2, NOT_UNIFORMIZABLE\n"),
+])
+def test_weight_one_input_stdout_pinned(capsys, argv, want):
+    # weight-1 points add 0 to chi and are skipped by the classification
+    assert run(capsys, *argv) == (0, want, "")
+
+
 def test_bad_weight_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["chi", "--weights", "2,zebra"])

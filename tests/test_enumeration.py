@@ -29,7 +29,7 @@ from garnier.enumeration import (
     reproduce_table,
     verdict,
 )
-from garnier.fuchsian import Exponent, hypergeometric_signature, pullback_exponents
+from garnier.fuchsian import Theta, hypergeometric_signature, pullback_exponents
 from garnier.orbifold import INF, OrbifoldStructure, pullback, underlying
 
 
@@ -268,7 +268,7 @@ def _base_signatures(t):
     numerators = [1] if q is INF else [k for k in range(1, q // 2 + 1) if gcd(k, q) == 1]
     for k in numerators:
         yield hypergeometric_signature(*(
-            Exponent.generic("theta") if p is INF else Fraction(k if i == 2 else 1, p)
+            Theta() if p is INF else Fraction(k if i == 2 else 1, p)
             for i, p in enumerate(t.entries)))
 
 

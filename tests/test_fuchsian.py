@@ -7,48 +7,51 @@ from itertools import product
 import pytest
 
 from garnier.fuchsian import (
-    Exponent,
     FuchsianSignature,
+    Theta,
     hypergeometric_signature,
     is_elementary,
     orbifold_of,
     pullback_exponents,
-    underlying_orbifold_of,
 )
 from garnier.orbifold import (INF, classify, CurvatureClass, OrbifoldStructure,
                               RamificationProfile, partitions_of, pullback, underlying)
 
 
 def test_exponent_construction():
-    assert Exponent.of(Fraction(1, 2)).rational == Fraction(1, 2)
-    th = Exponent.generic()
-    assert not th.is_rational()
-    assert str(th) == "theta"
-    assert str(th.scaled(3)) == "3theta"
-    assert str(Exponent.of(Fraction(1, 2))) == "1/2"
-    assert str(Exponent(Fraction(1, 2), Fraction(2), "theta")) == "1/2+2theta"
-    with pytest.raises(ValueError):
-        Exponent(Fraction(0), Fraction(1), None)  # generic part needs a label
-    with pytest.raises(ValueError):
-        Exponent(Fraction(0), Fraction(-1), "theta")
+    # the one generic exponent: k * theta, k an int >= 1
+    assert str(Theta()) == "theta" and str(Theta(3)) == "3theta"
+    assert Theta(2) == Theta(2) and hash(Theta(2)) == hash(Theta(2))
+    assert Theta(2) != Theta(3) and Theta(1) != Fraction(1)
+    for bad in (0, -1, Fraction(2)):
+        with pytest.raises(ValueError):
+            Theta(bad)
 
 
 def test_exponent_fields_are_fractions():
-    # ints and strings are wrapped; a Fraction is kept as it is
-    for value, want in ((1, Fraction(1)), ("1/2", Fraction(1, 2)),
-                        (Fraction(2, 4), Fraction(1, 2))):
-        e = Exponent(value)
-        assert type(e.rational) is Fraction and e.rational == want
-        assert type(e.coeff) is Fraction and e.coeff == 0
-    g = Exponent(0, 2, "theta")
-    assert type(g.rational) is Fraction and type(g.coeff) is Fraction
+    # ints and strings go through Fraction; a Fraction or Theta is kept
+    half, t = Fraction(1, 2), Theta(2)
+    sig = FuchsianSignature(0, [1, "2/3", half, t])
+    assert sig.exponents == (Fraction(1), Fraction(2, 3), half, t)
+    assert [type(e) for e in sig.exponents] == [Fraction] * 3 + [Theta]
+    assert sig.exponents[2] is half and sig.exponents[3] is t
+
+
+def test_direct_signature_counts_integer_as_apparent():
+    # built directly, an integer exponent counts as apparent, exactly as
+    # through hypergeometric_signature
+    profile = RamificationProfile(1, [(1,)] * 3)
+    for sig in (FuchsianSignature(0, (1, Fraction(1, 3), Theta())),
+                hypergeometric_signature(1, Fraction(1, 3), Theta())):
+        out = pullback_exponents(sig, profile)
+        assert out.apparent_count == 1
+        assert tuple(str(e) for e in out.exponents) == ("1/3", "theta")
 
 
 def test_exponent_scaled_by_one_is_itself():
-    for e in (Exponent(Fraction(1, 3)), Exponent.generic(), Exponent(1, 2, "t")):
-        assert e.scaled(1) is e
-        assert e.scaled(1) == Exponent(e.rational, e.coeff, e.label)
-    assert Exponent.generic().scaled(2) == Exponent(0, 2, "theta")
+    t = Theta()
+    assert 1 * t is t
+    assert 3 * t == Theta(3) and 2 * Theta(3) == Theta(6)
 
 
 def test_orbifold_of_hypergeometric():
@@ -60,23 +63,24 @@ def test_orbifold_of_hypergeometric():
 
 def test_orbifold_of_special_points():
     # zero and generic exponents both give weight inf
-    sig = FuchsianSignature(0, (Exponent.of(0), Exponent.generic(),
-                                Exponent.of(Fraction(-2, 5))))
+    sig = FuchsianSignature(0, (0, Theta(), Fraction(-2, 5)))
     # one weight per exponent, in order; 1/|theta| at rational theta
     assert orbifold_of(sig).support == (INF, INF, Fraction(5, 2))
 
 
 def test_underlying_orbifold_of():
     sig = hypergeometric_signature(Fraction(1, 2), Fraction(2, 7), Fraction(3, 7))
-    u = underlying_orbifold_of(sig)
+    u = underlying(orbifold_of(sig))
     assert u.weights() == (Fraction(2), Fraction(7), Fraction(7))
-    sig = hypergeometric_signature(Fraction(1, 2), Fraction(1, 3), Exponent.generic())
-    assert underlying_orbifold_of(sig).weights() == (Fraction(2), Fraction(3), INF)
-    # theta = 3 keeps weight 1/3 in orbifold_of but drops from the underlying
-    # structure, whose weights are the denominators of theta
+    sig = hypergeometric_signature(Fraction(1, 2), Fraction(1, 3), Theta())
+    assert underlying(orbifold_of(sig)).weights() == (Fraction(2), Fraction(3), INF)
+    # theta = 3 keeps weight 1/3 in orbifold_of but has weight 1 in the
+    # underlying structure, whose weights are the denominators of theta
     sig = hypergeometric_signature(3, Fraction(-7, 3), Fraction(2, 5))
     assert orbifold_of(sig).weights() == (Fraction(1, 3), Fraction(3, 7), Fraction(5, 2))
-    assert underlying_orbifold_of(sig) == OrbifoldStructure(0, (3, 5))
+    u = underlying(orbifold_of(sig))
+    assert u.weights() == OrbifoldStructure(0, (3, 5)).weights()
+    assert u.support == (1, 3, 5)
 
 
 def test_integer_exponents_vanish_from_weights():
@@ -86,7 +90,7 @@ def test_integer_exponents_vanish_from_weights():
 
 def test_pullback_exponents_degree_four():
     # indices (2,2 | 3,1 | 1,1,1,1) over (1/2, 1/3, theta)
-    sig = hypergeometric_signature(Fraction(1, 2), Fraction(1, 3), Exponent.generic())
+    sig = hypergeometric_signature(Fraction(1, 2), Fraction(1, 3), Theta())
     out = pullback_exponents(sig, RamificationProfile(4, [(2, 2), (3, 1), (1, 1, 1, 1)]))
     assert out.apparent_count == 3
     assert tuple(str(e) for e in out.exponents) == ("1/3", "theta", "theta", "theta", "theta")
@@ -107,10 +111,21 @@ def test_pullback_exponents_negative_exponent():
     assert tuple(str(e) for e in out.exponents) == ("1/3", "1/3", "2/7")
 
 
-# signed exponents for the sweep below; |theta| = 1 is left out, since
-# OrbifoldStructure drops weight-1 points and pullback would then pair the
-# partitions with the wrong points
-_SIGNED = [Fraction(0)] + [s * Fraction(x) for x in ("1/2", "2/3", "3/7", "5/4", "2", "3", "1/6")
+def test_weight_one_point_keeps_its_partition():
+    # theta = 1 gives a weight-1 point that keeps its place: [3] lies over
+    # 1/3 and [2,1] over 1/7 on the orbifold route, as on the exponent route
+    sig = hypergeometric_signature(1, Fraction(1, 3), Fraction(1, 7))
+    profile = RamificationProfile(3, [(1, 1, 1), (3,), (2, 1)])
+    assert orbifold_of(sig).support == (1, 3, 7)
+    up = underlying(pullback(orbifold_of(sig), profile.with_free_points()))
+    out = pullback_exponents(sig, profile)
+    assert up.n_points() == len(out.exponents) == 2
+    assert out.apparent_count == 4
+
+
+# signed exponents for the sweep below
+_SIGNED = [Fraction(0)] + [s * Fraction(x) for x in ("1/2", "2/3", "3/7", "5/4", "2", "3",
+                                                      "1/6", "1")
                            for s in (1, -1)]
 
 
@@ -175,6 +190,6 @@ def test_is_elementary():
         Fraction(4, 3), Fraction(4, 3), Fraction(4, 3))) is True
     # a generic exponent is weight inf: (2,3,inf) is hyperbolic
     assert is_elementary(hypergeometric_signature(
-        Fraction(1, 2), Fraction(1, 3), Exponent.generic())) is False
+        Fraction(1, 2), Fraction(1, 3), Theta())) is False
     with pytest.raises(ValueError):
-        is_elementary(FuchsianSignature(1, (Exponent.of(1),)))
+        is_elementary(FuchsianSignature(1, (1,)))

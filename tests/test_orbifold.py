@@ -48,12 +48,19 @@ def test_weight_parsing():
     assert weight_reciprocal(7) == Fraction(1, 7)
 
 
-def test_weight_one_points_dropped():
+def test_weight_one_points_kept_in_place():
     o = structure([3, 1, 2, 1, 3])
+    # the support keeps every weight in the order given, weight 1 and equal
+    # weights included, so partitions pair with the points by position
+    assert o.support == (Fraction(3), Fraction(1), Fraction(2), Fraction(1), Fraction(3))
+    # weights() and n_points() skip weight 1, which carries no data
     assert o.n_points() == 3
     assert o.weights() == (Fraction(2), Fraction(3), Fraction(3))
-    # the support keeps the order given, equal weights included
-    assert o.support == (Fraction(3), Fraction(2), Fraction(3))
+    assert euler_char(o) == euler_char(structure([3, 2, 3]))
+    # partition i lies over the i-th point, the weight-1 ones included
+    up = pullback(o, RamificationProfile(2, [(2,), (2,), (1, 1), (1, 1), (1, 1)]))
+    assert up.weights() == (Fraction(1, 2), Fraction(3, 2), Fraction(2), Fraction(2),
+                            Fraction(3), Fraction(3))
 
 
 def test_euler_char_triangle_values():

@@ -7,20 +7,9 @@ fuchsian (local exponent data), enumeration (candidate branch data and the
 classification tables), hurwitz (constructive realizability by permutation
 tuples), exactalg (rationals, Q(alpha) with alpha^2 = -3, polynomials),
 covers (the degree-4 family), cli (the garnier command).
+
+Import the module you need, e.g. ``from garnier.hurwitz import find_tuple``:
+the package re-exports nothing, so importing it loads no layer.
 """
 
 __version__ = "0.1.0"
-
-from .orbifold import (CurvatureClass, INF, OrbifoldStructure,
-                       RamificationProfile, classify, euler_char, pullback,
-                       underlying)
-from .fuchsian import (Exponent, FuchsianSignature, PulledBackSignature, Theta,
-                       is_elementary, orbifold_of, pullback_exponents)
-from .enumeration import (CandidateVerdict, TripleSpec, VerdictKind,
-                          enumerate_candidates, enumerate_profiles,
-                          reproduce_table, verdict)
-from .hurwitz import (PermutationTuple, RealizabilityCertificate, find_tuple,
-                      realize_profile, verify_tuple)
-from .exactalg import Poly, QuadElement, discriminant, exact_sqrt, resultant
-from .covers import (DegFourParams, STPoint, SolutionRecord, UVPoint,
-                     solution_record, uv_lift, verify_family)

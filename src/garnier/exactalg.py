@@ -11,10 +11,11 @@ denominator, (a + b*alpha)/d with d > 0 and gcd(a, b, d) == 1 (the usual
 representation of number-field elements, Cohen, *A Course in Computational
 Algebraic Number Theory*, 1993, ch. 4), and a polynomial as integer pairs
 (a_i, b_i) over one denominator shared by all its coefficients.  The field
-and polynomial arithmetic, division, ``exact_sqrt`` and evaluation (Horner)
-run on Python ints with one gcd per result and build no Fraction; only the
-``a``, ``b`` and ``norm()`` accessors return Fractions.  A polynomial's
-coefficients and values are QuadElements, rational ones included.
+and polynomial arithmetic, division, remainders (pseudo-division),
+``exact_sqrt`` and evaluation (Horner) run on Python ints with one gcd per
+result and build no Fraction; only the ``a``, ``b`` and ``norm()``
+accessors return Fractions.  A polynomial's coefficients and values are
+QuadElements, rational ones included.
 """
 from __future__ import annotations
 
@@ -70,8 +71,6 @@ class QuadElement:
             return NotImplemented
         a, b, d = self._abd
         oa, ob, od = o
-        if d == od:
-            return _quad(a + oa, b + ob, d)
         return _quad(a * od + oa * d, b * od + ob * d, d * od)
 
     __radd__ = __add__
@@ -86,8 +85,6 @@ class QuadElement:
             return NotImplemented
         a, b, d = self._abd
         oa, ob, od = o
-        if d == od:
-            return _quad(a - oa, b - ob, d)
         return _quad(a * od - oa * d, b * od - ob * d, d * od)
 
     def __rsub__(self, other):
@@ -132,12 +129,8 @@ class QuadElement:
 
     def __pow__(self, n: int):
         if n < 0:
-            return self.inverse() ** (-n)
-        if n < 2:
-            return self if n else QuadElement(1)
-        half = self ** (n >> 1)
-        out = half * half
-        return out * self if n & 1 else out
+            return _pow(self.inverse(), -n)
+        return _pow(self, n) if n else ONE
 
     def __eq__(self, other):
         o = _operand(other)
@@ -151,9 +144,6 @@ class QuadElement:
             # equal to the hash of the equal int or Fraction
             return hash(a if d == 1 else Fraction(a, d))
         return hash(self._abd)
-
-    def is_rational(self) -> bool:
-        return self._abd[1] == 0
 
     def __bool__(self):
         a, b, _ = self._abd
@@ -191,6 +181,16 @@ def _div(x, y) -> QuadElement:
     if n == 0:
         raise ZeroDivisionError("division by zero in Q(alpha)")
     return _quad(f * (a * c + 3 * b * e), f * (b * c - a * e), d * n)
+
+
+def _pow(x, n: int):
+    """x ** n for n >= 1 by repeated squaring: one product per bit of n
+    below the top one, and one more per set bit among them."""
+    if n == 1:
+        return x
+    half = _pow(x, n >> 1)
+    out = half * half
+    return out * x if n & 1 else out
 
 
 def _operand(x):
@@ -320,8 +320,6 @@ class Poly:
             other = Poly.const(other)
         pairs = zip_longest(self._rows, other._rows, fillvalue=(0, 0))
         dx, dy = self._den, other._den
-        if dx == dy:
-            return _poly([(a + c, b + e) for (a, b), (c, e) in pairs], dx)
         return _poly([(a * dy + c * dx, b * dy + e * dx)
                       for (a, b), (c, e) in pairs], dx * dy)
 
@@ -361,11 +359,7 @@ class Poly:
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        if n < 2:
-            return self if n else Poly.const(1)
-        half = self ** (n >> 1)
-        out = half * half
-        return out * self if n & 1 else out
+        return _pow(self, n) if n else Poly.const(1)
 
     def __eq__(self, other):
         if not isinstance(other, Poly):
@@ -429,16 +423,24 @@ def evaluate_rows(rows, s, t) -> QuadElement:
 
 
 def _rem(f: Poly, g: Poly) -> Poly:
-    """f mod g for g != 0, by long division on the coefficients."""
-    r, gc, n = list(f.coeffs), g.coeffs, g.degree()
-    lc = gc[n]
+    """f mod g for g != 0 by pseudo-division on the stored pairs (Cohen,
+    1993, sec. 3.1): with g's leading pair (c, e) and m = c^2 + 3e^2, each
+    step scales the remainder by m and subtracts top*(c - e alpha)*x^shift*g
+    to cancel its top pair, so the result is over den(f) * m^steps."""
+    r, gs = list(f._rows), g._rows
+    n = len(gs) - 1
+    c, e = gs[-1]
+    m = c * c + 3 * e * e
+    steps = max(len(r) - n, 0)
     while len(r) > n:
-        # cancel the top term against x^shift g
-        k = r.pop() / lc
+        ta, tb = r.pop()
+        qa, qb = ta * c + 3 * tb * e, tb * c - ta * e
         shift = len(r) - n
-        for i in range(n):
-            r[shift + i] -= k * gc[i]
-    return Poly(r)
+        r[:shift] = [(a * m, b * m) for a, b in r[:shift]]
+        for i, (ga, gb) in enumerate(gs[:-1], shift):
+            a, b = r[i]
+            r[i] = (a * m - qa * ga + 3 * qb * gb, b * m - qa * gb - qb * ga)
+    return _poly(r, f._den * m ** steps)
 
 
 def resultant(p: Poly, q: Poly):

@@ -248,27 +248,25 @@ def h_set(d: int, k: int) -> Iterator[Perm]:
 
 
 def orbit_roots(perms: Sequence[Perm], d: int) -> List[int]:
-    """The least point of each orbit of the group the permutations generate."""
-    parent = list(range(d))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    # linking the larger root under the smaller keeps each root the least
-    # point of its orbit
-    for p in perms:
-        for i, j in enumerate(p):
-            if i == j:
-                continue
-            ri, rj = find(i), find(j)
-            if ri < rj:
-                parent[rj] = ri
-            elif rj < ri:
-                parent[ri] = rj
-    return [i for i in range(d) if find(i) == i]
+    """The least point of each orbit of the group the permutations generate,
+    in ascending order: one search from each point not yet reached closes
+    its orbit, and every smaller point lies in an orbit closed before."""
+    seen = [False] * d
+    roots = []
+    for x in range(d):
+        if seen[x]:
+            continue
+        roots.append(x)
+        seen[x] = True
+        stack = [x]
+        while stack:
+            y = stack.pop()
+            for p in perms:
+                z = p[y]
+                if not seen[z]:
+                    seen[z] = True
+                    stack.append(z)
+    return roots
 
 
 def is_transitive(perms: Sequence[Perm], d: int) -> bool:

@@ -6,12 +6,14 @@ from math import gcd, isqrt
 
 import pytest
 
+from garnier import exactalg
 from garnier.exactalg import (
     ALPHA,
     ONE,
     ZERO,
     Poly,
     QuadElement,
+    _rem,
     discriminant,
     exact_sqrt,
     format_quad,
@@ -240,7 +242,7 @@ def test_matches_fraction_pair_reference():
             _check_same(x ** abs(n), rx ** abs(n))
         # equality and hashing follow the value, not how it was reached
         assert (x == y) == ((rx.a, rx.b) == (ry.a, ry.b))
-        if x.is_rational():
+        if x.b == 0:
             assert x == rx.a and hash(x) == hash(rx.a)
         assert format_quad(x) == format_quad(QuadElement(rx.a, rx.b))
 
@@ -691,6 +693,57 @@ def test_resultant_when_the_remainder_drops_degrees():
     for p, r in cases:
         assert resultant(p, r) == _sylvester_resultant(p, r), (p, r)
     assert resultant(x ** 3 + 2 * x, x ** 2 + 2) == 0
+
+
+def _long_division_rem(f, g):
+    """Reference: f mod g by long division on the QuadElement coefficients."""
+    r, gc, n = list(f.coeffs), g.coeffs, g.degree()
+    lc = gc[n]
+    while len(r) > n:
+        # cancel the top term against x^shift g
+        k = r.pop() / lc
+        shift = len(r) - n
+        for i in range(n):
+            r[shift + i] -= k * gc[i]
+    return Poly(r)
+
+
+def test_rem_matches_long_division_reference(monkeypatch):
+    # seeded pairs: f of any degree against g of degree 0..4, so constant g
+    # and f of lower degree than g; f a multiple of g (zero remainder); and
+    # f = h g + rem with deg rem at most deg g - 2 (the remainder drops degrees)
+    rng = random.Random(67)
+    x = Poly.x()
+    cases = [(x ** 4 + 1, x ** 3 - ALPHA), (x ** 3 + 2 * x, x ** 2 + 2),
+             (Poly([]), x), (x ** 2, Poly.const(ALPHA))]
+    for k in range(300):
+        g = _rand_quad_poly(rng, rng.randint(0, 4))
+        h = _rand_quad_poly(rng, rng.randint(0, 3))
+        if k % 3 == 0:
+            f = _rand_quad_poly(rng, rng.randint(0, 6))
+        elif k % 3 == 1:
+            f = h * g
+        else:
+            f = h * g + _rand_quad_poly(rng, rng.randint(0, max(g.degree() - 2, 0)))
+        cases.append((f, g))
+    want = [_long_division_rem(f, g) for f, g in cases]
+    assert sum(not g.degree() for _, g in cases) > 40
+    assert sum(f.degree() < g.degree() for f, g in cases) > 20
+    assert sum(not r for r in want) > 100
+    assert sum(0 <= r.degree() < g.degree() - 1 for r, (_, g) in zip(want, cases)) > 40
+    # the division runs on the stored pairs and builds no QuadElement
+    made = []
+    quad = exactalg._quad
+
+    def counting(*abd):
+        made.append(abd)
+        return quad(*abd)
+
+    monkeypatch.setattr(exactalg, "_quad", counting)
+    got = [_rem(f, g) for f, g in cases]
+    assert made == []
+    for r, w, (f, g) in zip(got, want, cases):
+        assert r == w, (f, g)
 
 
 def test_resultant_identities():

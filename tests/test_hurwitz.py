@@ -190,6 +190,32 @@ def test_is_transitive():
     assert is_transitive([canonical_perm([2, 1, 1]), canonical_perm([1, 2, 1])], 4) is False
     assert is_transitive([(1, 0, 2, 3), (0, 2, 1, 3), (0, 1, 3, 2)], 4)
     assert orbit_roots([canonical_perm([2, 2, 1])], 5) == [0, 2, 4]
+    # seeded lists of permutations of random subsets (all points for some)
+    rng = random.Random(9)
+    for _ in range(300):
+        d = rng.randint(1, 9)
+        perms = []
+        for _ in range(rng.randint(0, 3)):
+            img = list(range(d))
+            moved = rng.sample(range(d), rng.randint(0, d))
+            for i, j in zip(moved, rng.sample(moved, len(moved))):
+                img[i] = j
+            perms.append(tuple(img))
+        want = _least_orbit_points(perms, d)
+        assert orbit_roots(perms, d) == want, (perms, d)
+        assert is_transitive(perms, d) == (len(want) == 1), (perms, d)
+
+
+def _least_orbit_points(perms, d):
+    """Reference: grow each point's orbit by all images until it stops
+    growing; the least point of each orbit, in ascending order."""
+    roots = set()
+    for x in range(d):
+        orbit, grown = set(), {x}
+        while grown != orbit:
+            orbit, grown = grown, grown | {p[y] for p in perms for y in grown}
+        roots.add(min(orbit))
+    return sorted(roots)
 
 
 def _orbits_by_bfs(perms, d):

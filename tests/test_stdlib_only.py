@@ -1,10 +1,13 @@
 """The package needs nothing beyond the standard library: every absolute
 import in src/garnier names a stdlib module, so sympy stays a test-only
 oracle and no dependency creeps in.  Its layers import each other only
-downwards, along the allowed edges below."""
+downwards, along the allowed edges below, importing a layer loads no other
+module of the package, and the source stays within its line budget."""
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -28,7 +31,8 @@ def test_package_imports_only_the_stdlib():
     assert foreign == []
 
 
-# the package modules each layer may import; cli and __init__ sit on top
+# the package modules each layer may import; cli sits on top and __init__
+# imports none
 LAYERS = {
     "orbifold": set(),
     "exactalg": set(),
@@ -51,3 +55,32 @@ def test_layers_import_only_their_allowed_modules():
     for name, allowed in LAYERS.items():
         used = set(_relative_imports(SRC / f"{name}.py"))
         assert used <= allowed, (name, sorted(used - allowed))
+
+
+def _garnier_modules_after(statement: str):
+    """The garnier.* modules a fresh interpreter holds after the statement."""
+    code = (f"{statement}\nimport sys\n"
+            "print(sorted(m for m in sys.modules if m.startswith('garnier.')))\n"
+            "print(sys.modules['garnier'].__file__)")
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout.splitlines()
+    assert Path(out[1]).resolve() == SRC / "__init__.py"
+    return ast.literal_eval(out[0])
+
+
+def test_importing_a_layer_loads_only_that_layer():
+    # the package re-exports nothing, so a caller pays only for what it imports
+    assert _garnier_modules_after("import garnier") == []
+    assert _garnier_modules_after("import garnier.orbifold") == ["garnier.orbifold"]
+
+
+# at least 15% below the package's 2,920 lines at the start of this design
+# round; new code pays for its lines with deletions
+LINE_BUDGET = 2482
+
+
+def test_source_stays_within_the_line_budget():
+    counts = {p.name: len(p.read_text("utf-8").splitlines())
+              for p in sorted(SRC.glob("*.py"))}
+    assert sum(counts.values()) <= LINE_BUDGET, counts

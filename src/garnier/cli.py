@@ -1,7 +1,8 @@
 """Command line interface.
 
-`main` builds the parser of the named subcommand only; help, an unknown
-name and an empty command line get the full parser.
+`main` parses a named command's arguments with that command's parser alone;
+help, an unknown name, an empty command line and leftover arguments get the
+full parser, whose messages list every command.
 
 Exit codes: 0 on success, 1 when a verification fails (golden mismatch,
 failed family checks, too many rejected draws), 2 on usage errors.
@@ -95,10 +96,6 @@ def _cmd_enumerate(args) -> int:
     return 0
 
 
-def _golden_text(name: str) -> str:
-    return resources.files("garnier").joinpath("goldens", name).read_text("utf-8")
-
-
 def _cmd_tables(args) -> int:
     if args.golden and args.dmax != DEFAULT_DMAX:
         raise ValueError(f"the goldens are the --dmax {DEFAULT_DMAX} tables; "
@@ -113,7 +110,7 @@ def _cmd_tables(args) -> int:
         text = render_table(table)
     if args.golden:
         name = f"{table.table_id.lower()}.txt"
-        want = _golden_text(name)
+        want = resources.files("garnier").joinpath("goldens", name).read_text("utf-8")
         if text == want:
             print(f"OK: {args.id} matches golden {name}")
             return 0
@@ -244,31 +241,33 @@ COMMANDS = {
 
 
 def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
-    """The parser with every subcommand, or with only `command`'s.
-
-    A parser built for one command still names all of them in its usage
-    line, so its messages read as the full parser's do."""
+    """The full parser, with every command as a subparser, or `command`'s
+    parser alone, built as its subparser is and with the same prog, so it
+    parses, helps and fails as that subparser does."""
+    if command is not None:
+        p = argparse.ArgumentParser(prog=f"garnier {command}")
+        COMMANDS[command][1](p)
+        return p
     ap = argparse.ArgumentParser(
         prog="garnier",
         description="Exact classification of complete algebraic Garnier "
                     "solutions obtained by pulling back hypergeometric "
                     "equations, with a verified degree-4 family.")
-    sub = ap.add_subparsers(
-        dest="command", required=True,
-        metavar=None if command is None else "{" + ",".join(COMMANDS) + "}")
+    sub = ap.add_subparsers(dest="command", required=True)
     for name, (help_text, add_arguments) in COMMANDS.items():
-        if command is None or name == command:
-            add_arguments(sub.add_parser(name, help=help_text))
+        add_arguments(sub.add_parser(name, help=help_text))
     return ap
 
 
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    # help, an unknown command and an empty argv get the full parser, whose
-    # messages list every command
-    command = argv[0] if argv and argv[0] in COMMANDS else None
-    args = build_parser(command).parse_args(argv)
+    if argv and argv[0] in COMMANDS:
+        args, rest = build_parser(argv[0]).parse_known_args(argv[1:])
+        if rest:  # reported by the full parser, as unrecognized arguments
+            args = build_parser().parse_args(argv)
+    else:
+        args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ValueError as e:

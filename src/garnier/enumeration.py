@@ -66,46 +66,42 @@ def chi_inequality_holds(t: TripleSpec, d: int, n: int) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _candidate_pairs(d_max: int) -> Tuple[Tuple[TripleSpec, int], ...]:
-    """The sorted n-independent candidates: canonical hyperbolic (triple, d)
-    with the floor identity and d * (-chi) <= 1, which the chi inequality
-    implies for every n >= 0; every bound is in integers.
+def _candidate_rows(d_max: int) -> Tuple[Tuple[object, ...], ...]:
+    """The n-independent candidates as integer rows (p0, p1, pinf, d, num,
+    den), sorted as the triples sort: the canonical hyperbolic p0 <= p1 <= pinf
+    (INF for inf) with the floor identity at d, -chi = num/den as in neg_chi.
 
-    -chi = 1 - 1/p0 - 1/p1 - 1/pinf grows along each entry, so the p0 and
-    p1 loops stop at the first entry whose least -chi exceeds 1/d:
-    d(p0 - 3) > p0, then d(p0 p1 - p1 - 2 p0) > p0 p1, or d(p0 - 1) > p0 at
-    p1 = inf.  An inf p0 always stops, since -chi = 1 > 1/d there.
+    The floor identity implies d * (-chi) <= 1, the chi inequality at n = 0,
+    as d * (-chi) = d - sum of d/p = 1 - sum of frac(d/p); so that bound only
+    stops the loops.  -chi grows along each entry, so the p0 and p1 loops
+    stop at the first entry whose least -chi exceeds 1/d: d(p0 - 3) > p0,
+    then d(p0 p1 - p1 - 2 p0) > p0 p1.
 
     pinf is solved outright.  With f = d - d//p0 - d//p1 - 1 the floor
     identity reads d//pinf = f: f = 0 leaves only pinf = inf (a canonical
     finite pinf has d//pinf >= 1), and f > 0 a finite pinf >= p1 in
     (d//(f + 1), d//f].  With 1 - 1/p0 - 1/p1 = a/b (a > 0 once f > 0, as
     a <= 0 only at p0 = p1 = 2, where f <= 0), hyperbolicity reads
-    pinf > b//a and d * (-chi) <= 1 reads pinf (d a - b) <= d b.
+    pinf > b//a.  (p0, inf, inf) needs d - d//p0 = 1.
     """
     out = []
     for d in range(2, d_max + 1):
-        pool = list(range(2, d + 1)) + [INF]
-        for i, p0 in enumerate(pool):
-            if p0 is INF or d * (p0 - 3) > p0:
+        for p0 in range(2, d + 1):
+            if d * (p0 - 3) > p0:
                 break
-            for p1 in pool[i:]:
-                if p1 is INF:
-                    # (p0, inf, inf): -chi = 1 - 1/p0 > 0, and f must be 0
-                    if d * (p0 - 1) <= p0 and d - d // p0 == 1:
-                        out.append((TripleSpec(p0, INF, INF), d))
-                    break
+            if d - d // p0 == 1:
+                out.append((p0, INF, INF, d, p0 - 1, p0))
+            for p1 in range(p0, d + 1):
                 a, b = p0 * p1 - p1 - p0, p0 * p1
                 if d * (a - p0) > b:
                     break
                 f = d - d // p0 - d // p1 - 1
-                if f == 0 and 0 < a and d * a <= b:
-                    out.append((TripleSpec(p0, p1, INF), d))
+                if f == 0 and 0 < a:
+                    out.append((p0, p1, INF, d, a, b))
                 elif f > 0:
-                    hi = d // f if d * a <= b else min(d // f, d * b // (d * a - b))
-                    for pinf in range(max(p1 - 1, d // (f + 1), b // a) + 1, hi + 1):
-                        out.append((TripleSpec(p0, p1, pinf), d))
-    out.sort(key=lambda e: (e[0].entries, e[1]))
+                    for pinf in range(max(p1 - 1, d // (f + 1), b // a) + 1, d // f + 1):
+                        out.append((p0, p1, pinf, d, a * pinf - b, b * pinf))
+    out.sort()
     return tuple(out)
 
 
@@ -115,11 +111,15 @@ def enumerate_candidates(n: int, d_max: int = DEFAULT_DMAX) -> List[Tuple[Triple
 
     Canonical means every finite entry is <= d: a branch point of weight
     p > d has no index-p preimage, so it acts exactly like weight inf and
-    the triple is rewritten with inf there.
+    the triple is rewritten with inf there.  The chi inequality is decided on
+    the sweep's rows (at pinf = inf it is the n = 0 case, which every row
+    passes), so a TripleSpec is built only for a kept row.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    return [(t, d) for t, d in _candidate_pairs(d_max) if chi_inequality_holds(t, d, n)]
+    return [(TripleSpec(p0, p1, pinf), d)
+            for p0, p1, pinf, d, num, den in _candidate_rows(d_max)
+            if pinf is INF or d * num * pinf <= den * (pinf - n)]
 
 
 @lru_cache(maxsize=None)

@@ -5,11 +5,12 @@ import hashlib
 import json
 import re
 import shlex
+import sys
 from pathlib import Path
 
 import pytest
 
-from garnier import cli, covers
+from garnier import covers, enumeration
 from garnier.cli import COMMANDS, build_parser, main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -349,21 +350,37 @@ def test_verify_deg4_bad_seed_env_exits_2(capsys, monkeypatch):
 
 
 def _subcommands(parser):
-    (action,) = [a for a in parser._actions
-                 if isinstance(a, argparse._SubParsersAction)]
-    return list(action.choices)
+    return [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
 
 
 def test_build_parser_builds_the_named_subcommand_only():
-    assert _subcommands(build_parser()) == list(COMMANDS)
+    (action,) = _subcommands(build_parser())
+    assert list(action.choices) == list(COMMANDS)
     assert len(COMMANDS) == 6
     for name in COMMANDS:
-        assert _subcommands(build_parser(name)) == [name]
+        parser = build_parser(name)
+        assert _subcommands(parser) == []
+        assert parser.prog == f"garnier {name}"
 
 
 def _outcome(capsys, argv):
     try:
         code = main(list(argv))
+    except SystemExit as exc:
+        code = ("exit", exc.code)
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def _full_parser_outcome(capsys, argv):
+    """What `main` gives when the full parser alone parses argv."""
+    try:
+        args = build_parser().parse_args(list(argv))
+        try:
+            code = args.func(args)
+        except ValueError as e:
+            print(f"error: {e}", file=sys.stderr)
+            code = 2
     except SystemExit as exc:
         code = ("exit", exc.code)
     out = capsys.readouterr()
@@ -378,11 +395,42 @@ def _outcome(capsys, argv):
     ["hurwitz", "--degree", "4"], ["chi", "--weights", "2,3,7"],
     ["classify", "--help"], ["verify-deg4", "--samples", "1"],
     ["enumerate", "--n", "-1"],
+    # where a one-command parser could part from the full one: leftovers,
+    # = and abbreviated options, --, help before a bad value, a value that
+    # looks like an option, a repeated option
+    ["tables", "--id", "T1", "-x"], ["enumerate", "--n", "5", "x", "y"],
+    ["tables", "--id=T3"], ["tables", "--i", "T2", "--js"],
+    ["tables", "--", "--id"], ["tables", "-h", "--id", "zz"],
+    ["chi", "--weights", "-2"],
+    ["chi", "--genus", "1", "--genus", "0", "--weights", "2,3,7"],
 ])
-def test_main_matches_the_full_parser(capsys, monkeypatch, argv):
-    got = _outcome(capsys, argv)
-    monkeypatch.setattr(cli, "build_parser", lambda command=None: build_parser())
-    assert got == _outcome(capsys, argv)
+def test_main_matches_the_full_parser(capsys, argv):
+    assert _outcome(capsys, argv) == _full_parser_outcome(capsys, argv)
+
+
+def _count_inits(monkeypatch, cls):
+    calls = []
+    init = cls.__init__
+
+    def counted(self, *args, **kwargs):
+        calls.append(cls)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cls, "__init__", counted)
+    return calls
+
+
+def test_tables_call_builds_one_parser_and_only_kept_triples(capsys, monkeypatch):
+    # a command's parser alone parses its arguments
+    parsers = _count_inits(monkeypatch, argparse.ArgumentParser)
+    assert main(["tables", "--id", "T1"]) == 0
+    assert len(parsers) == 1
+    # the sweep builds no TripleSpec; the 13 five-point candidates are built
+    # from its integer rows
+    enumeration._candidate_rows.cache_clear()
+    triples = _count_inits(monkeypatch, enumeration.TripleSpec)
+    assert len(enumeration.enumerate_candidates(5)) == 13
+    assert len(triples) == 13
 
 
 def test_commands_match_readme_usage():

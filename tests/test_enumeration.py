@@ -14,7 +14,6 @@ from garnier.enumeration import (
     TripleSpec,
     VerdictKind,
     _T2_EXTRA,
-    _candidate_pairs,
     _fiber_options,
     chi_inequality_holds,
     complete_profiles,
@@ -198,6 +197,10 @@ def test_enumerate_candidates_matches_cube_sweep():
     # 7, 12 and 43 reach the f = 0 (pinf = inf) case and the edges of the
     # pinf interval the sweep solves the floor identity for
     full = _cube_sweep(43)
+    for es, d, neg_chi in full:
+        # the floor identity alone gives d * (-chi) <= 1, the chi inequality
+        # at n = 0, so the sweep tests no bound on d * (-chi)
+        assert d * neg_chi == 1 - sum(Fraction(d % p, p) for p in es if p is not INF)
     for d_max in (2, 3, 7, 10, 12, 42, 43):
         cube = [e for e in full if e[1] <= d_max]
         for n in range(14):
@@ -209,8 +212,14 @@ def test_enumerate_candidates_matches_cube_sweep():
 
 
 def test_candidate_pairs_are_canonical():
-    # a finite entry above d would be weight inf written another way
-    for t, d in _candidate_pairs(60):
+    # at n = 0 the chi inequality reads d * (-chi) <= 1, which the floor
+    # identity implies, so these are all the n-independent pairs: 62, and
+    # none above d = 42
+    pairs = enumerate_candidates(0, 60)
+    assert len(pairs) == 62
+    assert max(d for _, d in pairs) == 42
+    for t, d in pairs:
+        # a finite entry above d would be weight inf written another way
         assert all(p is INF or p <= d for p in t.entries), (t, d)
         assert floor_identity_holds(t, d)
 

@@ -6,16 +6,18 @@ full parser, whose messages list every command.
 
 Exit codes: 0 on success, 1 when a verification fails (golden mismatch,
 failed family checks, too many rejected draws), 2 on usage errors.
+
+Each garnier call is a fresh process, and most commands spend more time
+importing than working, so the stdlib modules that only one branch uses are
+imported inside that branch: json for the two --json payloads, difflib and
+importlib.resources for the --golden check.
 """
 from __future__ import annotations
 
 import argparse
-import difflib
-import json
 import os
 import sys
 from fractions import Fraction
-from importlib import resources
 from typing import Optional
 
 from .covers import RejectedDraws, verify_family
@@ -102,6 +104,7 @@ def _cmd_tables(args) -> int:
                          f"--golden cannot check --dmax {args.dmax}")
     table = reproduce_table(args.id, args.dmax)
     if args.json:
+        import json
         payload = {"id": table.table_id, "title": table.title,
                    "header": list(table.header),
                    "rows": [list(r) for r in table.rows]}
@@ -109,6 +112,8 @@ def _cmd_tables(args) -> int:
     else:
         text = render_table(table)
     if args.golden:
+        import difflib
+        from importlib import resources
         name = f"{table.table_id.lower()}.txt"
         want = resources.files("garnier").joinpath("goldens", name).read_text("utf-8")
         if text == want:
@@ -157,6 +162,7 @@ def _cmd_verify(args) -> int:
         print(f"verify-deg4: FAIL ({e})", file=sys.stderr)
         return 1
     if args.json:
+        import json
         print(json.dumps(report.to_dict(), indent=2))
         return 0 if report.ok else 1
     for i, r in enumerate(report.records):

@@ -25,10 +25,9 @@ checks each identity of the construction once, as a named check.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .exactalg import (ALPHA, ONE, ZERO, Poly, QuadElement, discriminant,
                        evaluate_rows as evaluate_st, exact_sqrt, format_quad)
@@ -50,19 +49,50 @@ DRAW_BOUND = 20
 _q = QuadElement.coerce
 
 
-@dataclass(frozen=True)
-class DegFourParams:
+class _Frozen:
+    """Base of the immutable value types, a copy of orbifold.Frozen (covers
+    imports no layer but exactalg).  A subclass stores its fields in
+    __slots__, set once in __init__ through object.__setattr__; equality and
+    hash take the type and the fields named in _fields, and repr shows those."""
+
+    __slots__ = ()
+    _fields: Tuple[str, ...] = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+
+class DegFourParams(_Frozen):
     """Coefficients (a0, a1, c) of the covering; solution_record checks
     that they lie on the surface phi(1) = 1."""
 
+    __slots__ = _fields = ("a0", "a1", "c")
     a0: QuadElement
     a1: QuadElement
     c: QuadElement
 
-    def __post_init__(self):
-        object.__setattr__(self, "a0", _q(self.a0))
-        object.__setattr__(self, "a1", _q(self.a1))
-        object.__setattr__(self, "c", _q(self.c))
+    def __init__(self, a0, a1, c):
+        object.__setattr__(self, "a0", _q(a0))
+        object.__setattr__(self, "a1", _q(a1))
+        object.__setattr__(self, "c", _q(c))
         if not self.a0:
             raise DegenerateInput("a0 = 0 collapses the double fiber")
         if self.c == 0 or self.c == 1:
@@ -83,15 +113,15 @@ def phi_from_params(p: DegFourParams) -> Tuple[Poly, Poly]:
     return num, den
 
 
-@dataclass(frozen=True)
-class STPoint:
+class STPoint(_Frozen):
     """Chart point of the branch-point surface."""
 
+    __slots__ = _fields = ("s", "t")
     s: QuadElement
     t: QuadElement
 
-    def __post_init__(self):
-        s, t = _q(self.s), _q(self.t)
+    def __init__(self, s, t):
+        s, t = _q(s), _q(t)
         object.__setattr__(self, "s", s)
         object.__setattr__(self, "t", t)
         if s == 0 or s == 1 or s == -1:
@@ -197,17 +227,17 @@ def free_critical_quadratic(pt: STPoint
     return b, c_val, disc, fval, rho
 
 
-@dataclass(frozen=True)
-class UVPoint:
+class UVPoint(_Frozen):
     """Chart point of the double cover on which the free critical points
     are rational; vprime is the pencil parameter of the conic through it."""
 
+    __slots__ = _fields = ("u", "v", "vprime")
     u: QuadElement
     v: QuadElement
-    vprime: QuadElement = field(init=False)
+    vprime: QuadElement
 
-    def __post_init__(self):
-        u, v = _q(self.u), _q(self.v)
+    def __init__(self, u, v):
+        u, v = _q(u), _q(v)
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "v", v)
         if not v or v ** 2 == 1:
@@ -232,8 +262,7 @@ def uv_lift(uv: UVPoint) -> STPoint:
     return STPoint(s, t)
 
 
-@dataclass(frozen=True)
-class SolutionRecord:
+class SolutionRecord(NamedTuple):
     """One exactly verified member of the algebraic solution family."""
 
     uv: UVPoint
@@ -362,8 +391,7 @@ def draw_uv(rng: random.Random) -> UVPoint:
             continue
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(NamedTuple):
     samples: int
     seed: int
     records: Tuple[SolutionRecord, ...]

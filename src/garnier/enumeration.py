@@ -6,29 +6,32 @@ of the classification tables.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import product
 from math import gcd, lcm, prod
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .fuchsian import (Exponent, Theta, hypergeometric_signature, is_elementary,
                        pullback_exponents)
-from .orbifold import INF, RamificationProfile, partitions_of
+from .orbifold import INF, Frozen, RamificationProfile, partitions_of
 
 DEFAULT_DMAX = 42
+# No candidate has a larger degree; see _candidate_rows.
+DEGREE_BOUND = 42
 
 
-@dataclass(frozen=True)
-class TripleSpec:
+class TripleSpec(Frozen):
     """Weights (p0 <= p1 <= pinf) of a hyperbolic genus-0 triple; entries are
     integers >= 2 or inf.  neg_chi is -chi = 1 - sum of 1/p as (num, den) in
-    integers, den the product of the finite entries (1/inf reads as 0)."""
+    integers, den the product of the finite entries (1/inf reads as 0); it
+    follows from the entries, so equality, hash and repr leave it out."""
 
+    __slots__ = ("entries", "neg_chi")
+    _fields = ("entries",)
     entries: Tuple[object, object, object]
-    neg_chi: Tuple[int, int] = field(compare=False, repr=False)
+    neg_chi: Tuple[int, int]
 
     def __init__(self, p0, p1, pinf):
         finite = [p for p in (p0, p1, pinf) if p is not INF]
@@ -73,9 +76,14 @@ def _candidate_rows(d_max: int) -> Tuple[Tuple[object, ...], ...]:
 
     The floor identity implies d * (-chi) <= 1, the chi inequality at n = 0,
     as d * (-chi) = d - sum of d/p = 1 - sum of frac(d/p); so that bound only
-    stops the loops.  -chi grows along each entry, so the p0 and p1 loops
-    stop at the first entry whose least -chi exceeds 1/d: d(p0 - 3) > p0,
-    then d(p0 p1 - p1 - 2 p0) > p0 p1.
+    stops the loops.  It also caps d at DEGREE_BOUND = 42, whatever d_max:
+    -chi >= 1/42 on every hyperbolic triple, as p0 >= 3 gives at least 1/12
+    (3,3,4), p0 = 2 and p1 >= 4 at least 1/20 (2,4,5), and (2,3,pinf) gives
+    1/6 - 1/pinf, positive only from pinf = 7.
+
+    -chi grows along each entry, so the p0 and p1 loops stop at the first
+    entry whose least -chi exceeds 1/d: d(p0 - 3) > p0, then
+    d(p0 p1 - p1 - 2 p0) > p0 p1.
 
     pinf is solved outright.  With f = d - d//p0 - d//p1 - 1 the floor
     identity reads d//pinf = f: f = 0 leaves only pinf = inf (a canonical
@@ -85,7 +93,7 @@ def _candidate_rows(d_max: int) -> Tuple[Tuple[object, ...], ...]:
     pinf > b//a.  (p0, inf, inf) needs d - d//p0 = 1.
     """
     out = []
-    for d in range(2, d_max + 1):
+    for d in range(2, min(d_max, DEGREE_BOUND) + 1):
         for p0 in range(2, d + 1):
             if d * (p0 - 3) > p0:
                 break
@@ -163,8 +171,7 @@ class VerdictKind(Enum):
     IMPOSSIBLE = "IMPOSSIBLE"
 
 
-@dataclass(frozen=True)
-class CandidateVerdict:
+class CandidateVerdict(NamedTuple):
     kind: VerdictKind
     deficit: Optional[int] = None
 
@@ -252,8 +259,7 @@ def multipoint_complete_search(k: int, weight_cap: int = 12
     return hits
 
 
-@dataclass(frozen=True)
-class Table:
+class Table(NamedTuple):
     table_id: str
     title: str
     header: Tuple[str, ...]
@@ -322,7 +328,8 @@ def _t3_table(d_max: int) -> Table:
     families: finite entries fixed, the rest a free symbol p.
 
     The degrees are recomputed with the symbol treated as larger than any
-    degree in range, i.e. as inf in both filters, without canonicalizing.
+    degree in range, i.e. as inf in both filters, without canonicalizing;
+    both hold only up to DEGREE_BOUND, as in _candidate_rows.
     """
     families = {}
     for t, _ in enumerate_candidates(6, d_max):
@@ -331,7 +338,7 @@ def _t3_table(d_max: int) -> Table:
     rows = []
     for prefix, t in sorted(families.items()):
         name = "(" + ",".join([str(q) for q in prefix] + ["p"] * (3 - len(prefix))) + ")"
-        degrees = [str(d) for d in range(2, d_max + 1)
+        degrees = [str(d) for d in range(2, min(d_max, DEGREE_BOUND) + 1)
                    if floor_identity_holds(t, d) and chi_inequality_holds(t, d, 6)]
         rows.append((name, ",".join(degrees)))
     return Table("T3", "six-point candidate families", ("family", "degrees"), tuple(rows))

@@ -10,23 +10,23 @@ do with an orbifold's weights.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Tuple, Union
+from typing import NamedTuple, Tuple, Union
 
-from .orbifold import (INF, CurvatureClass, OrbifoldStructure, RamificationProfile,
-                       classify, underlying)
+from .orbifold import (INF, CurvatureClass, Frozen, OrbifoldStructure,
+                       RamificationProfile, classify, underlying)
 
 
-@dataclass(frozen=True)
-class Theta:
+class Theta(Frozen):
     """k * theta for the generic exponent theta, k an int >= 1."""
 
-    k: int = 1
+    __slots__ = _fields = ("k",)
+    k: int
 
-    def __post_init__(self):
-        if type(self.k) is not int or self.k < 1:
-            raise ValueError(f"theta multiple must be an int >= 1, got {self.k!r}")
+    def __init__(self, k: int = 1):
+        if type(k) is not int or k < 1:
+            raise ValueError(f"theta multiple must be an int >= 1, got {k!r}")
+        object.__setattr__(self, "k", k)
 
     def __rmul__(self, m: int) -> "Theta":
         return self if m == 1 else Theta(m * self.k)
@@ -38,14 +38,15 @@ class Theta:
 Exponent = Union[Fraction, Theta]
 
 
-@dataclass(frozen=True)
-class FuchsianSignature:
+class FuchsianSignature(Frozen):
+    __slots__ = _fields = ("genus", "exponents")
     genus: int
     exponents: Tuple[Exponent, ...]
 
-    def __post_init__(self):
+    def __init__(self, genus: int, exponents):
+        object.__setattr__(self, "genus", genus)
         object.__setattr__(self, "exponents", tuple(
-            e if type(e) in (Fraction, Theta) else Fraction(e) for e in self.exponents))
+            e if type(e) in (Fraction, Theta) else Fraction(e) for e in exponents))
 
 
 def hypergeometric_signature(e0, e1, einf) -> FuchsianSignature:
@@ -68,8 +69,7 @@ def orbifold_of(sig: FuchsianSignature) -> OrbifoldStructure:
     return OrbifoldStructure(sig.genus, map(_weight_of, sig.exponents))
 
 
-@dataclass(frozen=True)
-class PulledBackSignature:
+class PulledBackSignature(NamedTuple):
     exponents: Tuple[Exponent, ...]
     apparent_count: int
 

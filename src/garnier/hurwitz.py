@@ -30,12 +30,11 @@ built once per query, and composes the entry only on a hit.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from itertools import combinations, permutations
 from math import factorial
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
-from .orbifold import partitions_of
+from .orbifold import Frozen, partitions_of
 
 Perm = Tuple[int, ...]
 
@@ -298,18 +297,28 @@ def factor_into_transpositions(h: Perm, k: int,
     return out + [transposition(d, 0, 1) for _ in range(spare)]
 
 
-@dataclass(frozen=True)
-class PermutationTuple:
+class PermutationTuple(NamedTuple):
     degree: int
     perms: Tuple[Perm, ...]
 
 
-@dataclass(frozen=True)
-class RealizabilityCertificate:
+class RealizabilityCertificate(Frozen):
+    """The answer to one query: the realising tuple when it exists, the
+    search counters, and why none exists otherwise.  stats defaults to a
+    fresh dict per certificate."""
+
+    __slots__ = _fields = ("exists", "tuple_", "stats", "reason")
     exists: bool
     tuple_: Optional[PermutationTuple]
-    stats: Dict[str, int] = field(default_factory=dict)
-    reason: str = ""
+    stats: Dict[str, int]
+    reason: str
+
+    def __init__(self, exists: bool, tuple_: Optional[PermutationTuple],
+                 stats: Optional[Dict[str, int]] = None, reason: str = ""):
+        object.__setattr__(self, "exists", exists)
+        object.__setattr__(self, "tuple_", tuple_)
+        object.__setattr__(self, "stats", {} if stats is None else stats)
+        object.__setattr__(self, "reason", reason)
 
 
 def format_perm(p: Perm) -> str:

@@ -6,7 +6,6 @@ included, in the order given; a covering's partitions pair with them by position
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import List, Optional, Tuple, Union
@@ -57,6 +56,36 @@ def weight_reciprocal(w) -> Fraction:
     return Fraction(0) if w is INF else Fraction(1, w)
 
 
+class Frozen:
+    """Base of the immutable value types.  A subclass stores its fields in
+    __slots__, set once in __init__ through object.__setattr__; equality and
+    hash take the type and the fields named in _fields, and repr shows those."""
+
+    __slots__ = ()
+    _fields: Tuple[str, ...] = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+
 class CurvatureClass(Enum):
     SPHERICAL = "SPHERICAL"
     EUCLIDEAN = "EUCLIDEAN"
@@ -64,11 +93,11 @@ class CurvatureClass(Enum):
     NOT_UNIFORMIZABLE = "NOT_UNIFORMIZABLE"
 
 
-@dataclass(frozen=True)
-class OrbifoldStructure:
+class OrbifoldStructure(Frozen):
     """Genus plus the weights of its marked points, all kept in the order
     given; weights() and n_points() skip weight-1 points, which carry no data."""
 
+    __slots__ = _fields = ("genus", "support")
     genus: int
     support: Tuple[Weight, ...]
 
@@ -96,8 +125,7 @@ def euler_char(o: OrbifoldStructure) -> Fraction:
     return chi
 
 
-@dataclass(frozen=True)
-class RamificationProfile:
+class RamificationProfile(Frozen):
     """Branch data of a covering of the line: the degree d and one partition
     of d per marked base point, in order.
 
@@ -106,6 +134,7 @@ class RamificationProfile:
     fibers already branch too much.
     """
 
+    __slots__ = _fields = ("degree", "partitions")
     degree: int
     partitions: Tuple[Tuple[int, ...], ...]
 

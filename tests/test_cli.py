@@ -160,6 +160,16 @@ def test_tables_stdout_pinned(capsys, extra, tid):
     assert hashlib.sha256(out.encode()).hexdigest() == _TABLE_STDOUT_SHA256[extra][tid]
 
 
+@pytest.mark.parametrize("argv", [["tables", "--id", tid] for tid in enumeration.TABLE_IDS]
+                         + [["enumerate", "--n", "5"], ["enumerate", "--n", "6"]])
+def test_dmax_past_the_degree_bound_prints_the_default_output(capsys, argv):
+    # no candidate has degree above 42, so a larger bound adds no row and no
+    # T3 degree, and the sweep stops at 42 instead of walking every degree
+    want = run(capsys, *argv)
+    assert want[0] == 0
+    assert run(capsys, *argv, "--dmax", "1000000000") == want
+
+
 def test_tables_bad_id_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["tables", "--id", "T9"])

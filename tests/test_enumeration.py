@@ -224,6 +224,13 @@ def test_candidate_pairs_are_canonical():
         assert floor_identity_holds(t, d)
 
 
+def test_candidate_rows_stop_at_the_degree_bound():
+    assert garnier.enumeration.DEGREE_BOUND == 42
+    rows = garnier.enumeration._candidate_rows(42)
+    assert max(row[3] for row in rows) == 42
+    assert garnier.enumeration._candidate_rows(10**9) == rows
+
+
 def test_enumerate_candidates_fresh_list():
     first = enumerate_candidates(5)
     want = list(first)

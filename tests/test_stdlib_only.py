@@ -57,22 +57,40 @@ def test_layers_import_only_their_allowed_modules():
         assert used <= allowed, (name, sorted(used - allowed))
 
 
-def _garnier_modules_after(statement: str):
-    """The garnier.* modules a fresh interpreter holds after the statement."""
-    code = (f"{statement}\nimport sys\n"
-            "print(sorted(m for m in sys.modules if m.startswith('garnier.')))\n"
-            "print(sys.modules['garnier'].__file__)")
+def _modules_after(statement: str):
+    """The modules a fresh interpreter holds after the statement."""
+    code = (f"{statement}\nimport sys\nprint(sorted(sys.modules))\n"
+            "print(getattr(sys.modules.get('garnier'), '__file__', ''))")
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout.splitlines()
-    assert Path(out[1]).resolve() == SRC / "__init__.py"
+    if "garnier" in statement:
+        assert Path(out[1]).resolve() == SRC / "__init__.py"
     return ast.literal_eval(out[0])
+
+
+def _garnier_modules_after(statement: str):
+    return [m for m in _modules_after(statement) if m.startswith("garnier.")]
 
 
 def test_importing_a_layer_loads_only_that_layer():
     # the package re-exports nothing, so a caller pays only for what it imports
     assert _garnier_modules_after("import garnier") == []
     assert _garnier_modules_after("import garnier.orbifold") == ["garnier.orbifold"]
+
+
+# stdlib modules no command needs at start-up: dataclasses pulls in inspect,
+# ast, dis and tokenize; the cli loads difflib, json and importlib.resources
+# only for --golden and --json
+START_UP_UNNEEDED = {"dataclasses", "inspect", "ast", "dis", "tokenize", "difflib",
+                     "json", "importlib.resources"}
+
+
+def test_start_up_loads_no_unneeded_stdlib_module():
+    bare = set(_modules_after("pass"))
+    loaded = set(_modules_after("import garnier, garnier.cli; garnier.cli.build_parser()"))
+    assert {"garnier.cli", "argparse"} <= loaded
+    assert sorted((loaded - bare) & START_UP_UNNEEDED) == []
 
 
 # at least 15% below the package's 2,920 lines at the start of this design

@@ -66,8 +66,7 @@ def _int_at_least(lo: int):
 
 def _cmd_chi(args) -> int:
     o = OrbifoldStructure(args.genus, args.weights)
-    target = o if o.is_integral() else underlying(o)
-    print(f"{euler_char(o)}, {classify(target).value}")
+    print(f"{euler_char(o)}, {classify(underlying(o)).value}")
     return 0
 
 

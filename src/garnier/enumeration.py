@@ -13,13 +13,16 @@ from itertools import product
 from math import gcd, lcm, prod
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
-from .fuchsian import (Exponent, Theta, hypergeometric_signature, is_elementary,
+from .fuchsian import (Theta, hypergeometric_signature, is_elementary,
                        pullback_exponents)
 from .orbifold import INF, Frozen, RamificationProfile, partitions_of
 
-DEFAULT_DMAX = 42
-# No candidate has a larger degree; see _candidate_rows.
-DEGREE_BOUND = 42
+# No candidate has a larger degree, so it is also the default; see _candidate_rows.
+DEGREE_BOUND = DEFAULT_DMAX = 42
+
+
+def _fmt_tuple(items: Sequence[object]) -> str:
+    return "(" + ",".join(str(x) for x in items) + ")"
 
 
 class TripleSpec(Frozen):
@@ -51,7 +54,7 @@ class TripleSpec(Frozen):
         return self.entries[2]
 
     def __str__(self):
-        return "(" + ",".join(str(p) for p in self.entries) + ")"
+        return _fmt_tuple(self.entries)
 
 
 def floor_identity_holds(t: TripleSpec, d: int) -> bool:
@@ -68,11 +71,12 @@ def chi_inequality_holds(t: TripleSpec, d: int, n: int) -> bool:
     return d * num * t.pinf <= den * (t.pinf - n)
 
 
-@lru_cache(maxsize=None)
 def _candidate_rows(d_max: int) -> Tuple[Tuple[object, ...], ...]:
     """The n-independent candidates as integer rows (p0, p1, pinf, d, num,
     den), sorted as the triples sort: the canonical hyperbolic p0 <= p1 <= pinf
     (INF for inf) with the floor identity at d, -chi = num/den as in neg_chi.
+    Each command calls enumerate_candidates once, so the rows are computed
+    once per command and not cached.
 
     The floor identity implies d * (-chi) <= 1, the chi inequality at n = 0,
     as d * (-chi) = d - sum of d/p = 1 - sum of frac(d/p); so that bound only
@@ -266,10 +270,6 @@ class Table(NamedTuple):
     rows: Tuple[Tuple[str, ...], ...]
 
 
-def _fmt_exps(exps: Sequence[Exponent]) -> str:
-    return "(" + ",".join(str(e) for e in exps) + ")"
-
-
 def _t1_table(d_max: int) -> Table:
     rows = []
     for t, d, profile in complete_profiles(5, d_max):
@@ -314,8 +314,8 @@ def _family_table(table_id: str, n: int, extra, title: str, d_max: int) -> Table
             if is_elementary(sig):
                 continue
             pulled = pullback_exponents(sig, profile)
-            rows.append((str(t), str(d), str(profile), _fmt_exps(sig.exponents),
-                         _fmt_exps(pulled.exponents), f"apparent={pulled.apparent_count}",
+            rows.append((str(t), str(d), str(profile), _fmt_tuple(sig.exponents),
+                         _fmt_tuple(pulled.exponents), f"apparent={pulled.apparent_count}",
                          f"N={profile.free_points}",
                          str(verdict(profile, len(pulled.exponents)))))
     return Table(table_id, title,
@@ -327,9 +327,10 @@ def _t3_table(d_max: int) -> Table:
     """Six-point candidates with an inf entry, grouped into one-parameter
     families: finite entries fixed, the rest a free symbol p.
 
-    The degrees are recomputed with the symbol treated as larger than any
-    degree in range, i.e. as inf in both filters, without canonicalizing;
-    both hold only up to DEGREE_BOUND, as in _candidate_rows.
+    The degrees are recomputed with the symbol treated as inf, without
+    canonicalizing, from the floor identity alone: at pinf = inf the chi
+    inequality is d * (-chi) <= 1, which the identity implies, and both
+    hold only up to DEGREE_BOUND (see _candidate_rows).
     """
     families = {}
     for t, _ in enumerate_candidates(6, d_max):
@@ -337,10 +338,9 @@ def _t3_table(d_max: int) -> Table:
             families.setdefault(tuple(p for p in t.entries if p is not INF), t)
     rows = []
     for prefix, t in sorted(families.items()):
-        name = "(" + ",".join([str(q) for q in prefix] + ["p"] * (3 - len(prefix))) + ")"
         degrees = [str(d) for d in range(2, min(d_max, DEGREE_BOUND) + 1)
-                   if floor_identity_holds(t, d) and chi_inequality_holds(t, d, 6)]
-        rows.append((name, ",".join(degrees)))
+                   if floor_identity_holds(t, d)]
+        rows.append((_fmt_tuple(prefix + ("p",) * (3 - len(prefix))), ",".join(degrees)))
     return Table("T3", "six-point candidate families", ("family", "degrees"), tuple(rows))
 
 

@@ -380,7 +380,7 @@ class _Pool:
 def verify_tuple(perms: Sequence[Perm], types: Sequence[Sequence[int]],
                  degree: int) -> bool:
     """Each entry a permutation of range(degree), requested cycle types,
-    product identity, transitivity."""
+    product identity (the empty product included), transitivity."""
     if len(perms) != len(types):
         return False
     points = set(range(degree))
@@ -389,7 +389,8 @@ def verify_tuple(perms: Sequence[Perm], types: Sequence[Sequence[int]],
             return False
         if cycle_type(p) != tuple(sorted(t, reverse=True)):
             return False
-    return compose(*perms) == identity(degree) and is_transitive(perms, degree)
+    return (compose(identity(degree), *perms) == identity(degree)
+            and is_transitive(perms, degree))
 
 
 def find_tuple(types: Sequence[Sequence[int]], degree: int) -> RealizabilityCertificate:
@@ -407,7 +408,8 @@ def find_tuple(types: Sequence[Sequence[int]], degree: int) -> RealizabilityCert
     generated lazily in a fixed order, each element at most once per query
     and complete once its last non-fixed cycle is placed, so the walk, its
     first hit, stats and reason do not depend on how far the pools have
-    been generated.
+    been generated.  Degree 1 takes the same path: its one h factors into
+    the empty tuple.
     """
     if degree < 1:
         raise ValueError("degree must be >= 1")
@@ -422,9 +424,6 @@ def find_tuple(types: Sequence[Sequence[int]], degree: int) -> RealizabilityCert
     if sum(degree - len(t) for t in norm_types) % 2 != 0:
         return RealizabilityCertificate(False, None, stats,
                                         "odd total branching, no tuple has identity product")
-    if degree == 1:
-        tup = PermutationTuple(1, tuple((0,) for _ in norm_types))
-        return RealizabilityCertificate(True, tup, stats)
 
     work = [t for t in norm_types if not _is_identity_type(t)]
     n_tau = sum(1 for t in work if _is_transposition_type(t))

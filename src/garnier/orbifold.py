@@ -30,12 +30,6 @@ class _Infinity:
     def __gt__(self, other):
         return not isinstance(other, _Infinity)
 
-    def __le__(self, other):
-        return isinstance(other, _Infinity)
-
-    def __ge__(self, other):
-        return True
-
 
 INF = _Infinity()
 

@@ -237,7 +237,8 @@ def test_hurwitz_not_exists(capsys):
 
 
 def test_hurwitz_stdout_is_pinned(capsys):
-    # the two README calls and the d = 12 T4 row with its two free points
+    # the two README calls, degree 1 and the d = 12 T4 row with its two
+    # free points
     fixed = ",".join(["1"] * 10)
     calls = [
         ("4", "2,2;3,1;1,1,1,1;2,1,1;2,1,1", [
@@ -248,6 +249,7 @@ def test_hurwitz_stdout_is_pinned(capsys):
             "[2,1,1] (2 3)",
             "[2,1,1] (2 4)"]),
         ("4", "2,2;2,2;3,1", ["NOT_EXISTS (search space exhausted)"]),
+        ("1", "1;1;1", ["EXISTS", "[1] id", "[1] id", "[1] id"]),
         ("12", f"2,2,2,2,2,2;3,3,3,3;7,1,1,1,1,1;2,{fixed};2,{fixed}", [
             "EXISTS",
             "[2,2,2,2,2,2] (1 7)(2 3)(4 6)(5 8)(9 10)(11 12)",
@@ -437,7 +439,6 @@ def test_tables_call_builds_one_parser_and_only_kept_triples(capsys, monkeypatch
     assert len(parsers) == 1
     # the sweep builds no TripleSpec; the 13 five-point candidates are built
     # from its integer rows
-    enumeration._candidate_rows.cache_clear()
     triples = _count_inits(monkeypatch, enumeration.TripleSpec)
     assert len(enumeration.enumerate_candidates(5)) == 13
     assert len(triples) == 13

@@ -231,6 +231,28 @@ def test_candidate_rows_stop_at_the_degree_bound():
     assert garnier.enumeration._candidate_rows(10**9) == rows
 
 
+def test_floor_identity_implies_the_chi_inequality_at_pinf_inf():
+    # T3's degrees and the sweep test only the floor identity: with an inf
+    # entry it gives d * (-chi) = 1 - sum of frac(d/p) <= 1, every n's bound
+    entries = list(range(2, 43)) + [INF]
+    checked = 0
+    for p0, p1 in combinations_with_replacement(entries, 2):
+        if (p0, p1) == (2, 2):
+            continue  # (2,2,inf) is not hyperbolic
+        t = TripleSpec(p0, p1, INF)
+        for d in range(2, 43):
+            if floor_identity_holds(t, d):
+                checked += 1
+                assert all(chi_inequality_holds(t, d, n) for n in range(13)), (t, d)
+    assert checked == 46
+
+
+def test_candidate_rows_need_no_chi_test():
+    rows = garnier.enumeration._candidate_rows(42)
+    assert len(rows) == 62
+    assert all(d * num <= den for _, _, _, d, num, den in rows)
+
+
 def test_enumerate_candidates_fresh_list():
     first = enumerate_candidates(5)
     want = list(first)

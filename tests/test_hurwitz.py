@@ -11,6 +11,7 @@ import pytest
 from garnier import hurwitz
 from garnier.hurwitz import (
     MAX_DEGREE,
+    PermutationTuple,
     _has_cycle_type,
     canonical_perm,
     cayley_norm,
@@ -245,6 +246,9 @@ def test_verify_tuple():
     # intransitive tuples fail even with identity product
     t = (1, 0, 2, 3)
     assert not verify_tuple([t, t], [(2, 1, 1)] * 2, 4)
+    # the empty product is the identity; on three points it has three orbits
+    assert verify_tuple([], [], 1)
+    assert not verify_tuple([], [], 3)
 
 
 def test_verify_tuple_rejects_non_permutations():
@@ -254,6 +258,15 @@ def test_verify_tuple_rejects_non_permutations():
     assert not verify_tuple([(1, 2), (1, 0)], [(2,), (2,)], 2)
     assert not verify_tuple([(1, 0, 2), (1, 0)], [(2,), (2,)], 2)
     assert verify_tuple([(1, 0), (1, 0)], [(2,), (2,)], 2)
+
+
+@pytest.mark.parametrize("types", [[], [(1,)], [(1,)] * 3])
+def test_find_tuple_degree_one_takes_the_search_path(types):
+    # the one h tried is the identity, factored into no transpositions
+    cert = find_tuple(types, 1)
+    assert (cert.exists, cert.reason) == (True, "")
+    assert cert.tuple_ == PermutationTuple(1, ((0,),) * len(types))
+    assert cert.stats == {"outer": 0, "h": 1, "typehits": 0}
 
 
 def test_find_tuple_degree_four_row():

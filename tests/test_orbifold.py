@@ -85,6 +85,17 @@ def test_weights_sorted_inf_last():
     assert o.weights() == (Fraction(2), Fraction(3), INF, INF)
 
 
+def test_inf_orders_as_the_code_uses_it():
+    # sorted, max and min compare with < and > only
+    mixed = [INF, 3, Fraction(5, 2), INF, 2, Fraction(7)]
+    assert sorted(mixed) == [2, Fraction(5, 2), 3, Fraction(7), INF, INF]
+    assert max(mixed) is INF and max([2, Fraction(9, 2), 4]) == Fraction(9, 2)
+    assert min(mixed) == 2 and min([INF, Fraction(1, 3), 5]) == Fraction(1, 3)
+    assert min([INF, INF]) is INF
+    assert not INF < INF and not INF > INF
+    assert not INF < 3 and INF > 3 and 3 < INF and not 3 > INF
+
+
 def test_is_integral():
     assert structure([2, 3, INF]).is_integral()
     assert not structure([Fraction(5, 2), 3]).is_integral()
@@ -217,6 +228,21 @@ def test_underlying():
     u = underlying(o)
     assert u.weights() == (Fraction(2), Fraction(5), Fraction(7), INF)
     assert underlying(u).weights() == u.weights()
+
+
+def test_underlying_leaves_integral_structures_unchanged():
+    # so classifying underlying(o) needs no branch on is_integral()
+    rng = random.Random(20261019)
+    pool = [Fraction(w) for w in range(1, 10)] + [INF]
+    seen = set()
+    for _ in range(500):
+        o = OrbifoldStructure(rng.randint(0, 2),
+                              [rng.choice(pool) for _ in range(rng.randint(0, 5))])
+        assert o.is_integral()
+        assert underlying(o) == o
+        assert classify(underlying(o)) is classify(o)
+        seen.add(classify(o))
+    assert seen == set(CurvatureClass)
 
 
 def test_classify_branches():

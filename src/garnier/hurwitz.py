@@ -25,11 +25,12 @@ through that cycle's completion or the fixed points after it.  The
 solved-for entry (h P)^-1, P the product of the entries before it, has the
 cycle type of h P; the search tests that type by walking j -> P[h[j]]
 without building h P, against cycle counts indexed by length that are
-built once per query, and composes the entry only on a hit.
+built once per query, and composes the entry only on a hit.  The tuple
+found is put back in the requested order by braids (a, b) -> (a b a^-1, a),
+which keep the product and carry each entry's cycle type, read once.
 """
 from __future__ import annotations
 
-from collections import Counter
 from itertools import combinations, permutations
 from math import factorial
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
@@ -80,7 +81,21 @@ def cycles_of(p: Perm) -> List[Tuple[int, ...]]:
 
 
 def cycle_type(p: Perm) -> Tuple[int, ...]:
-    return tuple(sorted((len(c) for c in cycles_of(p)), reverse=True))
+    """The cycle lengths, largest first, counted without building cycles."""
+    seen = [False] * len(p)
+    lengths = []
+    for start in range(len(p)):
+        if seen[start]:
+            continue
+        seen[start] = True
+        n = 1
+        j = p[start]
+        while j != start:
+            seen[j] = True
+            n += 1
+            j = p[j]
+        lengths.append(n)
+    return tuple(sorted(lengths, reverse=True))
 
 
 def _has_cycle_type(h: Perm, p: Perm, want: List[int]) -> bool:
@@ -108,7 +123,7 @@ def _has_cycle_type(h: Perm, p: Perm, want: List[int]) -> bool:
 
 
 def cayley_norm(p: Perm) -> int:
-    return len(p) - len(cycles_of(p))
+    return len(p) - len(cycle_type(p))
 
 
 def conjugate(p: Perm, c: Perm) -> Perm:
@@ -131,7 +146,7 @@ def canonical_perm(parts: Sequence[int]) -> Perm:
 
 def class_size(d: int, parts: Sequence[int]) -> int:
     denom = 1
-    for k, a in Counter(parts).items():
+    for k, a in {k: parts.count(k) for k in parts}.items():
         denom *= k ** a * factorial(a)
     return factorial(d) // denom
 
@@ -147,7 +162,7 @@ def class_elements(d: int, parts: Sequence[int]) -> Iterator[Perm]:
     are left behind it.
     """
     img = list(range(d))
-    counts = Counter(parts)
+    counts = {k: parts.count(k) for k in parts}
     lengths = sorted(counts)
 
     def place(remaining: Dict[int, int], unused: List[int]) -> Iterator[Perm]:
@@ -183,9 +198,7 @@ def class_elements(d: int, parts: Sequence[int]) -> Iterator[Perm]:
                 img[start] = start
             remaining[k] += 1
 
-    # a plain dict: subscripting a dict subclass such as Counter is
-    # markedly slower in this recursion
-    return place(dict(counts), list(range(d)))
+    return place(counts, list(range(d)))
 
 
 def centralizer_generators(p: Perm) -> List[Perm]:
@@ -287,11 +300,12 @@ def factor_into_transpositions(h: Perm, k: int,
     other root, and cancelling pairs (0 1)(0 1) for the rest (0-based points).
     """
     d = len(h)
+    cycles = cycles_of(h)
     roots = orbit_roots(list(prefix) + [h], d)
-    spare = k - cayley_norm(h) - 2 * (len(roots) - 1)
+    spare = k - (d - len(cycles)) - 2 * (len(roots) - 1)
     if spare < 0 or spare % 2 or (spare and d < 2):
         return None
-    out = [transposition(d, cyc[0], x) for cyc in cycles_of(h) for x in cyc[1:]]
+    out = [transposition(d, cyc[0], x) for cyc in cycles for x in cyc[1:]]
     for r in roots[1:]:
         out += [transposition(d, roots[0], r)] * 2
     return out + [transposition(d, 0, 1) for _ in range(spare)]
@@ -340,22 +354,21 @@ def _braid_left(perms: List[Perm], j: int):
     """Swap entries j-1, j keeping the ordered product: (a, b) becomes
     (a b a^-1, a)."""
     a, b = perms[j - 1], perms[j]
-    perms[j - 1] = compose(a, b, inverse(a))
+    perms[j - 1] = conjugate(b, inverse(a))
     perms[j] = a
 
 
 def _reorder_to(perms: List[Perm], want_types: Sequence[Tuple[int, ...]]) -> List[Perm]:
     cur = list(perms)
+    types = [cycle_type(p) for p in cur]  # read once, carried by the braids
     for pos, want in enumerate(want_types):
-        src = None
-        for j in range(pos, len(cur)):
-            if cycle_type(cur[j]) == want:
-                src = j
-                break
-        if src is None:
+        if want not in types[pos:]:
             raise AssertionError("braid reordering lost a cycle type")
+        src = types.index(want, pos)
         for j in range(src, pos, -1):
             _braid_left(cur, j)
+        # each braid at j moved type j to j-1 and the one before it right
+        types[pos:src + 1] = [want] + types[pos:src]
     return cur
 
 

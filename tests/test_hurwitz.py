@@ -58,6 +58,24 @@ def test_cycles_and_types():
     assert format_perm(identity(4)) == "id"
 
 
+def _random_perm(rng, d):
+    img = list(range(d))
+    rng.shuffle(img)
+    return tuple(img)
+
+
+def test_cycle_type_counts_the_cycles_it_walks():
+    # the length walk against the lengths of the cycles themselves: every
+    # permutation of degree 0..6, then seeded ones of degree 7..16
+    rng = random.Random(30)
+    perms = [p for d in range(7) for p in permutations(range(d))]
+    perms += [_random_perm(rng, rng.randint(7, 16)) for _ in range(300)]
+    for p in perms:
+        cycles = cycles_of(p)
+        assert cycle_type(p) == tuple(sorted(map(len, cycles), reverse=True)), p
+        assert cayley_norm(p) == len(p) - len(cycles), p
+
+
 def test_has_cycle_type_agrees_with_cycle_type():
     # the leaf loop's early-exit test of compose(h, p), which it never
     # builds, against the full sorted cycle type of the built product
@@ -258,6 +276,77 @@ def test_verify_tuple_rejects_non_permutations():
     assert not verify_tuple([(1, 2), (1, 0)], [(2,), (2,)], 2)
     assert not verify_tuple([(1, 0, 2), (1, 0)], [(2,), (2,)], 2)
     assert verify_tuple([(1, 0), (1, 0)], [(2,), (2,)], 2)
+
+
+def test_braid_left_conjugates_and_keeps_the_product():
+    rng = random.Random(31)
+    for _ in range(300):
+        d = rng.randint(1, 9)
+        a, b = _random_perm(rng, d), _random_perm(rng, d)
+        perms = [a, b]
+        hurwitz._braid_left(perms, 1)
+        assert perms == [compose(a, b, inverse(a)), a], (a, b)
+        assert compose(*perms) == compose(a, b)
+
+
+def _scanning_reorder_to(perms, want_types):
+    """Reference: for each position, scan the remaining entries for the
+    first of the requested type and braid it left by a b a^-1."""
+    cur = list(perms)
+    for pos, want in enumerate(want_types):
+        src = next(j for j in range(pos, len(cur)) if cycle_type(cur[j]) == want)
+        for j in range(src, pos, -1):
+            a, b = cur[j - 1], cur[j]
+            cur[j - 1], cur[j] = compose(a, b, inverse(a)), a
+    return cur
+
+
+def test_reorder_to_carries_the_types_through_the_braids():
+    # repeated types and identity entries, in seeded shuffled orders
+    rng = random.Random(32)
+    d = 6
+    kinds = [(3, 2, 1), (2, 2, 1, 1), (2, 1, 1, 1, 1), (1,) * 6, (4, 2)]
+    for _ in range(200):
+        perms = []
+        for _ in range(rng.randint(1, 7)):
+            c = _random_perm(rng, d)
+            perms.append(conjugate(canonical_perm(rng.choice(kinds)), c))
+        want = [cycle_type(p) for p in perms]
+        rng.shuffle(want)
+        got = hurwitz._reorder_to(perms, want)
+        assert [cycle_type(p) for p in got] == want, (perms, want)
+        assert compose(identity(d), *got) == compose(identity(d), *perms)
+        assert got == _scanning_reorder_to(perms, want), (perms, want)
+
+
+def test_reorder_to_reports_a_missing_type_as_an_internal_error():
+    # an AssertionError, never the ValueError that the CLI reports as a
+    # usage error with exit 2
+    t = canonical_perm([2, 1])
+    for perms, want in [([t], [(3,)]),
+                        ([t, identity(3)], [(2, 1), (2, 1)]),
+                        ([t], [(2, 1), (2, 1)])]:
+        with pytest.raises(AssertionError):
+            hurwitz._reorder_to(perms, want)
+
+
+def test_find_tuple_reads_each_type_twice(monkeypatch):
+    calls = []
+    read = hurwitz.cycle_type
+
+    def counted(p):
+        calls.append(p)
+        return read(p)
+
+    monkeypatch.setattr(hurwitz, "cycle_type", counted)
+    types = [(2, 2), (1, 1, 1, 1), (3, 1), (2, 1, 1), (2, 1, 1)]
+    cert = find_tuple(types, 4)
+    assert cert.exists
+    # once per entry as _reorder_to reads it, once per entry of the result
+    # as verify_tuple checks it; scanning for each position read 14 types
+    # on this query
+    assert len(calls) == 2 * len(types)
+    assert calls[len(types):] == list(cert.tuple_.perms)
 
 
 @pytest.mark.parametrize("types", [[], [(1,)], [(1,)] * 3])
@@ -465,11 +554,12 @@ def _eager_orbit_reps(elements, gens):
     return reps
 
 
-def _three_fibre_sample(seed, per_degree):
-    """Seeded three-fibre queries at d = 6..8 with up to 3 free points."""
+def _three_fibre_sample(seed, per_degree, degrees=(6, 7, 8)):
+    """Seeded three-fibre queries at the given degrees with up to 3 free
+    points."""
     rng = random.Random(seed)
     out = []
-    for d in (6, 7, 8):
+    for d in degrees:
         kinds = [lam for lam in partitions_of(d) if lam[0] > 1]
         population = []
         for combo in combinations_with_replacement(kinds, 3):
@@ -548,12 +638,9 @@ def test_lazy_pools_match_eager_search(monkeypatch):
         assert got == find_tuple(types, d), (d, types)
 
 
-def test_find_tuple_walk_is_pinned():
-    # (exists, perms, stats, reason) on the query set above: the eager
-    # comparison runs both sides through the same leaf loop, so only pinned
-    # values catch a change in walk order, which moves the stats or the
-    # first hit
-    queries = _match_queries()
+def _pin(queries):
+    """sha256 of (exists, perms, stats, reason) over the queries, and the
+    summed stats."""
     digest = hashlib.sha256()
     totals = Counter()
     for d, types in queries:
@@ -562,10 +649,31 @@ def test_find_tuple_walk_is_pinned():
         digest.update(repr((cert.exists, perms, sorted(cert.stats.items()),
                             cert.reason)).encode())
         totals.update(cert.stats)
+    return digest.hexdigest(), totals
+
+
+def test_find_tuple_walk_is_pinned():
+    # (exists, perms, stats, reason) on the query set above: the eager
+    # comparison runs both sides through the same leaf loop, so only pinned
+    # values catch a change in walk order, which moves the stats or the
+    # first hit
+    queries = _match_queries()
+    digest, totals = _pin(queries)
     assert len(queries) == 127
     assert totals == {"outer": 6993, "h": 180, "typehits": 166}
-    assert digest.hexdigest() == (
+    assert digest == (
         "76e4139a3a5edb71b72883de90921da64b918e22e4726b7c73519c38525ea1cf")
+
+
+def test_find_tuple_walk_is_pinned_at_degrees_nine_and_ten():
+    # the shapes of the benchmark's d = 9, 10 panel, where the walk is
+    # longest; the last query walks 20,951 h
+    queries = _three_fibre_sample(1, 4, (9, 10))
+    assert [d for d, _ in queries] == [9] * 4 + [10] * 4
+    digest, totals = _pin(queries)
+    assert totals == {"outer": 22839, "h": 305, "typehits": 305}
+    assert digest == (
+        "92816cc9788a14c034c979cc4a43556a397d81ceb4be2d4a93a910f00418194a")
 
 
 def test_identity_entries_change_nothing_but_their_slots():

@@ -13,8 +13,8 @@ Algebraic Number Theory*, 1993, ch. 4), and a polynomial as integer pairs
 (a_i, b_i) over one denominator shared by all its coefficients.  The field
 and polynomial arithmetic, division, remainders (pseudo-division),
 ``exact_sqrt`` and evaluation (Horner) run on Python ints with one gcd per
-result and build no Fraction; only the ``a``, ``b`` and ``norm()``
-accessors return Fractions.  A polynomial's coefficients and values are
+result and build no Fraction; only the ``a`` and ``b`` accessors return
+Fractions.  A polynomial's coefficients and values are
 QuadElements, rational ones included.
 """
 from __future__ import annotations
@@ -106,11 +106,6 @@ class QuadElement:
     def conj(self) -> "QuadElement":
         a, b, d = self._abd
         return _quad(a, -b, d)
-
-    def norm(self) -> Fraction:
-        # (a^2 + 3 b^2) / d^2, multiplicative over Q(alpha)
-        a, b, d = self._abd
-        return Fraction(a * a + 3 * b * b, d * d)
 
     def inverse(self) -> "QuadElement":
         return _div((1, 0, 1), self._abd)
@@ -293,10 +288,6 @@ class Poly:
     @classmethod
     def const(cls, c) -> "Poly":
         return cls([c])
-
-    @classmethod
-    def x(cls) -> "Poly":
-        return cls([0, 1])
 
     @property
     def coeffs(self):

@@ -7,6 +7,10 @@ symbol theta (used for one-parameter families of equations).  A signature
 holds one exponent per singular point, in order (any other value goes through
 `Fraction`), and a covering's partitions pair with them by position, as they
 do with an orbifold's weights.
+
+A point of local index k over exponent n/q is apparent exactly when q divides
+k, and elementarity reads the denominators q alone: both run on integers, and
+a Fraction is built only for a pulled-back exponent that is kept.
 """
 from __future__ import annotations
 
@@ -14,7 +18,7 @@ from fractions import Fraction
 from typing import NamedTuple, Tuple, Union
 
 from .orbifold import (INF, CurvatureClass, Frozen, OrbifoldStructure,
-                       RamificationProfile, classify, underlying)
+                       RamificationProfile, classify)
 
 
 class Theta(Frozen):
@@ -60,6 +64,11 @@ def _weight_of(e: Exponent):
     return INF if type(e) is Theta or not e else 1 / abs(e)
 
 
+def _denominator(e: Exponent) -> int:
+    """The denominator q of a rational nonzero exponent n/q; 0 at theta and 0."""
+    return 0 if type(e) is Theta or not e else e.denominator
+
+
 def orbifold_of(sig: FuchsianSignature) -> OrbifoldStructure:
     """Weight 1/|theta| at rational nonzero theta, inf elsewhere.
 
@@ -82,26 +91,28 @@ def pullback_exponents(sig: FuchsianSignature,
 
     A point of index k over exponent theta carries exponent k*theta; it is
     apparent exactly when that is a nonzero integer (weight 1/|k*theta| of
-    numerator 1, see orbifold_of).  Apparent points are counted, not listed.
+    numerator 1, see orbifold_of), i.e. when the denominator of theta divides
+    k.  Apparent points are counted, not listed.
     """
     if len(profile.partitions) != len(sig.exponents):
         raise ValueError("need one partition per singular point")
     kept = []
     apparent = 0
     for base, parts in zip(sig.exponents, profile.partitions):
+        q = _denominator(base)
         for k in parts:
-            e = k * base
-            if type(e) is not Theta and e and e.denominator == 1:
+            if q and k % q == 0:
                 apparent += 1
             else:
-                kept.append(e)
+                kept.append(base if k == 1 else k * base)
     return PulledBackSignature(tuple(kept), apparent)
 
 
 def is_elementary(sig: FuchsianSignature) -> bool:
     """True when the equation has no transcendental hypergeometric content:
-    the underlying integral structure (weight = denominator of theta, inf at
-    theta = 0 and at generic points) fails to be hyperbolic."""
+    the integral structure weighted by the exponents' denominators (inf at
+    theta = 0 and at generic points), underlying(orbifold_of(sig)), is not hyperbolic."""
     if sig.genus != 0 or len(sig.exponents) != 3:
         raise ValueError("elementarity gate applies to three-point genus-0 data")
-    return classify(underlying(orbifold_of(sig))) != CurvatureClass.HYPERBOLIC
+    weights = [_denominator(e) or INF for e in sig.exponents]
+    return classify(OrbifoldStructure(0, weights)) != CurvatureClass.HYPERBOLIC

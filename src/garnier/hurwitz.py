@@ -122,10 +122,6 @@ def _has_cycle_type(h: Perm, p: Perm, want: List[int]) -> bool:
     return True
 
 
-def cayley_norm(p: Perm) -> int:
-    return len(p) - len(cycle_type(p))
-
-
 def conjugate(p: Perm, c: Perm) -> Perm:
     """The permutation sending c[i] to c[p[i]]; same cycle type as p."""
     out = [0] * len(p)
@@ -290,8 +286,8 @@ def factor_into_transpositions(h: Perm, k: int,
     """Transpositions t_1, ..., t_k with compose(t_1, ..., t_k) = h such that
     prefix + [t_1, ..., t_k] is transitive, or None if there are none.
 
-    With c orbits of <prefix, h>, they exist iff k >= cayley_norm(h) +
-    2(c - 1) and k has the parity of cayley_norm(h).  Necessity is
+    With c orbits of <prefix, h>, they exist iff k >= n(h) + 2(c - 1) and k
+    has the parity of n(h), the Cayley norm d - len(cycle_type(h)).  Necessity is
     Riemann-Hurwitz on each component of the transposition graph: one on v
     points covering r cycles of h needs v + r - 2 edges, and the components
     join the c orbits only if their r - 1 sum to c - 1 or more.  The

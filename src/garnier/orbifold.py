@@ -45,11 +45,6 @@ def make_weight(value) -> Weight:
     return w
 
 
-def weight_reciprocal(w) -> Fraction:
-    """1/w for a rational or integer weight, 0 for inf."""
-    return Fraction(0) if w is INF else Fraction(1, w)
-
-
 class Frozen:
     """Base of the immutable value types.  A subclass stores its fields in
     __slots__, set once in __init__ through object.__setattr__; equality and
@@ -112,11 +107,16 @@ class OrbifoldStructure(Frozen):
 
 
 def euler_char(o: OrbifoldStructure) -> Fraction:
-    """chi = 2 - 2g + sum over support of (1/p - 1); 1/inf = 0."""
-    chi = Fraction(2 - 2 * o.genus)
+    """chi = 2 - 2g + sum over support of (1/w - 1); 1/inf = 0.  Summed as
+    num/den in integers (a weight a/b adds (b - a)/a) into one Fraction."""
+    num, den = 2 - 2 * o.genus, 1
     for w in o.support:
-        chi += weight_reciprocal(w) - 1
-    return chi
+        if w is INF:
+            num -= den
+        else:
+            a, b = w.numerator, w.denominator
+            num, den = num * a + (b - a) * den, den * a
+    return Fraction(num, den)
 
 
 class RamificationProfile(Frozen):

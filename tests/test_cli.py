@@ -33,6 +33,17 @@ def test_chi(capsys):
     assert out == "-1/2, HYPERBOLIC\n"
 
 
+def test_main_reads_sys_argv_without_argv(capsys, monkeypatch):
+    # the path of the garnier script and of python -m garnier.cli
+    monkeypatch.setattr(sys, "argv", ["garnier", "chi", "--weights", "2,3,7"])
+    assert main() == 0
+    assert capsys.readouterr().out == "-1/42, HYPERBOLIC\n"
+    monkeypatch.setattr(sys, "argv", ["garnier", "chi", "--weights", "-2"])
+    assert main() == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("error: ")
+
+
 def test_chi_non_integral_uses_underlying(capsys):
     code, out, _ = run(capsys, "chi", "--weights", "5/2,3")
     assert code == 0

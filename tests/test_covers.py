@@ -90,6 +90,8 @@ def test_params_validation():
         DegFourParams(q(0), q(1), q(5))
     with pytest.raises(DegenerateInput):
         DegFourParams(q(1), q(1), q(1))
+    with pytest.raises(DegenerateInput):
+        DegFourParams(q(1), q(1), q(0))
     # off the phi(1) = 1 surface the parameters still build, and
     # solution_record's phi_fixes_0_and_1 check is what reports it
     num, den = phi_from_params(DegFourParams(q(1), q(1), q(5)))
@@ -113,7 +115,7 @@ def test_uv_lift_chart_pole():
 def test_phi_fixes_unit_fiber():
     params = params_from_st(uv_lift(UV))
     num, den = phi_from_params(params)
-    assert den == (Poly.x() - params.c) ** 3
+    assert den == (Poly([0, 1]) - params.c) ** 3
     assert num.degree() == 4 and num.evaluate(params.c) != 0
     # phi(x) = 1 where num(x) = den(x) != 0
     assert num.evaluate(q(0)) == den.evaluate(q(0)) != 0

@@ -728,6 +728,25 @@ def test_multipoint_search_builds_no_fraction(monkeypatch):
     assert made == []
 
 
+@pytest.mark.parametrize("tid, count", [("T2", 50), ("T4", 5)])
+def test_family_table_fraction_count_is_pinned(monkeypatch, tid, count):
+    # apparent points and elementarity are decided on integers: the Fractions
+    # left are the base exponents k/p, the denominators of is_elementary's
+    # structure and one chi per classify that reaches euler_char
+    reproduce_table(tid)
+    built = []
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    reproduce_table(tid)
+    monkeypatch.undo()
+    assert len(built) == count
+
+
 def test_reproduce_table_ids():
     assert TABLE_IDS == ("T1", "T2", "T3", "T4", "N2a", "N2b", "N7")
     for tid in TABLE_IDS:

@@ -165,6 +165,55 @@ def test_pullback_exponents_validation():
         pullback_exponents(sig, RamificationProfile(2, [(2,), (2,), (2, 0)]))
 
 
+# 0, theta and every n/p with p <= 8 and |n| <= p + 1
+_GRID = sorted({Fraction(n, p) for p in range(1, 9) for n in range(-p - 1, p + 2)}) + [Theta()]
+
+
+def test_is_elementary_matches_the_underlying_orbifold():
+    # the denominators against the orbifold route: the weights 1/|theta| of
+    # orbifold_of, reduced to their numerators by underlying
+    rng = random.Random(31)
+    seen = set()
+    for _ in range(4000):
+        exps = [rng.choice(_GRID) for _ in range(3)]
+        sig = hypergeometric_signature(*exps)
+        ref = classify(underlying(orbifold_of(sig)))
+        assert is_elementary(sig) == (ref != CurvatureClass.HYPERBOLIC), exps
+        seen.add(ref)
+    assert len(_GRID) == 62 and seen == set(CurvatureClass)
+
+
+def test_pullback_exponents_builds_only_kept_multiples(monkeypatch):
+    # an apparent point or one of index 1 builds no Fraction, and index 1
+    # keeps the base exponent itself; a kept point of index k > 1 builds one
+    built = []
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    sig = hypergeometric_signature(Fraction(1, 2), Fraction(-1, 3), Fraction(2, 7))
+    zero = hypergeometric_signature(Fraction(1, 2), 0, Theta())
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    out = pullback_exponents(sig, RamificationProfile(7, [(2, 2, 2, 1), (3, 3, 1), (7,)]))
+    assert built == []
+    kept = pullback_exponents(sig, RamificationProfile(7, [(2, 2, 2, 1), (3, 3, 1),
+                                                           (2, 1, 1, 1, 1, 1)]))
+    assert len(built) == 1
+    built.clear()
+    generic = pullback_exponents(zero, RamificationProfile(3, [(2, 1), (2, 1), (3,)]))
+    assert len(built) == 1
+    monkeypatch.undo()
+    assert out.apparent_count == 6
+    assert out.exponents[0] is sig.exponents[0] and out.exponents[1] is sig.exponents[1]
+    assert kept.exponents[2:] == (Fraction(4, 7),) + (Fraction(2, 7),) * 5
+    # index 2 over exponent 0 keeps 0, built; index 1 keeps the base 0 itself
+    assert generic.exponents == (Fraction(1, 2), Fraction(0), Fraction(0), Theta(3))
+    assert generic.exponents[2] is zero.exponents[1]
+    assert generic.apparent_count == 1
+
+
 def test_is_elementary():
     assert not is_elementary(hypergeometric_signature(
         Fraction(1, 2), Fraction(1, 3), Fraction(1, 7)))

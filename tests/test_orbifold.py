@@ -18,7 +18,6 @@ from garnier.orbifold import (
     partitions_of,
     pullback,
     underlying,
-    weight_reciprocal,
 )
 
 
@@ -41,11 +40,12 @@ def test_weight_parsing():
     w = Fraction(7, 2)
     assert make_weight(w) is w
     assert str(INF) == "inf"
-    assert weight_reciprocal(INF) == 0
-    assert weight_reciprocal(Fraction(7, 2)) == Fraction(2, 7)
+    # a weight w adds 1/w - 1 to chi, inf adds -1
+    assert euler_char(structure([INF])) == 1
+    assert euler_char(structure([Fraction(7, 2)])) == 1 + Fraction(2, 7)
     # int weights give an exact Fraction, never a float
-    assert type(weight_reciprocal(7)) is Fraction
-    assert weight_reciprocal(7) == Fraction(1, 7)
+    assert type(euler_char(structure([7]))) is Fraction
+    assert euler_char(structure([7])) == 1 + Fraction(1, 7)
 
 
 def test_weight_one_points_kept_in_place():
@@ -69,6 +69,19 @@ def test_euler_char_triangle_values():
     assert euler_char(structure([2, 3, 8])) == Fraction(-1, 24)
     assert euler_char(structure([2, 4, 5])) == Fraction(-1, 20)
     assert euler_char(structure([3, 3, 4])) == Fraction(-1, 12)
+
+
+def test_euler_char_matches_the_fraction_sum():
+    # the integer sum against 2 - 2g + sum(1/w - 1) in Fractions, 1/inf = 0
+    rng = random.Random(31)
+    for _ in range(2000):
+        genus = rng.randint(0, 2)
+        support = [INF if rng.random() < 0.2 else
+                   Fraction(rng.randint(1, 12), rng.choice((1, 1, rng.randint(1, 12))))
+                   for _ in range(rng.randint(0, 6))]
+        ref = 2 - 2 * genus + sum((0 if w is INF else Fraction(1, w)) - 1 for w in support)
+        chi = euler_char(structure(support, genus))
+        assert type(chi) is Fraction and chi == ref, (genus, support)
 
 
 def test_euler_char_general():

@@ -15,19 +15,18 @@ over products h of bounded Cayley norm.  For each h a closed-form rule
 decides whether transpositions multiplying to h can make the tuple
 transitive, and builds them directly when they can.
 
-The pools the search walks (the products h, the remaining classes, orbit
-representatives for the first of them) are generated lazily in a fixed
-order, and each element is produced at most once per query: a pool walked
-again for each prefix is replayed from what the first walk drew, and
-nothing past the first hit is generated.  A class generator yields an
-element as soon as its last non-fixed cycle is placed, without recursing
-through that cycle's completion or the fixed points after it.  The
-solved-for entry (h P)^-1, P the product of the entries before it, has the
-cycle type of h P; the search tests that type by walking j -> P[h[j]]
-without building h P, against cycle counts indexed by length that are
-built once per query, and composes the entry only on a hit.  The tuple
-found is put back in the requested order by braids (a, b) -> (a b a^-1, a),
-which keep the product and carry each entry's cycle type, read once.
+A query pays only for what its walk reaches.  The pools it walks (the
+products h, the remaining classes, orbit representatives for the first of
+them) are generated lazily in a fixed order, and each element is produced
+at most once per query: a pool walked again for each prefix is replayed
+from what the first walk drew, and nothing past the first hit is
+generated.  A class generator yields an element as soon as its last
+non-fixed cycle is placed, and steps over a run of fixed points in one
+loop.  The anchor's centralizer generators are built at the first orbit
+closure, so a query whose first middle representative succeeds never
+builds them.  The tuple found is put back in the requested order by
+braids (a, b) -> (a b a^-1, a), which keep the product and carry the entry
+types the search built; cycle_type reads each entry once, in verify_tuple.
 """
 from __future__ import annotations
 
@@ -152,30 +151,31 @@ def class_elements(d: int, parts: Sequence[int]) -> Iterator[Perm]:
 
     The smallest unplaced point always opens the next cycle, once per
     distinct available length, so each permutation appears exactly once and
-    the order is fixed by (d, parts).  Unplaced points stay fixed in img, so
-    an element is complete as soon as its last non-fixed cycle is placed:
-    that cycle yields each ordering directly, and only fixed points, if any,
-    are left behind it.
+    the order is fixed by (d, parts).  Unplaced points stay fixed in img: a
+    run of leading points left fixed is one loop step (the longest run
+    first), not one call per point, and an element is complete once its
+    last non-fixed cycle is placed, which yields each ordering directly.
     """
     img = list(range(d))
-    counts = {k: parts.count(k) for k in parts}
-    lengths = sorted(counts)
+    remaining = {k: parts.count(k) for k in parts if k > 1}
+    lengths = sorted(remaining)
 
-    def place(remaining: Dict[int, int], unused: List[int]) -> Iterator[Perm]:
-        if remaining.get(1, 0) == len(unused):
+    def place(n_fixed: int, unused: List[int]) -> Iterator[Perm]:
+        if n_fixed == len(unused):
             yield tuple(img)
             return
-        start = unused[0]
-        rest = unused[1:]
-        for k in lengths:
-            if remaining[k] == 0:
-                continue
-            remaining[k] -= 1
-            if k == 1:
-                yield from place(remaining, rest)
-            else:
+        # the first j unused points stay fixed and the next opens a cycle
+        # (on CPython 3.11 a for loop here made fixed-point-free classes ~10% slower)
+        j = n_fixed
+        while j >= 0:
+            start, rest, fixed = unused[j], unused[j + 1:], n_fixed - j
+            j -= 1
+            for k in lengths:
+                if remaining[k] == 0:
+                    continue
+                remaining[k] -= 1
                 # the last non-fixed cycle: only fixed points follow it
-                last = remaining.get(1, 0) == len(rest) - k + 1
+                last = fixed == len(rest) - k + 1
                 for chosen in combinations(rest, k - 1):
                     if not last:
                         leftover = [x for x in rest if x not in chosen]
@@ -188,13 +188,13 @@ def class_elements(d: int, parts: Sequence[int]) -> Iterator[Perm]:
                         if last:
                             yield tuple(img)
                         else:
-                            yield from place(remaining, leftover)
+                            yield from place(fixed, leftover)
                     for x in chosen:
                         img[x] = x
                 img[start] = start
-            remaining[k] += 1
+                remaining[k] += 1
 
-    return place(counts, list(range(d)))
+    return place(parts.count(1), list(range(d)))
 
 
 def centralizer_generators(p: Perm) -> List[Perm]:
@@ -219,16 +219,19 @@ def centralizer_generators(p: Perm) -> List[Perm]:
     return gens
 
 
-def orbit_reps(elements: Iterable[Perm], gens: Sequence[Perm]) -> Iterator[Perm]:
-    """Representatives of the orbits of conjugation by the group the
-    generators produce: the first element of each orbit, in the order of
-    elements.  Each orbit is closed by breadth-first search only after its
-    representative has been consumed."""
+def orbit_reps(elements: Iterable[Perm], p: Perm) -> Iterator[Perm]:
+    """Representatives of the orbits of conjugation by the centralizer of
+    p: the first element of each orbit, in the order of elements.  Each
+    orbit is closed by breadth-first search only after its representative
+    has been consumed, and the first closure builds the generators."""
     seen = set()
+    gens = None
     for e in elements:
         if e in seen:
             continue
         yield e
+        if gens is None:
+            gens = centralizer_generators(p)
         seen.add(e)
         frontier = [e]
         while frontier:
@@ -339,11 +342,11 @@ def format_perm(p: Perm) -> str:
 
 
 def _is_identity_type(t: Tuple[int, ...]) -> bool:
-    return all(k == 1 for k in t)
+    return t[0] == 1
 
 
 def _is_transposition_type(t: Tuple[int, ...]) -> bool:
-    return t and t[0] == 2 and all(k == 1 for k in t[1:])
+    return t[0] == 2 and t[1:2] != (2,)
 
 
 def _braid_left(perms: List[Perm], j: int):
@@ -354,9 +357,11 @@ def _braid_left(perms: List[Perm], j: int):
     perms[j] = a
 
 
-def _reorder_to(perms: List[Perm], want_types: Sequence[Tuple[int, ...]]) -> List[Perm]:
+def _reorder_to(perms: List[Perm], types: List[Tuple[int, ...]],
+                want_types: Sequence[Tuple[int, ...]]) -> List[Perm]:
+    """perms braided into the order of want_types.  types, their cycle types
+    as the search built them, is carried through the braids in place."""
     cur = list(perms)
-    types = [cycle_type(p) for p in cur]  # read once, carried by the braids
     for pos, want in enumerate(want_types):
         if want not in types[pos:]:
             raise AssertionError("braid reordering lost a cycle type")
@@ -406,19 +411,19 @@ def find_tuple(types: Sequence[Sequence[int]], degree: int) -> RealizabilityCert
     """Search for a transitive tuple with the given cycle types and identity
     product.
 
-    Soundness: any returned tuple is re-verified from scratch.  Completeness:
-    global conjugation makes the canonical anchor representative free, and
-    conjugating by the anchor's centralizer reduces the first remaining
-    class to orbit representatives; the second-largest class never needs
-    enumeration because the product relation determines it.  For each h
-    the leaf tests the cycle type of h P (P the prefix product), which is
+    Soundness: any returned tuple is re-verified from scratch, the one
+    place cycle_type reads an entry; the reorder before it takes the entry
+    types from the search.  Completeness: global conjugation makes the
+    canonical anchor representative free, and conjugating by the anchor's
+    centralizer (its generators built at the first orbit closure) reduces
+    the first remaining class to orbit representatives; the second-largest
+    class never needs enumeration because the product relation determines
+    it.  For each h the leaf tests the type of h P (P the prefix product),
     that of the derived entry (h P)^-1, without building h P, and composes
-    the entry only on a type hit; every h is still tested.  The pools are
-    generated lazily in a fixed order, each element at most once per query
-    and complete once its last non-fixed cycle is placed, so the walk, its
-    first hit, stats and reason do not depend on how far the pools have
-    been generated.  Degree 1 takes the same path: its one h factors into
-    the empty tuple.
+    the entry only on a hit; every h is still tested.  The pools are lazy
+    in a fixed order, so the walk, its first hit, stats and reason do not
+    depend on how far they have been generated.  Degree 1 takes the same
+    path: its one h factors into the empty tuple.
     """
     if degree < 1:
         raise ValueError("degree must be >= 1")
@@ -426,7 +431,7 @@ def find_tuple(types: Sequence[Sequence[int]], degree: int) -> RealizabilityCert
         raise ValueError(f"degree {degree} above search cap {MAX_DEGREE}")
     norm_types = [tuple(sorted(t, reverse=True)) for t in types]
     for t in norm_types:
-        if sum(t) != degree or any(k < 1 for k in t):
+        if sum(t) != degree or t[-1] < 1:
             raise ValueError(f"type {t} is not a partition of {degree}")
     stats = {"outer": 0, "h": 0, "typehits": 0}
 
@@ -435,9 +440,9 @@ def find_tuple(types: Sequence[Sequence[int]], degree: int) -> RealizabilityCert
                                         "odd total branching, no tuple has identity product")
 
     work = [t for t in norm_types if not _is_identity_type(t)]
-    n_tau = sum(1 for t in work if _is_transposition_type(t))
     big = sorted((t for t in work if not _is_transposition_type(t)),
                  key=lambda t: class_size(degree, t))
+    n_tau = len(work) - len(big)
 
     def try_h(prefix: List[Perm], h: Perm) -> Optional[List[Perm]]:
         stats["h"] += 1
@@ -451,18 +456,14 @@ def find_tuple(types: Sequence[Sequence[int]], degree: int) -> RealizabilityCert
         stats["outer"] += len(prefix)
         found = try_h(prefix, inverse(compose(identity(degree), *prefix)))
     else:
-        anchor_type = big[-1]
-        derived_counts = [0] * (degree + 1)
-        for k in big[-2]:
-            derived_counts[k] += 1
-        middle_types = big[:-2]
-        anchor = canonical_perm(anchor_type)
+        derived_counts = [big[-2].count(n) for n in range(degree + 1)]
+        anchor = canonical_perm(big[-1])
         h_pool = _Pool(h_set(degree, n_tau))
         middle_pools: List[_Pool] = []
-        for i, mt in enumerate(middle_types):
+        for i, mt in enumerate(big[:-2]):
             elems = class_elements(degree, mt)
             if i == 0:
-                elems = orbit_reps(elems, centralizer_generators(anchor))
+                elems = orbit_reps(elems, anchor)
             middle_pools.append(_Pool(elems))
 
         def walk(i: int, prefix: List[Perm], prefix_prod: Perm) -> Optional[List[Perm]]:
@@ -490,10 +491,12 @@ def find_tuple(types: Sequence[Sequence[int]], degree: int) -> RealizabilityCert
     if found is None:
         return RealizabilityCertificate(False, None, stats, "search space exhausted")
 
-    # restore the requested order; identity entries braid past the others
-    # without changing them
+    # restore the requested order from the types the search built (anchor,
+    # middles, derived, transpositions); identity entries change nothing
     n_identity = len(norm_types) - len(work)
-    final = _reorder_to(found + [identity(degree)] * n_identity, norm_types)
+    found_types = (big[-1:] + big[:-2] + big[-2:-1] + [(2,) + (1,) * (degree - 2)] * n_tau
+                   + [(1,) * degree] * n_identity)
+    final = _reorder_to(found + [identity(degree)] * n_identity, found_types, norm_types)
     if not verify_tuple(final, norm_types, degree):
         raise AssertionError("internal error: candidate tuple failed re-verification")
     return RealizabilityCertificate(True, PermutationTuple(degree, tuple(final)), stats)

@@ -10,6 +10,7 @@ import garnier.enumeration
 import garnier.orbifold
 from garnier.enumeration import (
     TABLE_IDS,
+    CandidateVerdict,
     RamificationProfile,
     TripleSpec,
     VerdictKind,
@@ -621,6 +622,24 @@ def test_n7_summary_empty():
         (str(n), "0", "none") for n in range(7, 13))
 
 
+def test_n7_counts_each_profile_at_its_own_n(monkeypatch):
+    # no profile has seven or more essential points, so the rows read 0
+    # whatever the count does; with every total raised by 4 and every
+    # profile COMPLETE, the one sweep must count what a separate sweep of
+    # the candidates at each n finds
+    real = enumerate_profiles
+    monkeypatch.setattr(garnier.enumeration, "enumerate_profiles",
+                        lambda ws, d, n=None: [(p, k + 4) for p, k in real(ws, d, n)])
+    monkeypatch.setattr(garnier.enumeration, "verdict",
+                        lambda profile, n: CandidateVerdict(VerdictKind.COMPLETE))
+    want = {n: sum(len(real(t.entries, d, n - 4)) for t, d in enumerate_candidates(n)
+                   if chi_inequality_holds(t, d, n))
+            for n in range(7, 13)}
+    assert want == {7: 10, 8: 6, 9: 2, 10: 1, 11: 0, 12: 0}
+    assert reproduce_table("N7").rows == tuple(
+        (str(n), str(c), "" if c else "none") for n, c in want.items())
+
+
 def test_t2_quoted_rows():
     # the two partial T2 rows are quoted, not enumerated: each splits one
     # forced part over a finite fiber into ones and has n = 5 and N = 1
@@ -699,6 +718,23 @@ def test_multipoint_bases_bounded():
 def test_multipoint_complete_search_empty():
     for k in (4, 5, 6):
         assert multipoint_complete_search(k) == []
+
+
+def test_multipoint_search_runs_every_degree_of_each_base(monkeypatch):
+    # the empty answer cannot show a skipped degree: record what the search
+    # hands to enumerate_profiles
+    seen = []
+    real = enumerate_profiles
+
+    def recorded(ws, d, n=None):
+        seen.append((tuple(ws), d))
+        return real(ws, d, n)
+
+    monkeypatch.setattr(garnier.enumeration, "enumerate_profiles", recorded)
+    assert multipoint_complete_search(4) == []
+    bases = multipoint_bases(4)
+    assert seen == [(ws, d) for ws, budget in bases for d in range(2, budget + 1)]
+    assert len(seen) == 26
 
 
 def test_multipoint_weights_above_cap_act_as_inf():

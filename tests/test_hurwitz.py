@@ -152,7 +152,7 @@ def test_centralizer_generators():
 def test_orbit_reps():
     p = canonical_perm([2, 2])
     gens = centralizer_generators(p)
-    reps = list(orbit_reps(class_elements(4, [3, 1]), gens))
+    reps = list(orbit_reps(class_elements(4, [3, 1]), p))
     assert 1 <= len(reps) < class_size(4, [3, 1])
     assert reps[0] == next(class_elements(4, [3, 1]))
     # the centralizer conjugates each rep around its orbit; the orbits are
@@ -315,9 +315,10 @@ def test_reorder_to_carries_the_types_through_the_braids():
         for _ in range(rng.randint(1, 7)):
             c = _random_perm(rng, d)
             perms.append(conjugate(canonical_perm(rng.choice(kinds)), c))
-        want = [cycle_type(p) for p in perms]
+        types = [cycle_type(p) for p in perms]
+        want = types[:]
         rng.shuffle(want)
-        got = hurwitz._reorder_to(perms, want)
+        got = hurwitz._reorder_to(perms, types, want)
         assert [cycle_type(p) for p in got] == want, (perms, want)
         assert compose(identity(d), *got) == compose(identity(d), *perms)
         assert got == _scanning_reorder_to(perms, want), (perms, want)
@@ -331,10 +332,10 @@ def test_reorder_to_reports_a_missing_type_as_an_internal_error():
                         ([t, identity(3)], [(2, 1), (2, 1)]),
                         ([t], [(2, 1), (2, 1)])]:
         with pytest.raises(AssertionError):
-            hurwitz._reorder_to(perms, want)
+            hurwitz._reorder_to(perms, [cycle_type(p) for p in perms], want)
 
 
-def test_find_tuple_reads_each_type_twice(monkeypatch):
+def test_find_tuple_reads_each_type_once(monkeypatch):
     calls = []
     read = hurwitz.cycle_type
 
@@ -346,11 +347,40 @@ def test_find_tuple_reads_each_type_twice(monkeypatch):
     types = [(2, 2), (1, 1, 1, 1), (3, 1), (2, 1, 1), (2, 1, 1)]
     cert = find_tuple(types, 4)
     assert cert.exists
-    # once per entry as _reorder_to reads it, once per entry of the result
-    # as verify_tuple checks it; scanning for each position read 14 types
-    # on this query
-    assert len(calls) == 2 * len(types)
-    assert calls[len(types):] == list(cert.tuple_.perms)
+    # once per entry of the result, as verify_tuple checks it: the reorder
+    # takes the types the search built
+    assert len(calls) == len(types)
+    assert calls == list(cert.tuple_.perms)
+
+
+def test_centralizer_generators_are_built_at_the_first_orbit_closure(monkeypatch):
+    built = []
+    generate = hurwitz.centralizer_generators
+
+    def counted(p):
+        built.append(p)
+        return generate(p)
+
+    monkeypatch.setattr(hurwitz, "centralizer_generators", counted)
+    p = canonical_perm([2, 2])
+    reps = orbit_reps(class_elements(4, [3, 1]), p)
+    next(reps)
+    assert built == []
+    list(reps)
+    assert built == [p]
+    # the first middle representative succeeds: no orbit is closed
+    built.clear()
+    cert = find_tuple([(3, 1), (3, 1), (2, 2)], 4)
+    assert (cert.exists, cert.stats) == (True, {"outer": 1, "h": 1, "typehits": 1})
+    assert built == []
+    # it fails here, and the anchor's generators are built once
+    cert = find_tuple([(3, 1), (3, 1), (3, 1)], 4)
+    assert (cert.exists, cert.stats) == (True, {"outer": 2, "h": 1, "typehits": 1})
+    assert built == [canonical_perm([3, 1])]
+    for d, types in _match_queries():
+        built.clear()
+        find_tuple(types, d)
+        assert len(built) <= 1, (d, types)
 
 
 @pytest.mark.parametrize("types", [[], [(1,)], [(1,)] * 3])
@@ -448,6 +478,10 @@ def test_find_tuple_validation():
         find_tuple([(2, 2)], 3)
     with pytest.raises(ValueError):
         find_tuple([(2,)], MAX_DEGREE + 1)
+    # a part below 1 is rejected wherever it sorts
+    for bad in [(2, 2, 0), (3, 2, -1), (5, -1)]:
+        with pytest.raises(ValueError):
+            find_tuple([bad, (2, 2)], 4)
 
 
 def test_find_tuple_identity_types():
@@ -539,7 +573,8 @@ def _eager_h_set(d, k):
     return out
 
 
-def _eager_orbit_reps(elements, gens):
+def _eager_orbit_reps(elements, p):
+    gens = centralizer_generators(p)
     pool = set(elements)
     reps = []
     for e in elements:
@@ -592,10 +627,20 @@ def test_lazy_pools_generate_the_eager_order():
         assert list(h_set(9, k)) == _eager_h_set(9, k)
     for k in range(3):
         assert list(h_set(10, k)) == _eager_h_set(10, k)
-    gens = centralizer_generators(canonical_perm([3, 2, 1]))
+    anchor = canonical_perm([3, 2, 1])
     for lam in partitions_of(6):
-        assert (list(orbit_reps(class_elements(6, lam), gens))
-                == _eager_orbit_reps(_eager_class_elements(6, lam), gens))
+        assert (list(orbit_reps(class_elements(6, lam), anchor))
+                == _eager_orbit_reps(_eager_class_elements(6, lam), anchor))
+
+
+@pytest.mark.slow
+def test_lazy_pools_generate_the_eager_order_at_degrees_nine_and_ten():
+    # every class of d = 9 and the norm <= 3 pools of d = 10, past the
+    # tier-1 subset above
+    for lam in partitions_of(9):
+        assert list(class_elements(9, lam)) == _eager_class_elements(9, lam)
+    for k in range(4):
+        assert list(h_set(10, k)) == _eager_h_set(10, k)
 
 
 def test_pool_replays_what_it_drew():

@@ -17,20 +17,18 @@ transitive, and builds them directly when they can.
 
 A query pays only for what its walk reaches.  The pools it walks (the
 products h, the remaining classes, orbit representatives for the first of
-them) are generated lazily in a fixed order, and each element is produced
-at most once per query: a pool walked again for each prefix is replayed
-from what the first walk drew, and nothing past the first hit is
-generated.  A class generator yields an element as soon as its last
+them) are generated lazily in a fixed order, each element at most once per
+query: a walk replays what earlier walks drew, and nothing past the first
+hit is generated.  A class generator yields an element once its last
 non-fixed cycle is placed, and steps over a run of fixed points in one
-loop.  The anchor's centralizer generators are built at the first orbit
-closure, so a query whose first middle representative succeeds never
-builds them.  The tuple found is put back in the requested order by
-braids (a, b) -> (a b a^-1, a), which keep the product and carry the entry
-types the search built; cycle_type reads each entry once, in verify_tuple.
+loop.  Orbits are closed on bytes in C, by generators built at the first
+closure.  The tuple found is put back in the requested order by one
+conjugation per entry moved, which keeps the product and carries the types
+the search built; cycle_type reads each entry once, in verify_tuple.
 """
 from __future__ import annotations
 
-from itertools import combinations, permutations
+from itertools import chain, combinations, permutations
 from math import factorial
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -222,22 +220,25 @@ def centralizer_generators(p: Perm) -> List[Perm]:
 def orbit_reps(elements: Iterable[Perm], p: Perm) -> Iterator[Perm]:
     """Representatives of the orbits of conjugation by the centralizer of
     p: the first element of each orbit, in the order of elements.  Each
-    orbit is closed by breadth-first search only after its representative
-    has been consumed, and the first closure builds the generators."""
+    orbit is closed depth first once its representative is consumed, by
+    generators built at the first closure, in C on bytes (len(p) < 256):
+    ginv.translate(x + pad).translate(g + pad) is conjugate(x, g)."""
     seen = set()
     gens = None
     for e in elements:
-        if e in seen:
+        key = bytes(e)
+        if key in seen:
             continue
         yield e
         if gens is None:
-            gens = centralizer_generators(p)
-        seen.add(e)
-        frontier = [e]
+            pad = bytes(256 - len(p))
+            gens = [(bytes(g) + pad, bytes(inverse(g))) for g in centralizer_generators(p)]
+        seen.add(key)
+        frontier = [key]
         while frontier:
-            x = frontier.pop()
-            for g in gens:
-                y = conjugate(x, g)
+            x = frontier.pop() + pad
+            for g, ginv in gens:
+                y = ginv.translate(x).translate(g)
                 if y not in seen:
                     seen.add(y)
                     frontier.append(y)
@@ -253,9 +254,8 @@ def h_set(d: int, k: int) -> Iterator[Perm]:
     """All permutations expressible as a product of exactly k transpositions
     (Cayley norm <= k with the same parity), generated lazily class by
     class in the order of partitions_of(d)."""
-    for parts in partitions_of(d, budget=k):
-        if (k - d + len(parts)) % 2 == 0:
-            yield from class_elements(d, parts)
+    return chain.from_iterable(class_elements(d, lam) for lam in partitions_of(d, budget=k)
+                               if (k - d + len(lam)) % 2 == 0)
 
 
 def orbit_roots(perms: Sequence[Perm], d: int) -> List[int]:
@@ -349,46 +349,43 @@ def _is_transposition_type(t: Tuple[int, ...]) -> bool:
     return t[0] == 2 and t[1:2] != (2,)
 
 
-def _braid_left(perms: List[Perm], j: int):
-    """Swap entries j-1, j keeping the ordered product: (a, b) becomes
-    (a b a^-1, a)."""
-    a, b = perms[j - 1], perms[j]
-    perms[j - 1] = conjugate(b, inverse(a))
-    perms[j] = a
-
-
 def _reorder_to(perms: List[Perm], types: List[Tuple[int, ...]],
                 want_types: Sequence[Tuple[int, ...]]) -> List[Perm]:
-    """perms braided into the order of want_types.  types, their cycle types
-    as the search built them, is carried through the braids in place."""
+    """perms in the order of want_types, keeping the product: an entry w
+    moves left past entries of product X as X w X^-1 (the braids (a, b) ->
+    (a b a^-1, a) in one step); types, the search's cycle types, moves too."""
     cur = list(perms)
     for pos, want in enumerate(want_types):
         if want not in types[pos:]:
             raise AssertionError("braid reordering lost a cycle type")
         src = types.index(want, pos)
-        for j in range(src, pos, -1):
-            _braid_left(cur, j)
-        # each braid at j moved type j to j-1 and the one before it right
-        types[pos:src + 1] = [want] + types[pos:src]
+        if src > pos:
+            moved = conjugate(cur[src], inverse(compose(*cur[pos:src])))
+            cur[pos:src + 1] = [moved] + cur[pos:src]
+            types[pos:src + 1] = [want] + types[pos:src]
     return cur
 
 
 class _Pool:
     """A re-iterable view of a lazy pool: each item is drawn from the source
-    the first time any walk reaches it and replayed from a list after, so a
-    pool walked once per prefix is generated once, and only up to the point
-    the search stops.  Walks of one pool never interleave: each walk replays
-    what earlier walks drew, then draws on from the source."""
+    the first time a walk reaches it, so a pool walked once per prefix is
+    generated once, and only up to where the search stops.  Walks never
+    interleave: each replays the drawn list, then draws on from the source
+    until it is exhausted; after that a walk is the list's own iterator."""
 
     def __init__(self, source: Iterable[Perm]):
-        self._source = iter(source)
+        self._source: Optional[Iterator[Perm]] = iter(source)
         self._drawn: List[Perm] = []
 
     def __iter__(self) -> Iterator[Perm]:
+        return iter(self._drawn) if self._source is None else self._draw()
+
+    def _draw(self) -> Iterator[Perm]:
         yield from self._drawn
         for item in self._source:
             self._drawn.append(item)
             yield item
+        self._source = None
 
 
 def verify_tuple(perms: Sequence[Perm], types: Sequence[Sequence[int]],
@@ -470,15 +467,17 @@ def find_tuple(types: Sequence[Sequence[int]], degree: int) -> RealizabilityCert
             if i == len(middle_pools):
                 # the derived element (h prefix_prod)^-1 has the type of
                 # h prefix_prod, which is tested without being built
+                n = 0
                 for h in h_pool:
-                    stats["outer"] += 1
+                    n += 1
                     if not _has_cycle_type(h, prefix_prod, derived_counts):
                         continue
                     stats["typehits"] += 1
-                    derived = inverse(compose(h, prefix_prod))
-                    got = try_h(prefix + [derived], h)
+                    got = try_h(prefix + [inverse(compose(h, prefix_prod))], h)
                     if got is not None:
+                        stats["outer"] += n
                         return got
+                stats["outer"] += n
                 return None
             for m in middle_pools[i]:
                 got = walk(i + 1, prefix + [m], compose(prefix_prod, m))

@@ -1,0 +1,58 @@
+"""tools/bench_pairs.py's summary on canned perfbench result lines; no
+benchmark runs here."""
+from __future__ import annotations
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
+_spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+BETTER = {"ops_per_s": "higher", "op_p90_ms": "lower"}
+
+
+def _line(ops_per_s, p90, failed=0):
+    """A last stdout line of perfbench/run.py, as it prints it."""
+    return json.dumps({"correct": 324 - failed, "attempted": 324, "failed": failed,
+                       "metrics": {"ops_per_s": {"value": ops_per_s, "unit": "1/s"},
+                                   "op_p90_ms": {"value": p90, "unit": "ms"}}})
+
+
+def test_summary_of_canned_pairs():
+    base = [bench_pairs.parse_result("ops_per_s = 2000 1/s\n" + _line(v, p))
+            for v, p in [(2000, 0.50), (2100, 0.60), (2200, 0.40), (1900, 0.55)]]
+    change = [bench_pairs.parse_result(_line(v, p, f)) for v, p, f in
+              [(2100, 0.45, 0), (2100, 0.50, 0), (2300, 0.42, 0), (2000, 0.40, 1)]]
+    lines = bench_pairs.summarize(base, change, BETTER)
+    assert lines[0] == ("pair 1: failed 0/324 -> 0/324; ops_per_s 2000 -> 2100;"
+                        " op_p90_ms 0.5 -> 0.45")
+    assert lines[3].startswith("pair 4: failed 0/324 -> 1/324;")
+    # medians and inclusive quartiles of each side; a tie is not a win, and
+    # a lower p90 wins where a higher ops_per_s does
+    assert lines[4] == ("ops_per_s (higher is better): base 2050 [1975, 2125]"
+                        " -> change 2100 [2075, 2150] (+2.4%), won 3/4")
+    assert lines[5] == ("op_p90_ms (lower is better): base 0.525 [0.475, 0.5625]"
+                        " -> change 0.435 [0.415, 0.4625] (-17.1%), won 3/4")
+    assert len(lines) == 6
+
+
+def test_summary_of_one_pair_and_mismatched_sides():
+    one = [bench_pairs.parse_result(_line(2000, 0.5))]
+    lines = bench_pairs.summarize(one, one, BETTER)
+    assert lines[-1] == ("op_p90_ms (lower is better): base 0.5 [0.5, 0.5]"
+                         " -> change 0.5 [0.5, 0.5] (+0.0%), won 0/1")
+    with pytest.raises(ValueError):
+        bench_pairs.summarize(one, one * 2, BETTER)
+    with pytest.raises(ValueError):
+        bench_pairs.summarize([], [], BETTER)
+
+
+def test_directions_come_from_the_benchmark_file():
+    better = bench_pairs.end_to_end_directions()
+    assert better == {"setup_s": "lower", "ops_per_s": "higher", "op_p50_ms": "lower",
+                      "op_p90_ms": "lower", "peak_rss_mb": "lower"}

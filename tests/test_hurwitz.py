@@ -282,17 +282,6 @@ def test_verify_tuple_rejects_non_permutations():
     assert verify_tuple([(1, 0), (1, 0)], [(2,), (2,)], 2)
 
 
-def test_braid_left_conjugates_and_keeps_the_product():
-    rng = random.Random(31)
-    for _ in range(300):
-        d = rng.randint(1, 9)
-        a, b = _random_perm(rng, d), _random_perm(rng, d)
-        perms = [a, b]
-        hurwitz._braid_left(perms, 1)
-        assert perms == [compose(a, b, inverse(a)), a], (a, b)
-        assert compose(*perms) == compose(a, b)
-
-
 def _scanning_reorder_to(perms, want_types):
     """Reference: for each position, scan the remaining entries for the
     first of the requested type and braid it left by a b a^-1."""
@@ -322,6 +311,25 @@ def test_reorder_to_carries_the_types_through_the_braids():
         assert [cycle_type(p) for p in got] == want, (perms, want)
         assert compose(identity(d), *got) == compose(identity(d), *perms)
         assert got == _scanning_reorder_to(perms, want), (perms, want)
+
+
+def test_reorder_to_matches_braid_by_braid():
+    # seeded entries of degree 1..9, identity entries among them, in
+    # shuffled orders: one conjugation per moved entry gives what one braid
+    # at a time gives, moves the types with the entries, and keeps the
+    # ordered product
+    rng = random.Random(31)
+    for _ in range(300):
+        d = rng.randint(1, 9)
+        perms = [identity(d) if rng.random() < 0.25 else _random_perm(rng, d)
+                 for _ in range(rng.randint(1, 7))]
+        types = [cycle_type(p) for p in perms]
+        want = types[:]
+        rng.shuffle(want)
+        got = hurwitz._reorder_to(perms, types, want)
+        assert got == _scanning_reorder_to(perms, want), (perms, want)
+        assert types == want
+        assert compose(identity(d), *got) == compose(identity(d), *perms)
 
 
 def test_reorder_to_reports_a_missing_type_as_an_internal_error():
@@ -627,10 +635,35 @@ def test_lazy_pools_generate_the_eager_order():
         assert list(h_set(9, k)) == _eager_h_set(9, k)
     for k in range(3):
         assert list(h_set(10, k)) == _eager_h_set(10, k)
-    anchor = canonical_perm([3, 2, 1])
-    for lam in partitions_of(6):
-        assert (list(orbit_reps(class_elements(6, lam), anchor))
-                == _eager_orbit_reps(_eager_class_elements(6, lam), anchor))
+
+
+def test_orbit_reps_match_the_eager_closure():
+    # every class of d <= 7 under the canonical anchor of every type of d
+    for d in range(1, 8):
+        classes = {lam: _eager_class_elements(d, lam) for lam in partitions_of(d)}
+        for anchor_type in classes:
+            anchor = canonical_perm(anchor_type)
+            for lam, elements in classes.items():
+                assert (list(orbit_reps(class_elements(d, lam), anchor))
+                        == _eager_orbit_reps(elements, anchor)), (d, anchor_type, lam)
+
+
+def test_orbit_closure_translates_conjugate():
+    # the closure step on bytes, ginv.translate(x + pad).translate(g + pad),
+    # against conjugate at every degree the search takes; then orbit_reps
+    # itself on the transpositions (the identity at d = 1) up to the
+    # centralizer of a seeded anchor
+    rng = random.Random(33)
+    for d in range(1, MAX_DEGREE + 1):
+        pad = bytes(256 - d)
+        for _ in range(50):
+            x, g = _random_perm(rng, d), _random_perm(rng, d)
+            got = bytes(inverse(g)).translate(bytes(x) + pad).translate(bytes(g) + pad)
+            assert got == bytes(conjugate(x, g)), (x, g)
+        lam = (2,) + (1,) * (d - 2) if d > 1 else (1,)
+        anchor = canonical_perm(rng.choice(partitions_of(d)))
+        assert (list(orbit_reps(class_elements(d, lam), anchor))
+                == _eager_orbit_reps(list(class_elements(d, lam)), anchor)), (d, anchor)
 
 
 @pytest.mark.slow
@@ -645,24 +678,35 @@ def test_lazy_pools_generate_the_eager_order_at_degrees_nine_and_ten():
 
 def test_pool_replays_what_it_drew():
     source = list(class_elements(5, (3, 1, 1)))
-    drawn = []
 
-    def counted():
-        for p in source:
-            drawn.append(p)
-            yield p
+    class Counted:
+        """The source, counting the times it is advanced."""
 
-    pool = hurwitz._Pool(counted())
+        def __init__(self):
+            self.items, self.advanced = iter(source), 0
+
+        def __iter__(self):
+            return self
+
+        def __next__(self):
+            self.advanced += 1
+            return next(self.items)
+
+    counted = Counted()
+    pool = hurwitz._Pool(counted)
     # a walk stopped midway draws only what it reached
     for n, p in enumerate(pool):
         if n == 6:
             break
-    assert drawn == source[:7]
-    # a full walk replays those and draws the rest; a walk after
-    # exhaustion replays everything
+    assert counted.advanced == 7
+    # a full walk replays those and draws the rest, up to the call that
+    # finds the end; walks after exhaustion replay everything and never
+    # advance the source again
+    assert list(pool) == source
+    assert counted.advanced == len(source) + 1
     assert list(pool) == source
     assert list(pool) == source
-    assert drawn == source
+    assert counted.advanced == len(source) + 1
 
 
 def _match_queries():

@@ -1,0 +1,131 @@
+"""Paired benchmark runs: a base git ref against the working tree.
+
+    python3 tools/bench_pairs.py --workload hurwitz --seed 1 --seconds 20 --pairs 10
+
+exports the base ref (default HEAD) with `git archive` into a temporary
+directory and runs
+
+    python3 perfbench/run.py --workload W --seed S --seconds T --trace 0
+
+in the base copy and in the working tree in turn, flipping which side goes
+first each pair and removing `src/garnier/__pycache__` before every run.
+It prints each pair's end-to-end metrics and then, per metric, the median
+and quartiles of each side and the number of pairs the working tree won,
+with the direction ("better") that BENCHMARK.json gives the metric.
+Standard library only; set TMPDIR to choose where the base copy goes.
+"""
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import os
+import shutil
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from typing import Dict, List, Sequence
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def end_to_end_directions() -> Dict[str, str]:
+    """Metric name -> "lower" or "higher", from BENCHMARK.json."""
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
+        return {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+
+
+def parse_result(stdout: str) -> dict:
+    """The JSON object on the last line of a perfbench/run.py run."""
+    return json.loads(stdout.strip().splitlines()[-1])
+
+
+def _quartiles(values: Sequence[float]) -> List[float]:
+    if len(values) < 2:
+        return [values[0]] * 3
+    return statistics.quantiles(values, n=4, method="inclusive")
+
+
+def pair_line(i: int, b: dict, c: dict, better: Dict[str, str]) -> str:
+    """Pair i's failed ops and its value of each metric, base -> change."""
+    cells = [f"{name} {b['metrics'][name]['value']:.6g} -> {c['metrics'][name]['value']:.6g}"
+             for name in better]
+    return (f"pair {i}: failed {b['failed']}/{b['attempted']} -> "
+            f"{c['failed']}/{c['attempted']}; " + "; ".join(cells))
+
+
+def summarize(base: Sequence[dict], change: Sequence[dict],
+              better: Dict[str, str]) -> List[str]:
+    """Report lines for paired results (base[i] ran next to change[i]):
+    one line per pair with each metric's two values, then per metric the
+    base median [q1, q3], the change median [q1, q3], the relative change
+    of the medians and the pairs the change won.  A metric with equal
+    values in a pair counts as not won."""
+    if len(base) != len(change) or not base:
+        raise ValueError("need the same positive number of base and change results")
+    lines = [pair_line(i, b, c, better) for i, (b, c) in enumerate(zip(base, change), 1)]
+    for name, direction in better.items():
+        bv = [r["metrics"][name]["value"] for r in base]
+        cv = [r["metrics"][name]["value"] for r in change]
+        won = sum((x < y) if direction == "lower" else (x > y) for y, x in zip(bv, cv))
+        bq, cq = _quartiles(bv), _quartiles(cv)
+        rel = (cq[1] - bq[1]) / bq[1] * 100 if bq[1] else float("nan")
+        lines.append(f"{name} ({direction} is better):"
+                     f" base {bq[1]:.6g} [{bq[0]:.6g}, {bq[2]:.6g}]"
+                     f" -> change {cq[1]:.6g} [{cq[0]:.6g}, {cq[2]:.6g}] ({rel:+.1f}%),"
+                     f" won {won}/{len(bv)}")
+    return lines
+
+
+def export(ref: str, dest: str) -> None:
+    """The files of ref, as `git archive` writes them, extracted into dest."""
+    data = subprocess.run(["git", "archive", "--format=tar", ref], cwd=ROOT,
+                          capture_output=True, check=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(data)) as tar:
+        if hasattr(tarfile, "data_filter"):
+            tar.extractall(dest, filter="data")
+        else:
+            tar.extractall(dest)
+
+
+def run_once(tree: str, workload: str, seed: int, seconds: float) -> dict:
+    shutil.rmtree(os.path.join(tree, "src", "garnier", "__pycache__"), ignore_errors=True)
+    out = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
+                          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+                         cwd=tree, capture_output=True, text=True, check=True)
+    return parse_result(out.stdout)
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("--workload", required=True)
+    ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--seconds", type=float, default=20)
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--base", default="HEAD", help="git ref to compare against")
+    args = ap.parse_args(argv)
+    better = end_to_end_directions()
+    base, change = [], []
+    with tempfile.TemporaryDirectory(prefix="bench_pairs-") as tmp:
+        export(args.base, tmp)
+        for i in range(args.pairs):
+            order = [("base", tmp), ("change", ROOT)]
+            if i % 2:
+                order.reverse()
+            got = {side: run_once(tree, args.workload, args.seed, args.seconds)
+                   for side, tree in order}
+            base.append(got["base"])
+            change.append(got["change"])
+            print(pair_line(i + 1, base[-1], change[-1], better), f"({order[0][0]} first)",
+                  flush=True)
+    print(f"{args.workload} seed {args.seed}, {args.pairs} pairs of {args.seconds:g} s,"
+          f" base {args.base}:")
+    for line in summarize(base, change, better)[len(base):]:
+        print(line)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -31,6 +31,7 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .exactalg import (ALPHA, ONE, ZERO, Poly, QuadElement, discriminant,
                        evaluate_rows as evaluate_st, exact_sqrt, format_quad)
+from .frozen import Frozen
 
 
 class DegenerateInput(ValueError):
@@ -49,38 +50,7 @@ DRAW_BOUND = 20
 _q = QuadElement.coerce
 
 
-class _Frozen:
-    """Base of the immutable value types, a copy of orbifold.Frozen (covers
-    imports no layer but exactalg).  A subclass stores its fields in
-    __slots__, set once in __init__ through object.__setattr__; equality and
-    hash take the type and the fields named in _fields, and repr shows those."""
-
-    __slots__ = ()
-    _fields: Tuple[str, ...] = ()
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def _values(self) -> tuple:
-        return tuple([getattr(self, f) for f in self._fields])
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._values() == other._values()
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self._values())
-
-    def __repr__(self):
-        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
-        return f"{type(self).__name__}({fields})"
-
-
-class DegFourParams(_Frozen):
+class DegFourParams(Frozen):
     """Coefficients (a0, a1, c) of the covering; solution_record checks
     that they lie on the surface phi(1) = 1."""
 
@@ -90,13 +60,12 @@ class DegFourParams(_Frozen):
     c: QuadElement
 
     def __init__(self, a0, a1, c):
-        object.__setattr__(self, "a0", _q(a0))
-        object.__setattr__(self, "a1", _q(a1))
-        object.__setattr__(self, "c", _q(c))
-        if not self.a0:
+        a0, a1, c = _q(a0), _q(a1), _q(c)
+        if not a0:
             raise DegenerateInput("a0 = 0 collapses the double fiber")
-        if self.c == 0 or self.c == 1:
+        if c == 0 or c == 1:
             raise DegenerateInput("pole position c must avoid 0 and 1")
+        super().__init__(a0, a1, c)
 
 
 def phi_from_params(p: DegFourParams) -> Tuple[Poly, Poly]:
@@ -113,7 +82,7 @@ def phi_from_params(p: DegFourParams) -> Tuple[Poly, Poly]:
     return num, den
 
 
-class STPoint(_Frozen):
+class STPoint(Frozen):
     """Chart point of the branch-point surface."""
 
     __slots__ = _fields = ("s", "t")
@@ -122,14 +91,13 @@ class STPoint(_Frozen):
 
     def __init__(self, s, t):
         s, t = _q(s), _q(t)
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "t", t)
         if s == 0 or s == 1 or s == -1:
             raise DegenerateInput("s must avoid 0, 1, -1")
         if t ** 2 == 1:
             raise DegenerateInput("t = +-1 gives a0 = 0")
         if not ((s - 1) ** 2 * t ** 2 - (s + 1) ** 2):
             raise DegenerateInput("pole of the a0 chart")
+        super().__init__(s, t)
 
 
 def params_from_st(pt: STPoint) -> DegFourParams:
@@ -227,7 +195,7 @@ def free_critical_quadratic(pt: STPoint
     return b, c_val, disc, fval, rho
 
 
-class UVPoint(_Frozen):
+class UVPoint(Frozen):
     """Chart point of the double cover on which the free critical points
     are rational; vprime is the pencil parameter of the conic through it."""
 
@@ -238,11 +206,9 @@ class UVPoint(_Frozen):
 
     def __init__(self, u, v):
         u, v = _q(u), _q(v)
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "v", v)
         if not v or v ** 2 == 1:
             raise DegenerateInput("v in {0, 1, -1} degenerates the conic pencil")
-        object.__setattr__(self, "vprime", 2 * ALPHA * (1 + v ** 2) / (1 - v ** 2))
+        super().__init__(u, v, 2 * ALPHA * (1 + v ** 2) / (1 - v ** 2))
 
 
 def uv_lift(uv: UVPoint) -> STPoint:

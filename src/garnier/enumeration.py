@@ -15,7 +15,8 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .fuchsian import (Theta, hypergeometric_signature, is_elementary,
                        pullback_exponents)
-from .orbifold import INF, Frozen, RamificationProfile, partitions_of
+from .frozen import Frozen
+from .orbifold import INF, RamificationProfile, partitions_of
 
 # No candidate has a larger degree, so it is also the default; see _candidate_rows.
 DEGREE_BOUND = DEFAULT_DMAX = 42
@@ -46,7 +47,7 @@ class TripleSpec(Frozen):
         es = sorted((p0, p1, pinf))
         if num <= 0:
             raise ValueError(f"triple {es} is not hyperbolic")
-        object.__setattr__(self, "entries", tuple(es))
+        super().__init__(tuple(es))
         object.__setattr__(self, "neg_chi", (num, den))
 
     @property

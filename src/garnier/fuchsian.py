@@ -17,7 +17,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple, Tuple, Union
 
-from .orbifold import (INF, CurvatureClass, Frozen, OrbifoldStructure,
+from .frozen import Frozen
+from .orbifold import (INF, CurvatureClass, OrbifoldStructure,
                        RamificationProfile, classify)
 
 
@@ -30,7 +31,7 @@ class Theta(Frozen):
     def __init__(self, k: int = 1):
         if type(k) is not int or k < 1:
             raise ValueError(f"theta multiple must be an int >= 1, got {k!r}")
-        object.__setattr__(self, "k", k)
+        super().__init__(k)
 
     def __rmul__(self, m: int) -> "Theta":
         return self if m == 1 else Theta(m * self.k)
@@ -48,8 +49,7 @@ class FuchsianSignature(Frozen):
     exponents: Tuple[Exponent, ...]
 
     def __init__(self, genus: int, exponents):
-        object.__setattr__(self, "genus", genus)
-        object.__setattr__(self, "exponents", tuple(
+        super().__init__(genus, tuple(
             e if type(e) in (Fraction, Theta) else Fraction(e) for e in exponents))
 
 

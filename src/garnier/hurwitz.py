@@ -32,7 +32,8 @@ from itertools import chain, combinations, permutations
 from math import factorial
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
-from .orbifold import Frozen, partitions_of
+from .frozen import Frozen
+from .orbifold import partitions_of
 
 Perm = Tuple[int, ...]
 
@@ -328,10 +329,7 @@ class RealizabilityCertificate(Frozen):
 
     def __init__(self, exists: bool, tuple_: Optional[PermutationTuple],
                  stats: Optional[Dict[str, int]] = None, reason: str = ""):
-        object.__setattr__(self, "exists", exists)
-        object.__setattr__(self, "tuple_", tuple_)
-        object.__setattr__(self, "stats", {} if stats is None else stats)
-        object.__setattr__(self, "reason", reason)
+        super().__init__(exists, tuple_, {} if stats is None else stats, reason)
 
 
 def format_perm(p: Perm) -> str:

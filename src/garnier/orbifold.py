@@ -10,6 +10,8 @@ from enum import Enum
 from fractions import Fraction
 from typing import List, Optional, Tuple, Union
 
+from .frozen import Frozen
+
 
 class _Infinity:
     """Weight value for logarithmic / irrational local data."""
@@ -45,36 +47,6 @@ def make_weight(value) -> Weight:
     return w
 
 
-class Frozen:
-    """Base of the immutable value types.  A subclass stores its fields in
-    __slots__, set once in __init__ through object.__setattr__; equality and
-    hash take the type and the fields named in _fields, and repr shows those."""
-
-    __slots__ = ()
-    _fields: Tuple[str, ...] = ()
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def _values(self) -> tuple:
-        return tuple([getattr(self, f) for f in self._fields])
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._values() == other._values()
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self._values())
-
-    def __repr__(self):
-        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
-        return f"{type(self).__name__}({fields})"
-
-
 class CurvatureClass(Enum):
     SPHERICAL = "SPHERICAL"
     EUCLIDEAN = "EUCLIDEAN"
@@ -93,8 +65,7 @@ class OrbifoldStructure(Frozen):
     def __init__(self, genus: int, support=()):
         if genus < 0:
             raise ValueError("genus must be >= 0")
-        object.__setattr__(self, "genus", genus)
-        object.__setattr__(self, "support", tuple(map(make_weight, support)))
+        super().__init__(genus, tuple(map(make_weight, support)))
 
     def weights(self) -> Tuple[Weight, ...]:
         return tuple(sorted(w for w in self.support if w != 1))
@@ -139,8 +110,7 @@ class RamificationProfile(Frozen):
         for lam in parts:
             if not lam or lam[-1] < 1 or sum(lam) != degree:
                 raise ValueError(f"{lam} is not a partition of {degree}")
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "partitions", parts)
+        super().__init__(degree, parts)
 
     def branching(self) -> int:
         return sum(self.degree - len(lam) for lam in self.partitions)

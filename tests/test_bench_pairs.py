@@ -1,5 +1,5 @@
-"""tools/bench_pairs.py's summary on canned perfbench result lines; no
-benchmark runs here."""
+"""tools/bench_pairs.py's summary on canned perfbench result lines, and its
+import gen-0 count on the working tree; no benchmark runs here."""
 from __future__ import annotations
 
 import importlib.util
@@ -56,3 +56,9 @@ def test_directions_come_from_the_benchmark_file():
     better = bench_pairs.end_to_end_directions()
     assert better == {"setup_s": "lower", "ops_per_s": "higher", "op_p50_ms": "lower",
                       "op_p90_ms": "lower", "peak_rss_mb": "lower"}
+
+
+def test_import_gen0_count_is_repeatable():
+    first = bench_pairs.import_gen0_count(bench_pairs.ROOT)
+    assert type(first) is int and first > 0
+    assert bench_pairs.import_gen0_count(bench_pairs.ROOT) == first

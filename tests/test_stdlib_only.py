@@ -31,15 +31,16 @@ def test_package_imports_only_the_stdlib():
     assert foreign == []
 
 
-# the package modules each layer may import; cli sits on top and __init__
-# imports none
+# the package modules each layer may import; frozen (the base of the Frozen
+# value types) is a leaf, cli sits on top and __init__ imports none
 LAYERS = {
-    "orbifold": set(),
+    "frozen": set(),
+    "orbifold": {"frozen"},
     "exactalg": set(),
-    "fuchsian": {"orbifold"},
-    "hurwitz": {"orbifold"},
-    "enumeration": {"orbifold", "fuchsian"},
-    "covers": {"exactalg"},
+    "fuchsian": {"frozen", "orbifold"},
+    "hurwitz": {"frozen", "orbifold"},
+    "enumeration": {"frozen", "orbifold", "fuchsian"},
+    "covers": {"frozen", "exactalg"},
 }
 
 
@@ -76,7 +77,11 @@ def _garnier_modules_after(statement: str):
 def test_importing_a_layer_loads_only_that_layer():
     # the package re-exports nothing, so a caller pays only for what it imports
     assert _garnier_modules_after("import garnier") == []
-    assert _garnier_modules_after("import garnier.orbifold") == ["garnier.orbifold"]
+    assert _garnier_modules_after("import garnier.orbifold") == ["garnier.frozen",
+                                                                 "garnier.orbifold"]
+    # covers shares the value-type base, not the orbifold layer
+    assert _garnier_modules_after("import garnier.covers") == [
+        "garnier.covers", "garnier.exactalg", "garnier.frozen"]
 
 
 # stdlib modules no command needs at start-up: dataclasses pulls in inspect,

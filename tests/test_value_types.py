@@ -1,6 +1,9 @@
 """Value semantics of the package's record and value types: each keeps its
 constructor, repr, equality and hash over its own type and fields, and
-refuses assignment to a field.  A value type never equals a plain tuple."""
+refuses assignment to a field.  A Frozen value type never equals a plain
+tuple; the six NamedTuple records (PulledBackSignature, CandidateVerdict,
+Table, PermutationTuple, SolutionRecord, VerifyReport) equal the tuple of
+their fields, as every NamedTuple does."""
 from __future__ import annotations
 
 from fractions import Fraction
@@ -10,6 +13,7 @@ import pytest
 from garnier.covers import (DegenerateInput, DegFourParams, SolutionRecord, STPoint,
                             UVPoint, VerifyReport)
 from garnier.enumeration import CandidateVerdict, Table, TripleSpec, VerdictKind
+from garnier.frozen import Frozen
 from garnier.fuchsian import FuchsianSignature, PulledBackSignature, Theta
 from garnier.hurwitz import PermutationTuple, RealizabilityCertificate
 from garnier.orbifold import INF, OrbifoldStructure, RamificationProfile
@@ -105,10 +109,24 @@ def test_fields_cannot_be_assigned(name):
     ("DegFourParams", ("a0", "a1", "c")),
     ("STPoint", ("s", "t")),
     ("UVPoint", ("u", "v", "vprime")),
+    ("RealizabilityCertificate", ("exists", "tuple_", "stats", "reason")),
 ])
 def test_value_types_differ_from_their_field_tuples(name, fields):
     value = CASES[name][0]()
     assert value != tuple(getattr(value, f) for f in fields)
+
+
+def test_every_frozen_type_has_a_case():
+    # a new value type cannot skip the checks above; one that hands
+    # Frozen.__init__ too few values leaves a slot unset and fails its repr
+    import garnier.cli  # noqa: F401  (loads every layer a command runs)
+
+    found, todo = set(), [Frozen]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            found.add(sub.__name__)
+            todo.append(sub)
+    assert found and sorted(found - set(CASES)) == []
 
 
 def test_fields_compare_and_hash():

@@ -12,6 +12,13 @@ first each pair and removing `src/garnier/__pycache__` before every run.
 It prints each pair's end-to-end metrics and then, per metric, the median
 and quartiles of each side and the number of pairs the working tree won,
 with the direction ("better") that BENCHMARK.json gives the metric.
+
+Before the pairs it prints each side's import gen-0 count: the net number
+of objects that `import garnier, garnier.cli` leaves in the youngest
+garbage-collector generation, taken with gc off in a fresh interpreter
+under PYTHONDONTWRITEBYTECODE=1.  The count is deterministic, and where the
+perfbench worker's first gen-0 collection lands depends on it (README,
+"Start-up"), so a shift in it can move a timed op by a collection.
 Standard library only; set TMPDIR to choose where the base copy goes.
 """
 from __future__ import annotations
@@ -90,6 +97,19 @@ def export(ref: str, dest: str) -> None:
             tar.extractall(dest)
 
 
+IMPORT_COUNT_CODE = ("import gc; gc.disable(); c0 = gc.get_count()[0];"
+                     " import garnier, garnier.cli; print(gc.get_count()[0] - c0)")
+
+
+def import_gen0_count(tree: str) -> int:
+    """The net gen-0 count of `import garnier, garnier.cli` from tree/src."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=os.path.join(tree, "src"))
+    out = subprocess.run([sys.executable, "-c", IMPORT_COUNT_CODE], cwd=tree, env=env,
+                         capture_output=True, text=True, check=True)
+    return int(out.stdout)
+
+
 def run_once(tree: str, workload: str, seed: int, seconds: float) -> dict:
     shutil.rmtree(os.path.join(tree, "src", "garnier", "__pycache__"), ignore_errors=True)
     out = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
@@ -110,6 +130,9 @@ def main(argv=None) -> int:
     base, change = [], []
     with tempfile.TemporaryDirectory(prefix="bench_pairs-") as tmp:
         export(args.base, tmp)
+        counts = [import_gen0_count(tree) for tree in (tmp, ROOT)]
+        print(f"import gen-0 count: base {counts[0]} -> change {counts[1]}"
+              f" ({counts[1] - counts[0]:+d})", flush=True)
         for i in range(args.pairs):
             order = [("base", tmp), ("change", ROOT)]
             if i % 2:

@@ -28,14 +28,11 @@ def _fmt_tuple(items: Sequence[object]) -> str:
 
 class TripleSpec(Frozen):
     """Weights (p0 <= p1 <= pinf) of a hyperbolic genus-0 triple; entries are
-    integers >= 2 or inf.  neg_chi is -chi = 1 - sum of 1/p as (num, den) in
-    integers, den the product of the finite entries (1/inf reads as 0); it
-    follows from the entries, so equality, hash and repr leave it out."""
+    integers >= 2 or inf."""
 
-    __slots__ = ("entries", "neg_chi")
+    __slots__ = ("entries",)
     _fields = ("entries",)
     entries: Tuple[object, object, object]
-    neg_chi: Tuple[int, int]
 
     def __init__(self, p0, p1, pinf):
         finite = [p for p in (p0, p1, pinf) if p is not INF]
@@ -43,12 +40,10 @@ class TripleSpec(Frozen):
             if not isinstance(p, int) or p < 2:
                 raise ValueError(f"weight must be an integer >= 2 or inf, got {p!r}")
         den = prod(finite)
-        num = den - sum(den // p for p in finite)
         es = sorted((p0, p1, pinf))
-        if num <= 0:
+        if den - sum(den // p for p in finite) <= 0:  # den * (-chi), 1/inf = 0
             raise ValueError(f"triple {es} is not hyperbolic")
         super().__init__(tuple(es))
-        object.__setattr__(self, "neg_chi", (num, den))
 
     @property
     def pinf(self):
@@ -64,18 +59,11 @@ def floor_identity_holds(t: TripleSpec, d: int) -> bool:
     return d - s == 1
 
 
-def chi_inequality_holds(t: TripleSpec, d: int, n: int) -> bool:
-    """d * (-chi of the triple) <= 1 - n/pinf, reading n/inf as 0."""
-    num, den = t.neg_chi
-    if t.pinf is INF:
-        return d * num <= den
-    return d * num * t.pinf <= den * (t.pinf - n)
-
-
 def _candidate_rows(d_max: int) -> Tuple[Tuple[object, ...], ...]:
     """The n-independent candidates as integer rows (p0, p1, pinf, d, num,
     den), sorted as the triples sort: the canonical hyperbolic p0 <= p1 <= pinf
-    (INF for inf) with the floor identity at d, -chi = num/den as in neg_chi.
+    (INF for inf) with the floor identity at d, -chi = num/den with den the
+    product of the finite entries (1/inf reads as 0).
     Each command calls enumerate_candidates once, so the rows are computed
     once per command and not cached.
 
@@ -371,16 +359,18 @@ def _intermediate_table(table_id: str, infinite: bool, d_max: int) -> Table:
 
 
 def _n7_table(d_max: int) -> Table:
-    """Complete profiles per n in 7..12, in one sweep of the n = 7
-    candidates: the chi inequality only tightens as n grows, so a profile
-    with n essential points counts when its candidate passes it at n."""
-    counts = dict.fromkeys(range(7, 13), 0)
-    for t, d in enumerate_candidates(7, d_max):
-        for profile, n_total in enumerate_profiles(t.entries, d):
-            if (n_total in counts and chi_inequality_holds(t, d, n_total)
-                    and verdict(profile, n_total).kind is VerdictKind.COMPLETE):
-                counts[n_total] += 1
-    rows = [(str(n), str(c), "" if c else "none") for n, c in counts.items()]
+    """No complete profile has seven or more essential points, for any n:
+    the chi inequality only tightens as n grows, so every candidate at
+    n >= 7 is one at n = 7, and over each of those no profile reaches seven
+    points.  A profile has the most over a candidate when every fibre takes
+    its last option, the remainder split into ones; a candidate where that
+    reaches seven would be an internal error.  The rows print n = 7..12."""
+    most = max((sum(_fiber_options(p, d)[-1][1] for p in t.entries)
+                for t, d in enumerate_candidates(7, d_max)), default=0)
+    if most >= 7:
+        raise AssertionError(f"internal error: a profile over an n = 7 candidate "
+                             f"has {most} essential points")
+    rows = [(str(n), "0", "none") for n in range(7, 13)]
     return Table("N7", "complete profiles with seven or more points",
                  ("n", "complete profiles", "note"), tuple(rows))
 

@@ -1,10 +1,13 @@
 """Constructive realizability of branch data by permutation tuples.
 
 A profile with partitions (lambda_1, ..., lambda_k) and N free simple branch
-points is realizable by a genus-0 covering iff there are permutations
-(s_1, ..., s_k, tau_1, ..., tau_N) of {1..d} with cycle types
-(lambda_1, ..., lambda_k, [2,1,...], ...), product the identity, generating
-a transitive subgroup.  This module searches for such tuples exactly.
+points is realizable by a connected degree-d covering of the line iff there
+are permutations (s_1, ..., s_k, tau_1, ..., tau_N) of {1..d} with cycle
+types (lambda_1, ..., lambda_k, [2,1,...], ...), product the identity,
+generating a transitive subgroup.  This module searches for such tuples
+exactly.  It checks parity and transitivity, not the genus, so it decides
+existence for any genus g = (branching - 2d + 2)/2, the branching summed
+over every entry; the classification's queries are the g = 0 case.
 
 Permutations are tuples of 0-based images; compose(p, q) applies p first.
 The search normalizes away conjugation freedom: the largest class is frozen

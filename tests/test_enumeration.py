@@ -10,13 +10,11 @@ import garnier.enumeration
 import garnier.orbifold
 from garnier.enumeration import (
     TABLE_IDS,
-    CandidateVerdict,
     RamificationProfile,
     TripleSpec,
     VerdictKind,
     _T2_EXTRA,
     _fiber_options,
-    chi_inequality_holds,
     complete_profiles,
     enumerate_candidates,
     enumerate_profiles,
@@ -64,14 +62,15 @@ def test_floor_identity():
     assert not floor_identity_holds(t, 5)
 
 
+def _kept(n, es, d):
+    return (TripleSpec(*es), d) in enumerate_candidates(n)
+
+
 def test_chi_inequality():
-    t = TripleSpec(2, 3, 7)
-    # d/42 <= 1 - n/7
-    assert chi_inequality_holds(t, 12, 5)
-    assert not chi_inequality_holds(t, 13, 5)
-    assert not chi_inequality_holds(t, 12, 6)
-    t = TripleSpec(2, 3, INF)
-    assert chi_inequality_holds(t, 6, 100)  # rhs is 1 when pinf = inf
+    # d/42 <= 1 - n/7 at the candidate (2,3,7), d = 12
+    assert _kept(5, (2, 3, 7), 12)
+    assert not _kept(6, (2, 3, 7), 12)
+    assert _kept(100, (2, 3, INF), 6)  # rhs is 1 when pinf = inf
 
 
 def _fraction_neg_chi(es):
@@ -91,45 +90,22 @@ def test_triple_spec_raises_exactly_off_hyperbolic():
                 TripleSpec(*es)
 
 
-def test_chi_inequality_matches_fraction_definition():
-    # the integer cross-multiplied form against d * (-chi) <= 1 - n/pinf
-    # computed with Fraction, on every hyperbolic triple over {2..13, inf}
-    for es in SMALL_TRIPLES:
-        neg_chi = _fraction_neg_chi(es)
-        if neg_chi <= 0:
-            continue
-        t = TripleSpec(*es)
-        rhs = [1 - (0 if es[2] is INF else Fraction(n, es[2])) for n in range(14)]
-        for d in range(2, 43):
-            lhs = d * neg_chi
-            for n in range(14):
-                assert chi_inequality_holds(t, d, n) == (lhs <= rhs[n]), (es, d, n)
-
-
-def test_triple_spec_neg_chi_matches_fraction_definition():
-    # the (num, den) kept at construction is -chi, and only entries compare
-    for es in SMALL_TRIPLES:
-        neg_chi = _fraction_neg_chi(es)
-        if neg_chi > 0:
-            t = TripleSpec(*reversed(es))
-            num, den = t.neg_chi
-            assert Fraction(num, den) == neg_chi, es
+def test_triple_spec_repr_and_equality_read_the_entries():
     t = TripleSpec(2, 3, 7)
-    assert t.neg_chi == (1, 42)
     assert repr(t) == "TripleSpec(entries=(2, 3, 7))"
     assert t == TripleSpec(7, 3, 2) and hash(t) == hash(TripleSpec(3, 7, 2))
 
 
 def test_chi_inequality_equality_boundary():
-    # d * (-chi) = 42 * 1/42 = 1 exactly, and the inequality is not strict
-    assert chi_inequality_holds(TripleSpec(2, 3, 7), 42, 0)
-    assert not chi_inequality_holds(TripleSpec(2, 3, 7), 43, 0)
+    # d * (-chi) = 42 * 1/42 = 1 - 0/7 exactly, and the inequality is not
+    # strict; at n = 1 the right side drops to 6/7
+    assert _kept(0, (2, 3, 7), 42)
+    assert not _kept(1, (2, 3, 7), 42)
 
 
 def test_chi_inequality_negative_rhs_fails():
     # 1 - 8/7 < 0 <= d * (-chi) at every degree
-    t = TripleSpec(2, 3, 7)
-    assert not any(chi_inequality_holds(t, d, 8) for d in range(2, 43))
+    assert not any(t == TripleSpec(2, 3, 7) for t, _ in enumerate_candidates(8))
 
 
 @pytest.mark.parametrize("es", [(2, 3, 6), (2, 4, 4), (3, 3, 3), (2, 2, INF)]
@@ -244,7 +220,7 @@ def test_floor_identity_implies_the_chi_inequality_at_pinf_inf():
         for d in range(2, 43):
             if floor_identity_holds(t, d):
                 checked += 1
-                assert all(chi_inequality_holds(t, d, n) for n in range(13)), (t, d)
+                assert d * _fraction_neg_chi(t.entries) <= 1, (t, d)
     assert checked == 46
 
 
@@ -622,22 +598,36 @@ def test_n7_summary_empty():
         (str(n), "0", "none") for n in range(7, 13))
 
 
-def test_n7_counts_each_profile_at_its_own_n(monkeypatch):
-    # no profile has seven or more essential points, so the rows read 0
-    # whatever the count does; with every total raised by 4 and every
-    # profile COMPLETE, the one sweep must count what a separate sweep of
-    # the candidates at each n finds
-    real = enumerate_profiles
-    monkeypatch.setattr(garnier.enumeration, "enumerate_profiles",
-                        lambda ws, d, n=None: [(p, k + 4) for p, k in real(ws, d, n)])
-    monkeypatch.setattr(garnier.enumeration, "verdict",
-                        lambda profile, n: CandidateVerdict(VerdictKind.COMPLETE))
-    want = {n: sum(len(real(t.entries, d, n - 4)) for t, d in enumerate_candidates(n)
-                   if chi_inequality_holds(t, d, n))
-            for n in range(7, 13)}
-    assert want == {7: 10, 8: 6, 9: 2, 10: 1, 11: 0, 12: 0}
-    assert reproduce_table("N7").rows == tuple(
-        (str(n), str(c), "" if c else "none") for n, c in want.items())
+# the n = 7 candidates with the most essential points a profile over each
+# can have: every fibre takes its last option, the remainder split into ones
+N7_CANDIDATE_MAXIMA = {
+    ("(2,3,inf)", 3): 4, ("(2,3,inf)", 4): 5, ("(2,3,inf)", 6): 6,
+    ("(2,4,inf)", 4): 4, ("(2,inf,inf)", 2): 4, ("(3,3,inf)", 3): 3,
+}
+
+
+def test_n7_candidate_bound():
+    # the chi inequality only tightens as n grows, so from n = 7 on the
+    # candidates stay the same six rows (all pinf = inf), and no profile
+    # over them reaches seven points: N7 rests on these maxima
+    pairs = enumerate_candidates(7)
+    for n in range(8, 61):
+        assert enumerate_candidates(n) == pairs, n
+    got = {}
+    for t, d in pairs:
+        bound = sum(_fiber_options(p, d)[-1][1] for p in t.entries)
+        assert bound == max(k for _, k in enumerate_profiles(t.entries, d)), (t, d)
+        got[str(t), d] = bound
+    assert got == N7_CANDIDATE_MAXIMA
+
+
+def test_n7_raises_on_a_seven_point_candidate(monkeypatch):
+    # (2,inf,inf) at d = 3 (no candidate: its floor identity fails) has a
+    # profile with 1 + 3 + 3 essential points
+    monkeypatch.setattr(garnier.enumeration, "enumerate_candidates",
+                        lambda n, d_max: [(TripleSpec(2, INF, INF), 3)])
+    with pytest.raises(AssertionError, match="internal error"):
+        reproduce_table("N7")
 
 
 def test_t2_quoted_rows():

@@ -147,11 +147,7 @@ def test_fields_compare_and_hash():
 def test_triple_spec_compares_entries_only():
     t = TripleSpec(2, 3, 7)
     assert t == TripleSpec(7, 2, 3) and hash(t) == hash(TripleSpec(3, 7, 2))
-    assert t.neg_chi == (1, 42)
-    assert "neg_chi" not in repr(t)
-    other = TripleSpec(2, 3, 7)
-    object.__setattr__(other, "neg_chi", (0, 1))
-    assert other == t and hash(other) == hash(t)
+    assert repr(t) == "TripleSpec(entries=(2, 3, 7))"
     assert TripleSpec(2, 3, INF) != TripleSpec(2, 3, 7)
 
 

@@ -1,8 +1,13 @@
 """Command line interface.
 
-`main` parses a named command's arguments with that command's parser alone;
-help, an unknown name, an empty command line and leftover arguments get the
-full parser, whose messages list every command.
+Each command's options are data in COMMANDS, read by two parsers. `main`
+first parses a well-formed command line from the table alone
+(`parse_from_table`), so a valid call builds no argparse parser. Any other
+command line goes to argparse, built from the same table: help, abbreviated
+and `--opt=value` flags, `--`, values starting with "-", repeated options
+and every usage error get the named command's parser; an unknown name, an
+empty command line and leftover arguments get the full parser, whose
+messages list every command.
 
 Exit codes: 0 on success, 1 when a verification fails (golden mismatch,
 failed family checks, too many rejected draws), 2 on usage errors.
@@ -187,62 +192,45 @@ def _env_seed() -> int:
         raise ValueError(f"GARNIER_SEED must be an integer, got {text!r}") from None
 
 
-def _add_chi(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--genus", type=int, default=0)
-    p.add_argument("--weights", type=_parse_weights, required=True,
-                   metavar="W1,W2,...", help="positive rationals or inf")
-    p.set_defaults(func=_cmd_chi)
-
-
-def _add_classify(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--genus", type=int, default=0)
-    p.add_argument("--weights", type=_parse_weights, required=True,
-                   metavar="W1,W2,...")
-    p.set_defaults(func=_cmd_classify)
-
-
-def _add_enumerate(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--n", type=_int_at_least(0), required=True)
-    p.add_argument("--dmax", type=_int_at_least(2), default=DEFAULT_DMAX)
-    p.set_defaults(func=_cmd_enumerate)
-
-
-def _add_tables(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--id", required=True, type=_table_id, choices=TABLE_IDS)
-    p.add_argument("--dmax", type=_int_at_least(2), default=DEFAULT_DMAX)
-    output = p.add_mutually_exclusive_group()
-    output.add_argument("--json", action="store_true")
-    output.add_argument("--golden", action="store_true",
-                        help="diff the text table against the packaged golden copy")
-    p.set_defaults(func=_cmd_tables)
-
-
-def _add_hurwitz(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--degree", type=int, required=True,
-                   help=f"covering degree (<= {MAX_DEGREE})")
-    p.add_argument("--types", type=_parse_types, required=True,
-                   metavar="'2,2;3,1;...'",
-                   help="semicolon-separated partitions of the degree")
-    p.set_defaults(func=_cmd_hurwitz)
-
-
-def _add_verify(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--samples", type=_int_at_least(2), default=10)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_verify)
-
-
-# subcommand name -> (help text, function adding its arguments), in the
-# order the help lists them
+# command name -> (help text, command function, options, exclusive flags),
+# in the order the help lists them. An option is a long flag with the
+# keyword arguments of its argparse add_argument call; at most one of a
+# command's exclusive flags may be given.
 COMMANDS = {
-    "chi": ("Euler characteristic and curvature class", _add_chi),
-    "classify": ("curvature class of integral weights", _add_classify),
-    "enumerate": ("candidate triples and branch data for n points", _add_enumerate),
-    "tables": ("reproduce a classification table", _add_tables),
-    "hurwitz": ("realize branch data by a permutation tuple", _add_hurwitz),
-    "verify-deg4": ("verify the explicit degree-4 family exactly", _add_verify),
+    "chi": ("Euler characteristic and curvature class", _cmd_chi, (
+        ("--genus", dict(type=int, default=0)),
+        ("--weights", dict(type=_parse_weights, required=True, metavar="W1,W2,...",
+                           help="positive rationals or inf"))), ()),
+    "classify": ("curvature class of integral weights", _cmd_classify, (
+        ("--genus", dict(type=int, default=0)),
+        ("--weights", dict(type=_parse_weights, required=True, metavar="W1,W2,..."))), ()),
+    "enumerate": ("candidate triples and branch data for n points", _cmd_enumerate, (
+        ("--n", dict(type=_int_at_least(0), required=True)),
+        ("--dmax", dict(type=_int_at_least(2), default=DEFAULT_DMAX))), ()),
+    "tables": ("reproduce a classification table", _cmd_tables, (
+        ("--id", dict(type=_table_id, required=True, choices=TABLE_IDS)),
+        ("--dmax", dict(type=_int_at_least(2), default=DEFAULT_DMAX)),
+        ("--json", dict(action="store_true")),
+        ("--golden", dict(action="store_true",
+                          help="diff the text table against the packaged golden copy"))),
+        ("--json", "--golden")),
+    "hurwitz": ("realize branch data by a permutation tuple", _cmd_hurwitz, (
+        ("--degree", dict(type=int, required=True, help=f"covering degree (<= {MAX_DEGREE})")),
+        ("--types", dict(type=_parse_types, required=True, metavar="'2,2;3,1;...'",
+                         help="semicolon-separated partitions of the degree"))), ()),
+    "verify-deg4": ("verify the explicit degree-4 family exactly", _cmd_verify, (
+        ("--samples", dict(type=_int_at_least(2), default=10)),
+        ("--seed", dict(type=int)),
+        ("--json", dict(action="store_true"))), ()),
 }
+
+
+def _add_options(p: argparse.ArgumentParser, command: str) -> None:
+    _, func, options, exclusive = COMMANDS[command]
+    group = p.add_mutually_exclusive_group() if exclusive else p
+    for flag, kwargs in options:
+        (group if flag in exclusive else p).add_argument(flag, **kwargs)
+    p.set_defaults(func=func)
 
 
 def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
@@ -251,7 +239,7 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     parses, helps and fails as that subparser does."""
     if command is not None:
         p = argparse.ArgumentParser(prog=f"garnier {command}")
-        COMMANDS[command][1](p)
+        _add_options(p, command)
         return p
     ap = argparse.ArgumentParser(
         prog="garnier",
@@ -259,19 +247,59 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
                     "solutions obtained by pulling back hypergeometric "
                     "equations, with a verified degree-4 family.")
     sub = ap.add_subparsers(dest="command", required=True)
-    for name, (help_text, add_arguments) in COMMANDS.items():
-        add_arguments(sub.add_parser(name, help=help_text))
+    for name, (help_text, *_) in COMMANDS.items():
+        _add_options(sub.add_parser(name, help=help_text), name)
     return ap
+
+
+def parse_from_table(argv) -> Optional[argparse.Namespace]:
+    """The Namespace that `argv[0]`'s argparse parser gives for `argv[1:]`,
+    read from COMMANDS; None unless argv is well formed: exact long flags of
+    the command, none twice, each but a store-true flag followed by a value
+    not starting with "-" that passes its type and choices, every required
+    option given and at most one exclusive flag."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    _, func, options, exclusive = COMMANDS[argv[0]]
+    spec = dict(options)
+    given = {}
+    tokens = iter(argv[1:])
+    for flag in tokens:
+        kwargs = spec.get(flag)
+        if kwargs is None or flag in given:
+            return None
+        if kwargs.get("action") == "store_true":
+            given[flag] = True
+            continue
+        text = next(tokens, "-")  # a flag without its value defers too
+        if text.startswith("-"):
+            return None
+        try:
+            given[flag] = kwargs.get("type", str)(text)
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+        if "choices" in kwargs and given[flag] not in kwargs["choices"]:
+            return None
+    if exclusive and all(flag in given for flag in exclusive):
+        return None
+    args = argparse.Namespace(func=func)
+    for flag, kwargs in options:
+        if flag not in given and kwargs.get("required"):
+            return None
+        default = kwargs.get("default", False if kwargs.get("action") else None)
+        setattr(args, flag[2:].replace("-", "_"), given.get(flag, default))
+    return args
 
 
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    if argv and argv[0] in COMMANDS:
+    args = parse_from_table(argv)
+    if args is None and argv and argv[0] in COMMANDS:
         args, rest = build_parser(argv[0]).parse_known_args(argv[1:])
         if rest:  # reported by the full parser, as unrecognized arguments
-            args = build_parser().parse_args(argv)
-    else:
+            args = None
+    if args is None:
         args = build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -11,9 +11,16 @@ from pathlib import Path
 import pytest
 
 from garnier import covers, enumeration
-from garnier.cli import COMMANDS, build_parser, main
+from garnier.cli import COMMANDS, build_parser, main, parse_from_table
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _readme_commands():
+    usage = README.read_text("utf-8").split("## Command line", 1)[1].split("\n## ", 1)[0]
+    block = usage.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = (shlex.split(line, comments=True) for line in block.splitlines())
+    return [argv[1:] for argv in lines if argv and argv[0] == "garnier"]
 
 
 def run(capsys, *argv):
@@ -380,10 +387,16 @@ def test_build_parser_builds_the_named_subcommand_only():
     (action,) = _subcommands(build_parser())
     assert list(action.choices) == list(COMMANDS)
     assert len(COMMANDS) == 6
-    for name in COMMANDS:
+    for name, (_, _, options, exclusive) in COMMANDS.items():
         parser = build_parser(name)
         assert _subcommands(parser) == []
         assert parser.prog == f"garnier {name}"
+        # argparse and parse_from_table read the same flags and exclusive pair
+        flags = [s for a in parser._actions for s in a.option_strings]
+        assert flags == ["-h", "--help"] + [flag for flag, _ in options]
+        groups = [[s for a in g._group_actions for s in a.option_strings]
+                  for g in parser._mutually_exclusive_groups]
+        assert groups == ([list(exclusive)] if exclusive else [])
 
 
 def _outcome(capsys, argv):
@@ -426,9 +439,29 @@ def _full_parser_outcome(capsys, argv):
     ["tables", "--", "--id"], ["tables", "-h", "--id", "zz"],
     ["chi", "--weights", "-2"],
     ["chi", "--genus", "1", "--genus", "0", "--weights", "2,3,7"],
+    # the table parser against argparse: well-formed calls, each check it
+    # makes and forms it leaves to argparse
+    *_readme_commands(),
+    ["tables", "--id", "t1"], ["tables", "--id", "T1", "--dmax", "2"],
+    ["tables", "--id", "T1", "--dmax", "1"], ["tables", "--id", "T1", "--json"],
+    ["tables", "--id", "T1", "--golden"], ["tables", "--id", "T1", "--json", "--json"],
+    ["tables", "--id", ""], ["tables", "--id", "--json"],
+    ["tables", "--dmax", "12", "--dmax", "13", "--id", "T1"],
+    ["hurwitz", "--degree", "4", "--types", "2,2;3,1"],
+    ["verify-deg4", "--samples", "2", "--seed", "-3"],
+    ["enumerate", "--n", "0"], ["chi", "--weights", ""],
+    ["tables", "--golden", "--id", "N7"], ["tables", "--id", "T1", "--dmax"],
+    ["tables", "--id", "T1", "--dmax", "x"], ["hurwitz", "--degree", "4"],
+    ["classify", "--genus", "1", "--weights", "2"], ["verify-deg4"],
+    # argparse reads "-1/2,3" as an option, not as a value
+    ["chi", "--weights", "-1/2,3"],
 ])
 def test_main_matches_the_full_parser(capsys, argv):
     assert _outcome(capsys, argv) == _full_parser_outcome(capsys, argv)
+    # where the table parser takes argv, it gives the command parser's Namespace
+    args = parse_from_table(argv)
+    if args is not None:
+        assert vars(args) == vars(build_parser(argv[0]).parse_args(argv[1:]))
 
 
 def _count_inits(monkeypatch, cls):
@@ -443,11 +476,23 @@ def _count_inits(monkeypatch, cls):
     return calls
 
 
-def test_tables_call_builds_one_parser_and_only_kept_triples(capsys, monkeypatch):
-    # a command's parser alone parses its arguments
+def test_well_formed_calls_build_no_parser_and_only_kept_triples(capsys, monkeypatch):
+    # a well-formed command line is parsed from COMMANDS, without argparse
+    monkeypatch.delenv("GARNIER_SEED", raising=False)
     parsers = _count_inits(monkeypatch, argparse.ArgumentParser)
-    assert main(["tables", "--id", "T1"]) == 0
-    assert len(parsers) == 1
+    for argv in _readme_commands():
+        assert run(capsys, *argv)[0] == 0
+    assert parsers == []
+    # a form the table parser leaves to argparse builds the command's parser
+    # alone and prints the same table
+    for deferred, plain in ((["tables", "--id=T3"], ["tables", "--id", "T3"]),
+                            (["tables", "--i", "T2"], ["tables", "--id", "T2"]),
+                            (["tables", "--id", "T1", "--id", "N7"], ["tables", "--id", "N7"])):
+        want = run(capsys, *plain)
+        assert parsers == []
+        assert run(capsys, *deferred) == want
+        assert len(parsers) == 1
+        parsers.clear()
     # the sweep builds no TripleSpec; the 13 five-point candidates are built
     # from its integer rows
     triples = _count_inits(monkeypatch, enumeration.TripleSpec)
@@ -488,13 +533,6 @@ _README_SHA256 = {
     "verify-deg4 --samples 5 --json":
         "957b13ee2e21ce3067ea9aecfea275103a687ad233e2ba2d369c9aa22ce9a432",
 }
-
-
-def _readme_commands():
-    usage = README.read_text("utf-8").split("## Command line", 1)[1].split("\n## ", 1)[0]
-    block = usage.split("```sh\n", 1)[1].split("```", 1)[0]
-    lines = (shlex.split(line, comments=True) for line in block.splitlines())
-    return [argv[1:] for argv in lines if argv and argv[0] == "garnier"]
 
 
 def test_readme_commands_stdout_pinned(capsys, monkeypatch):

@@ -22,7 +22,9 @@ A query pays only for what its walk reaches.  The pools it walks (the
 products h, the remaining classes, orbit representatives for the first of
 them) are generated lazily in a fixed order, each element at most once per
 query: a walk replays what earlier walks drew, and nothing past the first
-hit is generated.  A class generator yields an element once its last
+hit is generated.  A pool that a walk draws to its end is kept for the
+process as a tuple, which later queries walk; so are a few constants per
+degree and type.  A class generator yields an element once its last
 non-fixed cycle is placed, and steps over a run of fixed points in one
 loop.  Orbits are closed on bytes in C, by generators built at the first
 closure.  The tuple found is put back in the requested order by one
@@ -41,20 +43,20 @@ from .orbifold import partitions_of
 Perm = Tuple[int, ...]
 
 MAX_DEGREE = 16
+# kept for the process: every pool some walk drew to its end, by key, and _memo's results
+_POOLS: Dict[tuple, Tuple[Perm, ...]] = {}
+_MEMO: Dict[tuple, object] = {}
 
 
 def identity(d: int) -> Perm:
     return tuple(range(d))
 
 
-def compose(*perms: Perm) -> Perm:
+def compose(p: Perm, *perms: Perm) -> Perm:
     """Apply left to right: compose(p, q)[i] = q[p[i]]."""
-    if not perms:
-        raise ValueError("compose needs at least one permutation")
-    out = perms[0]
-    for q in perms[1:]:
-        out = tuple(q[i] for i in out)
-    return out
+    for q in perms:
+        p = tuple(q[i] for i in p)
+    return p
 
 
 def inverse(p: Perm) -> Perm:
@@ -254,11 +256,18 @@ def transposition(d: int, i: int, j: int) -> Perm:
     return tuple(img)
 
 
+def _memo(f, *args):
+    """f(*args), computed once per process and shared: a query's constants."""
+    key = (f,) + args
+    return _MEMO[key] if key in _MEMO else _MEMO.setdefault(key, f(*args))
+
+
 def h_set(d: int, k: int) -> Iterator[Perm]:
     """All permutations expressible as a product of exactly k transpositions
     (Cayley norm <= k with the same parity), generated lazily class by
     class in the order of partitions_of(d)."""
-    return chain.from_iterable(class_elements(d, lam) for lam in partitions_of(d, budget=k)
+    classes = _memo(partitions_of, d, None, k)
+    return chain.from_iterable(class_elements(d, lam) for lam in classes
                                if (k - d + len(lam)) % 2 == 0)
 
 
@@ -308,10 +317,10 @@ def factor_into_transpositions(h: Perm, k: int,
     spare = k - (d - len(cycles)) - 2 * (len(roots) - 1)
     if spare < 0 or spare % 2 or (spare and d < 2):
         return None
-    out = [transposition(d, cyc[0], x) for cyc in cycles for x in cyc[1:]]
+    out = [_memo(transposition, d, cyc[0], x) for cyc in cycles for x in cyc[1:]]
     for r in roots[1:]:
-        out += [transposition(d, roots[0], r)] * 2
-    return out + [transposition(d, 0, 1) for _ in range(spare)]
+        out += [_memo(transposition, d, roots[0], r)] * 2
+    return out + [_memo(transposition, d, 0, 1) for _ in range(spare)]
 
 
 class PermutationTuple(NamedTuple):
@@ -342,14 +351,6 @@ def format_perm(p: Perm) -> str:
     return "".join(parts) if parts else "id"
 
 
-def _is_identity_type(t: Tuple[int, ...]) -> bool:
-    return t[0] == 1
-
-
-def _is_transposition_type(t: Tuple[int, ...]) -> bool:
-    return t[0] == 2 and t[1:2] != (2,)
-
-
 def _reorder_to(perms: List[Perm], types: List[Tuple[int, ...]],
                 want_types: Sequence[Tuple[int, ...]]) -> List[Perm]:
     """perms in the order of want_types, keeping the product: an entry w
@@ -371,12 +372,13 @@ class _Pool:
     """A re-iterable view of a lazy pool: each item is drawn from the source
     the first time a walk reaches it, so a pool walked once per prefix is
     generated once, and only up to where the search stops.  Walks never
-    interleave: each replays the drawn list, then draws on from the source
-    until it is exhausted; after that a walk is the list's own iterator."""
+    interleave: each replays the drawn list, then draws on; at the source's
+    end the list becomes a tuple, published in _POOLS under key."""
 
-    def __init__(self, source: Iterable[Perm]):
+    def __init__(self, source: Iterable[Perm], key: tuple):
         self._source: Optional[Iterator[Perm]] = iter(source)
         self._drawn: List[Perm] = []
+        self._key = key
 
     def __iter__(self) -> Iterator[Perm]:
         return iter(self._drawn) if self._source is None else self._draw()
@@ -387,6 +389,7 @@ class _Pool:
             self._drawn.append(item)
             yield item
         self._source = None
+        _POOLS[self._key] = self._drawn = tuple(self._drawn)
 
 
 def verify_tuple(perms: Sequence[Perm], types: Sequence[Sequence[int]],
@@ -418,10 +421,11 @@ def find_tuple(types: Sequence[Sequence[int]], degree: int) -> RealizabilityCert
     class never needs enumeration because the product relation determines
     it.  For each h the leaf tests the type of h P (P the prefix product),
     that of the derived entry (h P)^-1, without building h P, and composes
-    the entry only on a hit; every h is still tested.  The pools are lazy
-    in a fixed order, so the walk, its first hit, stats and reason do not
-    depend on how far they have been generated.  Degree 1 takes the same
-    path: its one h factors into the empty tuple.
+    the entry only on a hit; every h is still tested.  The pools are lazy in
+    a fixed order, published as tuples only once drawn to the end, so the
+    walk, its first hit, stats and reason do not depend on how far, or in
+    which query, they were generated.  Degree 1 takes the same path: its one
+    h factors into the empty tuple.
     """
     if degree < 1:
         raise ValueError("degree must be >= 1")
@@ -437,9 +441,10 @@ def find_tuple(types: Sequence[Sequence[int]], degree: int) -> RealizabilityCert
         return RealizabilityCertificate(False, None, stats,
                                         "odd total branching, no tuple has identity product")
 
-    work = [t for t in norm_types if not _is_identity_type(t)]
-    big = sorted((t for t in work if not _is_transposition_type(t)),
-                 key=lambda t: class_size(degree, t))
+    work = [t for t in norm_types if t[0] > 1]
+    # not transpositions: a part above 2, or two parts of 2
+    big = sorted((t for t in work if t[0] > 2 or t[1:2] == (2,)),
+                 key=lambda t: _memo(class_size, degree, t))
     n_tau = len(work) - len(big)
 
     def try_h(prefix: List[Perm], h: Perm) -> Optional[List[Perm]]:
@@ -450,27 +455,28 @@ def find_tuple(types: Sequence[Sequence[int]], degree: int) -> RealizabilityCert
     if len(big) <= 1:
         # freeze the one class, if any; the transpositions must multiply to
         # the inverse of its representative (outer counts frozen anchors)
-        prefix = [canonical_perm(t) for t in big]
+        prefix = [_memo(canonical_perm, t) for t in big]
         stats["outer"] += len(prefix)
         found = try_h(prefix, inverse(compose(identity(degree), *prefix)))
     else:
         derived_counts = [big[-2].count(n) for n in range(degree + 1)]
-        anchor = canonical_perm(big[-1])
-        h_pool = _Pool(h_set(degree, n_tau))
-        middle_pools: List[_Pool] = []
+        anchor = _memo(canonical_perm, big[-1])
+        h_pool = _POOLS.get((degree, n_tau)) or _Pool(h_set(degree, n_tau), (degree, n_tau))
+        middle_pools = []
         for i, mt in enumerate(big[:-2]):
-            elems = class_elements(degree, mt)
-            if i == 0:
-                elems = orbit_reps(elems, anchor)
-            middle_pools.append(_Pool(elems))
+            key = (degree, mt, big[-1]) if i == 0 else (degree, mt)
+            elems = _POOLS.get(key)
+            if elems is None:
+                elems = class_elements(degree, mt)
+                elems = _Pool(orbit_reps(elems, anchor) if i == 0 else elems, key)
+            middle_pools.append(elems)
 
         def walk(i: int, prefix: List[Perm], prefix_prod: Perm) -> Optional[List[Perm]]:
             if i == len(middle_pools):
                 # the derived element (h prefix_prod)^-1 has the type of
                 # h prefix_prod, which is tested without being built
                 n = 0
-                for h in h_pool:
-                    n += 1
+                for n, h in enumerate(h_pool, 1):
                     if not _has_cycle_type(h, prefix_prod, derived_counts):
                         continue
                     stats["typehits"] += 1

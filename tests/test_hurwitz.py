@@ -38,6 +38,20 @@ from garnier.enumeration import partitions_of
 from garnier.orbifold import RamificationProfile
 
 
+@pytest.fixture
+def empty_pool_store(monkeypatch):
+    """An empty pool store for the test, so that it generates every pool it
+    walks; the process's store is put back afterwards."""
+    monkeypatch.setattr(hurwitz, "_POOLS", {})
+
+
+class _Unkept(dict):
+    """A pool store that keeps nothing: every query generates its pools."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
 def test_compose_left_to_right():
     p = (1, 0, 2)  # (1 2) in 1-based cycles
     q = (0, 2, 1)  # (2 3)
@@ -361,7 +375,8 @@ def test_find_tuple_reads_each_type_once(monkeypatch):
     assert calls == list(cert.tuple_.perms)
 
 
-def test_centralizer_generators_are_built_at_the_first_orbit_closure(monkeypatch):
+def test_centralizer_generators_are_built_at_the_first_orbit_closure(monkeypatch,
+                                                                    empty_pool_store):
     built = []
     generate = hurwitz.centralizer_generators
 
@@ -676,7 +691,7 @@ def test_lazy_pools_generate_the_eager_order_at_degrees_nine_and_ten():
         assert list(h_set(10, k)) == _eager_h_set(10, k)
 
 
-def test_pool_replays_what_it_drew():
+def test_pool_replays_what_it_drew(empty_pool_store):
     source = list(class_elements(5, (3, 1, 1)))
 
     class Counted:
@@ -693,7 +708,7 @@ def test_pool_replays_what_it_drew():
             return next(self.items)
 
     counted = Counted()
-    pool = hurwitz._Pool(counted)
+    pool = hurwitz._Pool(counted, ("replayed",))
     # a walk stopped midway draws only what it reached
     for n, p in enumerate(pool):
         if n == 6:
@@ -720,9 +735,11 @@ def _match_queries():
     return queries + _three_fibre_sample(7, 20)
 
 
-def test_lazy_pools_match_eager_search(monkeypatch):
+def test_lazy_pools_match_eager_search(monkeypatch, empty_pool_store):
     queries = _match_queries()
     lazy = [find_tuple(types, d) for d, types in queries]
+    # the eager run generates its own pools, not those the lazy run published
+    hurwitz._POOLS.clear()
     monkeypatch.setattr(hurwitz, "class_elements", _eager_class_elements)
     monkeypatch.setattr(hurwitz, "h_set", _eager_h_set)
     monkeypatch.setattr(hurwitz, "orbit_reps", _eager_orbit_reps)
@@ -745,28 +762,30 @@ def _pin(queries):
     return digest.hexdigest(), totals
 
 
-def test_find_tuple_walk_is_pinned():
+def test_find_tuple_walk_is_pinned(empty_pool_store):
     # (exists, perms, stats, reason) on the query set above: the eager
     # comparison runs both sides through the same leaf loop, so only pinned
     # values catch a change in walk order, which moves the stats or the
-    # first hit
+    # first hit; the same from an empty store and from the one it left
     queries = _match_queries()
-    digest, totals = _pin(queries)
-    assert len(queries) == 127
-    assert totals == {"outer": 6993, "h": 180, "typehits": 166}
-    assert digest == (
-        "76e4139a3a5edb71b72883de90921da64b918e22e4726b7c73519c38525ea1cf")
+    for _ in range(2):
+        digest, totals = _pin(queries)
+        assert len(queries) == 127
+        assert totals == {"outer": 6993, "h": 180, "typehits": 166}
+        assert digest == (
+            "76e4139a3a5edb71b72883de90921da64b918e22e4726b7c73519c38525ea1cf")
 
 
-def test_find_tuple_walk_is_pinned_at_degrees_nine_and_ten():
+def test_find_tuple_walk_is_pinned_at_degrees_nine_and_ten(empty_pool_store):
     # the shapes of the benchmark's d = 9, 10 panel, where the walk is
-    # longest; the last query walks 20,951 h
+    # longest; the last query walks 20,951 h; from an empty and a warm store
     queries = _three_fibre_sample(1, 4, (9, 10))
     assert [d for d, _ in queries] == [9] * 4 + [10] * 4
-    digest, totals = _pin(queries)
-    assert totals == {"outer": 22839, "h": 305, "typehits": 305}
-    assert digest == (
-        "92816cc9788a14c034c979cc4a43556a397d81ceb4be2d4a93a910f00418194a")
+    for _ in range(2):
+        digest, totals = _pin(queries)
+        assert totals == {"outer": 22839, "h": 305, "typehits": 305}
+        assert digest == (
+            "92816cc9788a14c034c979cc4a43556a397d81ceb4be2d4a93a910f00418194a")
 
 
 def test_identity_entries_change_nothing_but_their_slots():
@@ -791,7 +810,7 @@ def test_identity_entries_change_nothing_but_their_slots():
             assert list(cert.tuple_.perms) == want, (d, with_ids)
 
 
-def test_pools_stop_at_the_first_hit(monkeypatch):
+def test_pools_stop_at_the_first_hit(monkeypatch, empty_pool_store):
     made = []
     generate = hurwitz.class_elements
 
@@ -812,3 +831,60 @@ def test_pools_stop_at_the_first_hit(monkeypatch):
                 [(1,) * 12, (3,) + (1,) * 9, (2, 2) + (1,) * 8, (2,) * 6])
     assert eager == 12321
     assert len(made) < eager / 5, len(made)
+
+
+def test_pool_store_changes_no_result(monkeypatch, empty_pool_store):
+    # the small queries, the T1/T4 rows and the seeded d = 6..8 draws: the
+    # same (exists, perms, stats, reason) from an empty store, from the
+    # store that run left, and with the store keeping nothing
+    queries = _match_queries()
+    cold = [find_tuple(types, d) for d, types in queries]
+    assert hurwitz._POOLS
+    warm = [find_tuple(types, d) for d, types in queries]
+    monkeypatch.setattr(hurwitz, "_POOLS", _Unkept())
+    bypassed = [find_tuple(types, d) for d, types in queries]
+    assert not hurwitz._POOLS
+    for i, (d, types) in enumerate(queries):
+        assert cold[i] == warm[i] == bypassed[i], (d, types)
+
+
+def test_pools_are_published_only_when_drawn_to_the_end(monkeypatch, empty_pool_store):
+    # a walk that stops at its first h keeps nothing, though that h is all
+    # of h_set(4, 0)
+    assert find_tuple([(3, 1), (3, 1), (2, 2)], 4).stats == {"outer": 1, "h": 1, "typehits": 1}
+    assert hurwitz._POOLS == {}
+    # the d = 12 row walks all of h_set(12, 2) for its first middle
+    # representative and hits for the second: the h pool is kept, the
+    # middle pool the hit stopped is not
+    assert realize_profile(RamificationProfile(*PROFILE_ROWS[-1])).exists
+    assert hurwitz._POOLS == {(12, 2): tuple(h_set(12, 2))}
+    # NOT_EXISTS walks every pool to its end: each is kept under its key as
+    # the tuple its fresh generator gives
+    hurwitz._POOLS.clear()
+    cert = find_tuple([(4, 2), (2, 2, 2), (2, 2, 2)], 6)
+    assert not cert.exists
+    reps = tuple(orbit_reps(class_elements(6, (2, 2, 2)), canonical_perm((4, 2))))
+    assert hurwitz._POOLS == {(6, (2, 2, 2), (4, 2)): reps, (6, 0): tuple(h_set(6, 0))}
+    # a later query with those keys walks them and generates nothing
+    monkeypatch.setattr(hurwitz, "class_elements", None)
+    assert find_tuple([(2, 2, 2), (4, 2), (2, 2, 2)], 6) == cert
+
+
+def test_memoised_constants_equal_their_formulas():
+    # find_tuple reads these through _memo, with tuples; the public
+    # functions stay the uncached formulas and still take lists
+    assert (hurwitz._memo(min, 3, 4), hurwitz._memo(max, 3, 4)) == (3, 4)
+    for d in range(1, 11):
+        sizes = 0
+        for lam in partitions_of(d):
+            size = hurwitz._memo(class_size, d, lam)
+            assert size == class_size(d, list(lam))
+            assert d > 7 or size == len(set(class_elements(d, lam)))
+            sizes += size
+            anchor = hurwitz._memo(canonical_perm, lam)
+            assert anchor == canonical_perm(list(lam)) and cycle_type(anchor) == lam
+        assert sizes == math.factorial(d)
+        for k in range(d):
+            assert hurwitz._memo(partitions_of, d, None, k) == partitions_of(d, budget=k)
+        for i, j in combinations(range(d), 2):
+            assert hurwitz._memo(transposition, d, i, j) == transposition(d, i, j)

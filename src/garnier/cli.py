@@ -3,11 +3,11 @@
 Each command's options are data in COMMANDS, read by two parsers. `main`
 first parses a well-formed command line from the table alone
 (`parse_from_table`), so a valid call builds no argparse parser. Any other
-command line goes to argparse, built from the same table: help, abbreviated
-and `--opt=value` flags, `--`, values starting with "-", repeated options
-and every usage error get the named command's parser; an unknown name, an
-empty command line and leftover arguments get the full parser, whose
-messages list every command.
+command line goes to the full argparse parser, built from the same table:
+help, abbreviated and `--opt=value` flags, `--`, values starting with "-",
+repeated options, leftover arguments and every usage error get its
+messages, from the subparser named `garnier <command>` or, for an unknown
+name or an empty command line, from the parser that lists every command.
 
 Exit codes: 0 on success, 1 when a verification fails (golden mismatch,
 failed family checks, too many rejected draws), 2 on usage errors.
@@ -233,14 +233,8 @@ def _add_options(p: argparse.ArgumentParser, command: str) -> None:
     p.set_defaults(func=func)
 
 
-def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
-    """The full parser, with every command as a subparser, or `command`'s
-    parser alone, built as its subparser is and with the same prog, so it
-    parses, helps and fails as that subparser does."""
-    if command is not None:
-        p = argparse.ArgumentParser(prog=f"garnier {command}")
-        _add_options(p, command)
-        return p
+def build_parser() -> argparse.ArgumentParser:
+    """The full parser, with every command as a subparser."""
     ap = argparse.ArgumentParser(
         prog="garnier",
         description="Exact classification of complete algebraic Garnier "
@@ -253,7 +247,7 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
 
 
 def parse_from_table(argv) -> Optional[argparse.Namespace]:
-    """The Namespace that `argv[0]`'s argparse parser gives for `argv[1:]`,
+    """The Namespace that `argv[0]`'s subparser gives for `argv[1:]`,
     read from COMMANDS; None unless argv is well formed: exact long flags of
     the command, none twice, each but a store-true flag followed by a value
     not starting with "-" that passes its type and choices, every required
@@ -295,10 +289,6 @@ def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     args = parse_from_table(argv)
-    if args is None and argv and argv[0] in COMMANDS:
-        args, rest = build_parser(argv[0]).parse_known_args(argv[1:])
-        if rest:  # reported by the full parser, as unrecognized arguments
-            args = None
     if args is None:
         args = build_parser().parse_args(argv)
     try:

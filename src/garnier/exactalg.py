@@ -285,10 +285,6 @@ class Poly:
     def __setattr__(self, *_):
         raise AttributeError("Poly is immutable")
 
-    @classmethod
-    def const(cls, c) -> "Poly":
-        return cls([c])
-
     @property
     def coeffs(self):
         den = self._den
@@ -308,7 +304,7 @@ class Poly:
 
     def __add__(self, other):
         if not isinstance(other, Poly):
-            other = Poly.const(other)
+            other = Poly([other])
         pairs = zip_longest(self._rows, other._rows, fillvalue=(0, 0))
         dx, dy = self._den, other._den
         return _poly([(a * dy + c * dx, b * dy + e * dx)
@@ -320,10 +316,10 @@ class Poly:
         return _poly([(-a, -b) for a, b in self._rows], self._den)
 
     def __sub__(self, other):
-        return self + -(other if isinstance(other, Poly) else Poly.const(other))
+        return self + -(other if isinstance(other, Poly) else Poly([other]))
 
     def __rsub__(self, other):
-        return Poly.const(other) + (-self)
+        return Poly([other]) + (-self)
 
     def __mul__(self, other):
         if not isinstance(other, Poly):
@@ -350,7 +346,7 @@ class Poly:
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        return _pow(self, n) if n else Poly.const(1)
+        return _pow(self, n) if n else Poly([1])
 
     def __eq__(self, other):
         if not isinstance(other, Poly):

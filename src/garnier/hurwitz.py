@@ -20,16 +20,16 @@ transitive, and builds them directly when they can.
 
 A query pays only for what its walk reaches.  The pools it walks (the
 products h, the remaining classes, orbit representatives for the first of
-them) are generated lazily in a fixed order, each element at most once per
-query: a walk replays what earlier walks drew, and nothing past the first
-hit is generated.  A pool that a walk draws to its end is kept for the
-process as a tuple, which later queries walk; so are a few constants per
-degree and type.  A class generator yields an element once its last
-non-fixed cycle is placed, and steps over a run of fixed points in one
-loop.  Orbits are closed on bytes in C, by generators built at the first
-closure.  The tuple found is put back in the requested order by one
-conjugation per entry moved, which keeps the product and carries the types
-the search built; cycle_type reads each entry once, in verify_tuple.
+them) are generated lazily in a fixed order, and nothing past the first hit
+is generated.  A pool that a walk draws to its end is kept for the process
+as a tuple, which later walks, in this query or later ones, read instead;
+so are a few constants per degree and type.  A class generator yields an
+element once its last non-fixed cycle is placed, and steps over a run of
+fixed points in one loop.  Orbits are closed on bytes in C, by generators
+built at the first closure.  The tuple found is put back in the requested
+order by one conjugation per entry moved, which keeps the product and
+carries the types the search built; cycle_type reads each entry once, in
+verify_tuple.
 """
 from __future__ import annotations
 
@@ -368,28 +368,20 @@ def _reorder_to(perms: List[Perm], types: List[Tuple[int, ...]],
     return cur
 
 
-class _Pool:
-    """A re-iterable view of a lazy pool: each item is drawn from the source
-    the first time a walk reaches it, so a pool walked once per prefix is
-    generated once, and only up to where the search stops.  Walks never
-    interleave: each replays the drawn list, then draws on; at the source's
-    end the list becomes a tuple, published in _POOLS under key."""
+def _pool(key: tuple, make) -> Iterable[Perm]:
+    """The pool published under key, or else a walk of make() that publishes
+    it at its end.  Walks of one pool never overlap (they are nested loops,
+    and a hit ends the query), so no walk meets a half-drawn pool."""
+    return _POOLS.get(key) or _publish(make(), key)
 
-    def __init__(self, source: Iterable[Perm], key: tuple):
-        self._source: Optional[Iterator[Perm]] = iter(source)
-        self._drawn: List[Perm] = []
-        self._key = key
 
-    def __iter__(self) -> Iterator[Perm]:
-        return iter(self._drawn) if self._source is None else self._draw()
-
-    def _draw(self) -> Iterator[Perm]:
-        yield from self._drawn
-        for item in self._source:
-            self._drawn.append(item)
-            yield item
-        self._source = None
-        _POOLS[self._key] = self._drawn = tuple(self._drawn)
+def _publish(items: Iterable[Perm], key: tuple) -> Iterator[Perm]:
+    """The items as drawn; at their end, their tuple is published under key."""
+    drawn = []
+    for item in items:
+        drawn.append(item)
+        yield item
+    _POOLS[key] = tuple(drawn)
 
 
 def verify_tuple(perms: Sequence[Perm], types: Sequence[Sequence[int]],
@@ -423,8 +415,8 @@ def find_tuple(types: Sequence[Sequence[int]], degree: int) -> RealizabilityCert
     that of the derived entry (h P)^-1, without building h P, and composes
     the entry only on a hit; every h is still tested.  The pools are lazy in
     a fixed order, published as tuples only once drawn to the end, so the
-    walk, its first hit, stats and reason do not depend on how far, or in
-    which query, they were generated.  Degree 1 takes the same path: its one
+    walk, its first hit, stats and reason do not depend on which walk, or
+    which query, generated them.  Degree 1 takes the same path: its one
     h factors into the empty tuple.
     """
     if degree < 1:
@@ -461,18 +453,10 @@ def find_tuple(types: Sequence[Sequence[int]], degree: int) -> RealizabilityCert
     else:
         derived_counts = [big[-2].count(n) for n in range(degree + 1)]
         anchor = _memo(canonical_perm, big[-1])
-        h_pool = _POOLS.get((degree, n_tau)) or _Pool(h_set(degree, n_tau), (degree, n_tau))
-        middle_pools = []
-        for i, mt in enumerate(big[:-2]):
-            key = (degree, mt, big[-1]) if i == 0 else (degree, mt)
-            elems = _POOLS.get(key)
-            if elems is None:
-                elems = class_elements(degree, mt)
-                elems = _Pool(orbit_reps(elems, anchor) if i == 0 else elems, key)
-            middle_pools.append(elems)
 
         def walk(i: int, prefix: List[Perm], prefix_prod: Perm) -> Optional[List[Perm]]:
-            if i == len(middle_pools):
+            if i == len(big) - 2:  # past the middle classes big[:-2]
+                h_pool = _pool((degree, n_tau), lambda: h_set(degree, n_tau))
                 # the derived element (h prefix_prod)^-1 has the type of
                 # h prefix_prod, which is tested without being built
                 n = 0
@@ -486,7 +470,13 @@ def find_tuple(types: Sequence[Sequence[int]], degree: int) -> RealizabilityCert
                         return got
                 stats["outer"] += n
                 return None
-            for m in middle_pools[i]:
+            mt = big[i]
+            if i == 0:  # orbit representatives under the anchor's centralizer
+                pool = _pool((degree, mt, big[-1]),
+                             lambda: orbit_reps(class_elements(degree, mt), anchor))
+            else:
+                pool = _pool((degree, mt), lambda: class_elements(degree, mt))
+            for m in pool:
                 got = walk(i + 1, prefix + [m], compose(prefix_prod, m))
                 if got is not None:
                     return got

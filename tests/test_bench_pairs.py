@@ -1,9 +1,12 @@
-"""tools/bench_pairs.py's summary on canned perfbench result lines, and its
-import gen-0 count on the working tree; no benchmark runs here."""
+"""tools/bench_pairs.py's summary on canned perfbench result lines, its
+collection diff on canned probe events, its import gen-0 count and one
+probe pass of classify-multipoint; no benchmark runs here."""
 from __future__ import annotations
 
+import compileall
 import importlib.util
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -58,7 +61,36 @@ def test_directions_come_from_the_benchmark_file():
                       "op_p90_ms": "lower", "peak_rss_mb": "lower"}
 
 
-def test_import_gen0_count_is_repeatable():
+def test_import_gen0_count_is_repeatable(tmp_path):
     first = bench_pairs.import_gen0_count(bench_pairs.ROOT)
     assert type(first) is int and first > 0
     assert bench_pairs.import_gen0_count(bench_pairs.ROOT) == first
+    # a byte-compiled tree counts as the same tree without a __pycache__
+    pkg = tmp_path / "src" / "garnier"
+    shutil.copytree(Path(bench_pairs.ROOT) / "src" / "garnier", pkg,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    plain = bench_pairs.import_gen0_count(str(tmp_path))
+    assert compileall.compile_dir(str(pkg), quiet=1)
+    assert list((pkg / "__pycache__").glob("cli.*.pyc"))
+    assert bench_pairs.import_gen0_count(str(tmp_path)) == plain == first
+
+
+def test_collection_diff_of_canned_probes():
+    base = [["k4", 689, [0]], ["k5", 676, []], ["k6", 1, []], ["gone", 5, []]]
+    change = [["k4", 683, [0]], ["k5", 695, [0]], ["k6", 1, [1, 0]], ["new", 7, [0]]]
+    assert bench_pairs.collection_diff(base, change) == [
+        "k5: base starts at 676, collects [] -> change starts at 695, collects [0]",
+        "k6: base starts at 1, collects [] -> change starts at 1, collects [0, 1]",
+        "gone: base only",
+        "new: change only",
+    ]
+    # the same generations in another order are the same collections
+    assert bench_pairs.collection_diff([["a", 3, [1, 0]]], [["a", 9, [0, 1]]]) == []
+
+
+def test_probe_pass_notes_each_op_and_repeats():
+    events = bench_pairs.probe_events(bench_pairs.ROOT, "classify-multipoint", 1)
+    assert [name for name, _, _ in events] == ["k4", "k5", "k6"]
+    for _, start, gens in events:
+        assert 0 <= start and set(gens) <= {0, 1, 2}
+    assert bench_pairs.probe_events(bench_pairs.ROOT, "classify-multipoint", 1) == events

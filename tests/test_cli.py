@@ -383,12 +383,18 @@ def _subcommands(parser):
     return [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
 
 
+def _subparser(name):
+    """The full parser's subparser for command name."""
+    (action,) = _subcommands(build_parser())
+    return action.choices[name]
+
+
 def test_build_parser_builds_the_named_subcommand_only():
     (action,) = _subcommands(build_parser())
     assert list(action.choices) == list(COMMANDS)
     assert len(COMMANDS) == 6
     for name, (_, _, options, exclusive) in COMMANDS.items():
-        parser = build_parser(name)
+        parser = action.choices[name]
         assert _subcommands(parser) == []
         assert parser.prog == f"garnier {name}"
         # argparse and parse_from_table read the same flags and exclusive pair
@@ -431,9 +437,9 @@ def _full_parser_outcome(capsys, argv):
     ["hurwitz", "--degree", "4"], ["chi", "--weights", "2,3,7"],
     ["classify", "--help"], ["verify-deg4", "--samples", "1"],
     ["enumerate", "--n", "-1"],
-    # where a one-command parser could part from the full one: leftovers,
-    # = and abbreviated options, --, help before a bad value, a value that
-    # looks like an option, a repeated option
+    # forms the table parser leaves to argparse: leftovers, = and
+    # abbreviated options, --, help before a bad value, a value that looks
+    # like an option, a repeated option
     ["tables", "--id", "T1", "-x"], ["enumerate", "--n", "5", "x", "y"],
     ["tables", "--id=T3"], ["tables", "--i", "T2", "--js"],
     ["tables", "--", "--id"], ["tables", "-h", "--id", "zz"],
@@ -458,10 +464,10 @@ def _full_parser_outcome(capsys, argv):
 ])
 def test_main_matches_the_full_parser(capsys, argv):
     assert _outcome(capsys, argv) == _full_parser_outcome(capsys, argv)
-    # where the table parser takes argv, it gives the command parser's Namespace
+    # where the table parser takes argv, it gives the command's subparser's Namespace
     args = parse_from_table(argv)
     if args is not None:
-        assert vars(args) == vars(build_parser(argv[0]).parse_args(argv[1:]))
+        assert vars(args) == vars(_subparser(argv[0]).parse_args(argv[1:]))
 
 
 def _count_inits(monkeypatch, cls):
@@ -483,15 +489,15 @@ def test_well_formed_calls_build_no_parser_and_only_kept_triples(capsys, monkeyp
     for argv in _readme_commands():
         assert run(capsys, *argv)[0] == 0
     assert parsers == []
-    # a form the table parser leaves to argparse builds the command's parser
-    # alone and prints the same table
+    # a form the table parser leaves to argparse builds the full parser, one
+    # ArgumentParser for the tree and one per command, and prints the same table
     for deferred, plain in ((["tables", "--id=T3"], ["tables", "--id", "T3"]),
                             (["tables", "--i", "T2"], ["tables", "--id", "T2"]),
                             (["tables", "--id", "T1", "--id", "N7"], ["tables", "--id", "N7"])):
         want = run(capsys, *plain)
         assert parsers == []
         assert run(capsys, *deferred) == want
-        assert len(parsers) == 1
+        assert len(parsers) == 1 + len(COMMANDS) == 7
         parsers.clear()
     # the sweep builds no TripleSpec; the 13 five-point candidates are built
     # from its integer rows

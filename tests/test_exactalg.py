@@ -492,7 +492,7 @@ def test_poly_normal_form():
             (p + x ** 5) - x ** 5,
             -(-p)],
         zero: [Poly([0]), Poly([Fraction(0), ZERO]), p - p, p * 0,
-               Poly.const(ZERO), x.derivative().derivative(),
+               Poly([ZERO]), x.derivative().derivative(),
                x * half - x * Fraction(2, 4)],
     }
     for want, got in routes.items():
@@ -547,12 +547,12 @@ def test_poly_repr():
 
 def test_poly_pow_matches_repeated_products(monkeypatch):
     x = Poly([0, 1])
-    for p in (x - ALPHA, ALPHA * x ** 2 - Fraction(1, 2) * x + 3, Poly.const(ALPHA)):
-        want = Poly.const(1)
+    for p in (x - ALPHA, ALPHA * x ** 2 - Fraction(1, 2) * x + 3, Poly([ALPHA])):
+        want = Poly([1])
         for n in range(7):
             assert p ** n == want, (p, n)
             want = want * p
-    assert (x - ALPHA) ** 0 == Poly.const(1)
+    assert (x - ALPHA) ** 0 == Poly([1])
     with pytest.raises(ValueError):
         x ** -1
     # square and multiply: two products for a cube, none by the constant 1
@@ -566,7 +566,7 @@ def test_poly_pow_matches_repeated_products(monkeypatch):
     monkeypatch.setattr(Poly, "__mul__", counting)
     _ = (x - ALPHA) ** 3
     assert len(made) == 2 * 2
-    assert Poly.const(1) not in made
+    assert Poly([1]) not in made
 
 
 def test_poly_quad_coefficients():
@@ -613,7 +613,7 @@ def test_resultant_and_discriminant():
     with pytest.raises(ValueError):
         resultant(x, Poly([]))
     with pytest.raises(ValueError):
-        discriminant(Poly.const(ALPHA))
+        discriminant(Poly([ALPHA]))
 
 
 def _det(matrix):
@@ -722,7 +722,7 @@ def test_rem_matches_long_division_reference(monkeypatch):
     rng = random.Random(67)
     x = Poly([0, 1])
     cases = [(x ** 4 + 1, x ** 3 - ALPHA), (x ** 3 + 2 * x, x ** 2 + 2),
-             (Poly([]), x), (x ** 2, Poly.const(ALPHA))]
+             (Poly([]), x), (x ** 2, Poly([ALPHA]))]
     for k in range(300):
         g = _rand_quad_poly(rng, rng.randint(0, 4))
         h = _rand_quad_poly(rng, rng.randint(0, 3))
@@ -763,6 +763,6 @@ def test_resultant_identities():
         assert resultant(f * g, h) == resultant(f, h) * resultant(g, h), (f, g, h)
     x = Poly([0, 1])
     # a constant operand: res(c, g) = c^n and res(f, c) = c^m
-    assert resultant(Poly.const(ALPHA), x ** 3 + 1) == ALPHA ** 3
-    assert resultant(x ** 2 + x, Poly.const(2)) == 4
-    assert resultant(Poly.const(5), Poly.const(7)) == 1
+    assert resultant(Poly([ALPHA]), x ** 3 + 1) == ALPHA ** 3
+    assert resultant(x ** 2 + x, Poly([2])) == 4
+    assert resultant(Poly([5]), Poly([7])) == 1

@@ -691,37 +691,29 @@ def test_lazy_pools_generate_the_eager_order_at_degrees_nine_and_ten():
         assert list(h_set(10, k)) == _eager_h_set(10, k)
 
 
-def test_pool_replays_what_it_drew(empty_pool_store):
+def test_pool_is_drawn_lazily_then_read_from_its_tuple(empty_pool_store):
     source = list(class_elements(5, (3, 1, 1)))
+    drawn = []
 
-    class Counted:
-        """The source, counting the times it is advanced."""
+    def make():
+        for p in source:
+            drawn.append(p)
+            yield p
 
-        def __init__(self):
-            self.items, self.advanced = iter(source), 0
-
-        def __iter__(self):
-            return self
-
-        def __next__(self):
-            self.advanced += 1
-            return next(self.items)
-
-    counted = Counted()
-    pool = hurwitz._Pool(counted, ("replayed",))
-    # a walk stopped midway draws only what it reached
-    for n, p in enumerate(pool):
+    # a first walk stopped midway draws only what it reached and publishes
+    # nothing, so the next walk draws afresh
+    for n, p in enumerate(hurwitz._pool(("drawn",), make)):
         if n == 6:
             break
-    assert counted.advanced == 7
-    # a full walk replays those and draws the rest, up to the call that
-    # finds the end; walks after exhaustion replay everything and never
-    # advance the source again
-    assert list(pool) == source
-    assert counted.advanced == len(source) + 1
-    assert list(pool) == source
-    assert list(pool) == source
-    assert counted.advanced == len(source) + 1
+    assert len(drawn) == 7
+    assert hurwitz._POOLS == {}
+    # a walk drawn to its end publishes the tuple of what it drew; later
+    # walks read that tuple and never call make
+    assert list(hurwitz._pool(("drawn",), make)) == source
+    assert len(drawn) == 7 + len(source)
+    assert hurwitz._POOLS == {("drawn",): tuple(source)}
+    assert hurwitz._pool(("drawn",), None) == tuple(source)
+    assert len(drawn) == 7 + len(source)
 
 
 def _match_queries():
@@ -846,6 +838,40 @@ def test_pool_store_changes_no_result(monkeypatch, empty_pool_store):
     assert not hurwitz._POOLS
     for i, (d, types) in enumerate(queries):
         assert cold[i] == warm[i] == bypassed[i], (d, types)
+
+
+# queries whose middle classes repeat one type, so that walk positions 1,
+# 2, ... draw under one pool key (d, type), with their pinned stats; in the
+# last, positions 1 and 2 draw two types under two keys
+SHARED_KEY_QUERIES = [
+    (6, [(2, 2, 1, 1)] * 5, {"outer": 140, "h": 14, "typehits": 14}),
+    (6, [(3, 1, 1, 1)] * 5, {"outer": 50, "h": 3, "typehits": 3}),
+    (7, [(2, 2, 1, 1, 1)] * 6, {"outer": 504, "h": 33, "typehits": 33}),
+    (6, [(3, 1, 1, 1)] * 2 + [(2, 2, 1, 1)] * 3, {"outer": 70, "h": 7, "typehits": 7}),
+]
+
+
+def test_positions_that_share_a_pool_key(monkeypatch, empty_pool_store):
+    # equal certificates from an empty store, a warm store, a store that
+    # keeps nothing and the eager search
+    certs = []
+    for d, types, stats in SHARED_KEY_QUERIES:
+        hurwitz._POOLS.clear()
+        cert = find_tuple(types, d)
+        assert cert.exists and cert.stats == stats, (d, types)
+        if len(set(types)) == 1:
+            # a later middle position drew the whole class and published
+            # it, while position 1, under the same key, was stopped by the hit
+            assert hurwitz._POOLS[(d, types[0])] == tuple(class_elements(d, types[0]))
+        assert find_tuple(types, d) == cert
+        certs.append(cert)
+    monkeypatch.setattr(hurwitz, "_POOLS", _Unkept())
+    assert [find_tuple(types, d) for d, types, _ in SHARED_KEY_QUERIES] == certs
+    monkeypatch.setattr(hurwitz, "class_elements", _eager_class_elements)
+    monkeypatch.setattr(hurwitz, "h_set", _eager_h_set)
+    monkeypatch.setattr(hurwitz, "orbit_reps", _eager_orbit_reps)
+    assert [find_tuple(types, d) for d, types, _ in SHARED_KEY_QUERIES] == certs
+    assert not hurwitz._POOLS
 
 
 def test_pools_are_published_only_when_drawn_to_the_end(monkeypatch, empty_pool_store):

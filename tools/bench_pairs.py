@@ -16,9 +16,19 @@ with the direction ("better") that BENCHMARK.json gives the metric.
 Before the pairs it prints each side's import gen-0 count: the net number
 of objects that `import garnier, garnier.cli` leaves in the youngest
 garbage-collector generation, taken with gc off in a fresh interpreter
-under PYTHONDONTWRITEBYTECODE=1.  The count is deterministic, and where the
+under PYTHONDONTWRITEBYTECODE=1, from a copy of the side's src/garnier
+without a __pycache__ (the benchmark's condition: a cached import leaves
+about 600 fewer objects).  The count is deterministic, and where the
 perfbench worker's first gen-0 collection lands depends on it (README,
-"Start-up"), so a shift in it can move a timed op by a collection.
+"Start-up"), so a shift in it can move a timed op by a collection.  The
+count alone does not say which op, so each side then runs one untimed probe
+pass of the workload: perfbench/worker.py with `Pass.timed` wrapped to note
+the gen-0 count at each op's start and, through gc.callbacks, the
+generation of each collection inside the op.  It prints the ops whose
+collections differ between the sides, with both start counts.  The probe's
+own objects, made before the worker starts, shift where collections land
+by a few objects, so an op that starts within a few objects of a
+collection can take one in the benchmark and not in the probe.
 Standard library only; set TMPDIR to choose where the base copy goes.
 """
 from __future__ import annotations
@@ -36,6 +46,8 @@ import tempfile
 from typing import Dict, List, Sequence
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+# the tables of classify-tables, each run in its own worker (perfbench/run.py)
+TABLE_IDS = ("T1", "T2", "T3", "T4", "N2a", "N2b", "N7")
 
 
 def end_to_end_directions() -> Dict[str, str]:
@@ -102,16 +114,92 @@ IMPORT_COUNT_CODE = ("import gc; gc.disable(); c0 = gc.get_count()[0];"
 
 
 def import_gen0_count(tree: str) -> int:
-    """The net gen-0 count of `import garnier, garnier.cli` from tree/src."""
-    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
-               PYTHONPATH=os.path.join(tree, "src"))
-    out = subprocess.run([sys.executable, "-c", IMPORT_COUNT_CODE], cwd=tree, env=env,
-                         capture_output=True, text=True, check=True)
+    """The net gen-0 count of `import garnier, garnier.cli` from a copy of
+    tree/src/garnier that has no __pycache__."""
+    with tempfile.TemporaryDirectory(prefix="gen0-") as tmp:
+        shutil.copytree(os.path.join(tree, "src", "garnier"), os.path.join(tmp, "garnier"),
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=tmp)
+        out = subprocess.run([sys.executable, "-c", IMPORT_COUNT_CODE], cwd=tree, env=env,
+                             capture_output=True, text=True, check=True)
     return int(out.stdout)
 
 
-def run_once(tree: str, workload: str, seed: int, seconds: float) -> dict:
+# perfbench/worker.py's main with Pass.timed wrapped: per op, a line with
+# its name, the gen-0 count at its start and the generation of each
+# collection in it, printed as a JSON list on the last line.  The records
+# are strings, which gc does not track, and the generations go to one list
+# that is reused, so the wrapper leaves no tracked object per op and moves
+# the worker's collections as little as it can.
+PROBE_CODE = """
+import gc, json, sys
+sys.path.insert(0, sys.argv[1])
+import worker
+active, gens, lines = [False], [], []
+
+def on_gc(phase, info):
+    if phase == "start" and active[0]:
+        gens.append(info["generation"])
+
+def timed(self, name, fn, *args, _timed=worker.Pass.timed):
+    start = gc.get_count()[0]
+    active[0] = True
+    try:
+        return _timed(self, name, fn, *args)
+    finally:
+        active[0] = False
+        lines.append(" ".join([name, str(start), *map(str, gens)]))
+        gens.clear()
+
+gc.callbacks.append(on_gc)
+worker.Pass.timed = timed
+worker.main(sys.argv[2:])
+print(json.dumps(lines))
+"""
+
+
+def probe_events(tree: str, workload: str, seed: int) -> List[list]:
+    """[op name, gen-0 count at its start, generations collected in it] for
+    each op of one untimed pass of workload in tree, as perfbench/run.py runs
+    it: one worker per table on classify-tables, one worker otherwise."""
+    tables = TABLE_IDS if workload == "classify-tables" else (None,)
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=os.path.join(tree, "src"))
+    events = []
+    for table in tables:
+        argv = ["--workload", workload, "--seed", str(seed)]
+        if table is not None:
+            argv += ["--table", table]
+        out = subprocess.run([sys.executable, "-c", PROBE_CODE,
+                              os.path.join(tree, "perfbench"), *argv],
+                             cwd=tree, env=env, capture_output=True, text=True, check=True)
+        for line in json.loads(out.stdout.strip().splitlines()[-1]):
+            name, start, *gens = line.split()
+            events.append([name, int(start), [int(g) for g in gens]])
+    return events
+
+
+def collection_diff(base: Sequence[list], change: Sequence[list]) -> List[str]:
+    """A line for each op whose collections differ between the two probe
+    passes (as multisets of generations), or that only one side ran."""
+    other = {name: (start, sorted(gens)) for name, start, gens in change}
+    lines = []
+    for name, start, gens in base:
+        got = other.pop(name, None)
+        if got is None:
+            lines.append(f"{name}: base only")
+        elif got[1] != sorted(gens):
+            lines.append(f"{name}: base starts at {start}, collects {sorted(gens)}"
+                         f" -> change starts at {got[0]}, collects {got[1]}")
+    return lines + [f"{name}: change only" for name in other]
+
+
+def _remove_cache(tree: str) -> None:
     shutil.rmtree(os.path.join(tree, "src", "garnier", "__pycache__"), ignore_errors=True)
+
+
+def run_once(tree: str, workload: str, seed: int, seconds: float) -> dict:
+    _remove_cache(tree)
     out = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
                           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
                          cwd=tree, capture_output=True, text=True, check=True)
@@ -133,6 +221,14 @@ def main(argv=None) -> int:
         counts = [import_gen0_count(tree) for tree in (tmp, ROOT)]
         print(f"import gen-0 count: base {counts[0]} -> change {counts[1]}"
               f" ({counts[1] - counts[0]:+d})", flush=True)
+        for tree in (tmp, ROOT):
+            _remove_cache(tree)
+        probes = [probe_events(tree, args.workload, args.seed) for tree in (tmp, ROOT)]
+        moved = collection_diff(*probes)
+        print(f"probe pass: {len(moved)} of {len(probes[1])} ops take other collections"
+              " in the change", flush=True)
+        for line in moved:
+            print("  " + line, flush=True)
         for i in range(args.pairs):
             order = [("base", tmp), ("change", ROOT)]
             if i % 2:

@@ -41,7 +41,8 @@ ARGVS = (
        ["hurwitz", "--degree", "6", "--types", "3,3;3,3;2,2,2;2,1,1,1,1"]]
     + [["verify-deg4", "--samples", "3", "--seed", "1"],
        ["verify-deg4", "--samples", "2", "--json"]]
-    # a valid form that cli.parse_from_table leaves to argparse
+    # a valid form that cli.parse_from_table leaves to argparse: the one
+    # argv that builds the full parser, cli.build_parser
     + [["tables", "--id=T3"]]
 )
 

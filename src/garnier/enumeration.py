@@ -9,7 +9,7 @@ from __future__ import annotations
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import product
+from itertools import combinations_with_replacement, product
 from math import gcd, lcm, prod
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
@@ -197,53 +197,49 @@ def complete_profiles(n: int, d_max: int = DEFAULT_DMAX
     return out
 
 
-def multipoint_bases(k: int, weight_cap: int = 12) -> List[Tuple[Tuple[object, ...], int]]:
-    """Hyperbolic genus-0 bases with k marked points whose negative Euler
-    characteristic leaves any degree budget at all: d <= 1/(-chi), so only
-    -chi <= 1/2 survives.  Finite weights above the cap behave like inf at
-    every admissible degree, so the pool is {2..cap, inf}.
+def multipoint_bases(k: int) -> List[Tuple[Tuple[object, ...], int]]:
+    """Hyperbolic genus-0 bases with k >= 4 marked points whose negative
+    Euler characteristic leaves any degree budget at all: d <= 1/(-chi), so
+    only -chi <= 1/2 survives.  Three-point bases have no weight cap, as
+    (2,3,p) is admissible for every p; they are enumerate_candidates' job.
 
-    Everything is an integer in units of 1/L, L = lcm(2..cap): weight p has
-    reciprocal L // p (inf has 0), a prefix carries its reciprocal sum S,
-    and -chi is ((k-2) L - S)/L, so the budget is L // ((k-2) L - S).
+    The weights are drawn from {2..cap, inf}, cap = 4 // (k - 3), which
+    loses no (weights as read at d, d) pair.  A weight p reads as inf at
+    every degree d < p (it forces no part), and a base with a weight p has
+    -chi >= (k-3)/2 - 1/p, every other weight being at least 2, so its
+    budget is below p once p > 4/(k-3):
+    - k = 4, cap 4: a base with a weight p >= 5 has -chi >= 3/10, budget
+      <= 3.  Putting 4 for p reads the same at those degrees and lowers
+      -chi (it stays >= 1/4), so the budget is no smaller;
+    - k = 5, cap 2: a weight >= 3 leaves -chi >= 2/3 and no degree at all;
+    - k >= 6: -chi >= k/2 - 2 >= 1 on every base, so there is none.
 
-    The non-decreasing weight tuples are walked depth first in
-    lexicographic order.  With `left` entries still to pick, all of them
-    >= p, the least -chi a prefix can reach by choosing p next is
-    (k-2) - (reciprocal sum so far) - left * 1/p; it grows with p, so the
-    loop stops at the first p where it exceeds 1/2.  For k >= 6 that holds
-    at p = 2 already and nothing is visited.
+    In units of 1/L, L = lcm of the finite pool, weight p has reciprocal
+    L // p (inf has 0), -chi is ((k-2) L - S)/L for the reciprocal sum S,
+    and the budget is L // ((k-2) L - S).  Bases come in the order of
+    combinations_with_replacement over the pool.
     """
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
-    pool = list(range(2, weight_cap + 1)) + [INF]
+    if k < 4:
+        raise ValueError(f"k must be >= 4, got {k}")
+    pool = list(range(2, 4 // (k - 3) + 1)) + [INF]
     unit = lcm(*pool[:-1])
-    recips = [unit // p for p in pool[:-1]] + [0]
     top = (k - 2) * unit
     out = []
-
-    def walk(start: int, prefix: Tuple[object, ...], recip_sum: int) -> None:
-        left = k - len(prefix)
-        if left == 0:
-            if top > recip_sum:
-                out.append((prefix, unit // (top - recip_sum)))
-            return
-        for i in range(start, len(pool)):
-            r = recips[i]
-            if 2 * (top - recip_sum - left * r) > unit:
-                break
-            walk(i, prefix + (pool[i],), recip_sum + r)
-
-    walk(0, (), 0)
+    for ws in combinations_with_replacement(pool, k):
+        excess = top - sum(0 if p is INF else unit // p for p in ws)
+        if 0 < 2 * excess <= unit:
+            out.append((ws, unit // excess))
     return out
 
 
-def multipoint_complete_search(k: int, weight_cap: int = 12
+def multipoint_complete_search(k: int
                                ) -> List[Tuple[Tuple[object, ...], int, RamificationProfile]]:
-    """Exhaustive search for complete profiles over bases with more than
-    three marked points; expected empty."""
+    """Complete profiles over every base with k marked points, at every
+    degree of its budget.  Empty for every k >= 4, the paper's claim that
+    the base must be hypergeometric: multipoint_bases' argument bounds the
+    bases (none for k >= 6), and the search over the rest finds nothing."""
     hits = []
-    for ws, budget in multipoint_bases(k, weight_cap):
+    for ws, budget in multipoint_bases(k):
         for d in range(2, budget + 1):
             for profile, n_total in enumerate_profiles(ws, d):
                 v = verdict(profile, n_total)

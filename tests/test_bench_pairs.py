@@ -1,6 +1,7 @@
 """tools/bench_pairs.py's summary on canned perfbench result lines, its
-collection diff on canned probe events, its import gen-0 count and one
-probe pass of classify-multipoint; no benchmark runs here."""
+collection diff on canned probe events, its import gen-0 count, one
+probe pass of classify-multipoint and its --pairs option; no benchmark
+runs here."""
 from __future__ import annotations
 
 import compileall
@@ -94,3 +95,27 @@ def test_probe_pass_notes_each_op_and_repeats():
     for _, start, gens in events:
         assert 0 <= start and set(gens) <= {0, 1, 2}
     assert bench_pairs.probe_events(bench_pairs.ROOT, "classify-multipoint", 1) == events
+
+
+def test_zero_pairs_is_a_probe_only_run(monkeypatch, capsys):
+    # the export, the counts and the probes are stubbed, and a benchmark
+    # run fails the test
+    monkeypatch.setattr(bench_pairs, "export", lambda ref, dest: None)
+    monkeypatch.setattr(bench_pairs, "import_gen0_count",
+                        lambda tree: 4000 if tree == bench_pairs.ROOT else 4006)
+    monkeypatch.setattr(bench_pairs, "probe_events", lambda tree, workload, seed:
+                        [["k4", 600 if tree == bench_pairs.ROOT else 606, [0]]])
+
+    def no_run(*args):
+        raise AssertionError("a benchmark ran")
+
+    monkeypatch.setattr(bench_pairs, "run_once", no_run)
+    assert bench_pairs.main(["--workload", "classify-multipoint", "--pairs", "0"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "import gen-0 count: base 4006 -> change 4000 (-6)",
+        "probe pass: 0 of 1 ops take other collections in the change",
+    ]
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(["--workload", "classify-multipoint", "--pairs", "-1"])
+    assert exc.value.code == 2
+    assert "--pairs: must be >= 0, got -1" in capsys.readouterr().err

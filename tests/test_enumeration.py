@@ -664,33 +664,58 @@ def test_t2_rows_respect_dmax():
 
 
 def _sorted_product_sweep(k, weight_cap):
-    """Reference: every k-tuple of {2..cap, inf} from itertools.product, kept
-    when non-decreasing with 0 < -chi <= 1/2, with budget int(1/(-chi))."""
+    """Reference: every non-decreasing k-tuple of {2..cap, inf} with
+    0 < -chi <= 1/2, in lexicographic order of the pool, with budget
+    int(1/(-chi)), in Fractions.  A prefix is dropped once -chi exceeds 1/2
+    with every weight still to pick read as 2, the largest reciprocal."""
     pool = list(range(2, weight_cap + 1)) + [INF]
     out = []
-    for combo in product(range(len(pool)), repeat=k):
-        if any(combo[i] > combo[i + 1] for i in range(k - 1)):
-            continue
-        ws = tuple(pool[i] for i in combo)
-        neg_chi = (k - 2) - sum(Fraction(0) if w is INF else Fraction(1, w) for w in ws)
-        if 0 < neg_chi <= Fraction(1, 2):
-            out.append((ws, int(1 / neg_chi)))
+
+    def extend(start, ws, neg_chi):
+        left = k - len(ws)
+        if neg_chi - Fraction(left, 2) > Fraction(1, 2):
+            return
+        if left == 0:
+            if neg_chi > 0:
+                out.append((ws, int(1 / neg_chi)))
+            return
+        for i in range(start, len(pool)):
+            w = pool[i]
+            extend(i, ws + (w,), neg_chi - (0 if w is INF else Fraction(1, w)))
+
+    extend(0, (), Fraction(k - 2))
     return out
 
 
+def _readings(bases):
+    """The (weights as read at d, d) pairs of bases over their budgets: a
+    weight above d forces no part, so it reads as inf."""
+    return {(tuple(INF if w is not INF and w > d else w for w in ws), d)
+            for ws, budget in bases for d in range(2, budget + 1)}
+
+
 def test_multipoint_bases_matches_product_sweep():
-    cases = [(k, cap) for k in range(6) for cap in (2, 3, 6)] + [(4, 12), (3, 20), (4, 14)]
-    for k, cap in cases:
-        assert multipoint_bases(k, cap) == _sorted_product_sweep(k, cap), (k, cap)
+    for k in range(4, 11):
+        assert multipoint_bases(k) == _sorted_product_sweep(k, 4 // (k - 3)), k
+
+
+def test_multipoint_bases_cover_every_reading():
+    # a weight above the degree has the options of inf, so a reading is all
+    # that the search sees of a base at a degree; the derived pool gives
+    # every reading that a pool to 60 gives
+    for d in range(2, 13):
+        for p in range(d + 1, 61):
+            assert _fiber_options(p, d) == _fiber_options(INF, d), (p, d)
+    for k in (4, 5):
+        assert _readings(multipoint_bases(k)) == _readings(_sorted_product_sweep(k, 60)), k
 
 
 def test_multipoint_bases_edge_k():
-    for k in (0, 1, 2):
-        assert multipoint_bases(k) == []
+    for k in range(-1, 4):
+        with pytest.raises(ValueError):
+            multipoint_bases(k)
     for k in (6, 7, 8):
         assert multipoint_bases(k) == []
-    with pytest.raises(ValueError):
-        multipoint_bases(-1)
 
 
 def test_multipoint_bases_bounded():
@@ -699,15 +724,22 @@ def test_multipoint_bases_bounded():
             neg_chi = (k - 2) - sum(Fraction(0) if w is INF else Fraction(1, w) for w in ws)
             assert 0 < neg_chi <= Fraction(1, 2)
             assert budget == int(1 / neg_chi)
-            # no admissible degree reaches a finite weight above the cap
-            assert budget <= 12
+    # the two facts of the argument, on a pool to 60: at k = 4 a finite
+    # weight >= 5 leaves a budget of at most 3, at k = 5 no base has a
+    # weight >= 3, and from k = 6 there is no base
+    wide = [b for ws, b in _sorted_product_sweep(4, 60)
+            if any(w is not INF and w >= 5 for w in ws)]
+    assert max(wide) == 3
+    assert all(w is INF or w < 3 for ws, _ in _sorted_product_sweep(5, 60) for w in ws)
+    for k in (6, 7, 8):
+        assert _sorted_product_sweep(k, 60) == []
     assert (tuple([2, 2, 2, 3]), 6) in multipoint_bases(4)
     assert multipoint_bases(5) == [((2, 2, 2, 2, 2), 2)]
 
 
 def test_multipoint_complete_search_empty():
-    for k in (4, 5, 6):
-        assert multipoint_complete_search(k) == []
+    for k in range(4, 41):
+        assert multipoint_complete_search(k) == [], k
 
 
 def test_multipoint_search_runs_every_degree_of_each_base(monkeypatch):
@@ -724,17 +756,7 @@ def test_multipoint_search_runs_every_degree_of_each_base(monkeypatch):
     assert multipoint_complete_search(4) == []
     bases = multipoint_bases(4)
     assert seen == [(ws, d) for ws, budget in bases for d in range(2, budget + 1)]
-    assert len(seen) == 26
-
-
-def test_multipoint_weights_above_cap_act_as_inf():
-    # every admissible degree of a base stays below each of its finite
-    # weights above 12, so those weights force no part and read as inf
-    for k in range(3, 7):
-        for ws, budget in multipoint_bases(k, 48):
-            assert all(budget < w for w in ws if w is not INF and w > 12), (ws, budget)
-    for k in (4, 5, 6):
-        assert multipoint_complete_search(k, 48) == []
+    assert len(seen) == 14
 
 
 def test_multipoint_search_builds_no_fraction(monkeypatch):

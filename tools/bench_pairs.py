@@ -29,6 +29,8 @@ collections differ between the sides, with both start counts.  The probe's
 own objects, made before the worker starts, shift where collections land
 by a few objects, so an op that starts within a few objects of a
 collection can take one in the benchmark and not in the probe.
+`--pairs 0` stops after the probe lines, which makes it the cheap check of
+where collections land.
 Standard library only; set TMPDIR to choose where the base copy goes.
 """
 from __future__ import annotations
@@ -206,12 +208,20 @@ def run_once(tree: str, workload: str, seed: int, seconds: float) -> dict:
     return parse_result(out.stdout)
 
 
+def _pair_count(text: str) -> int:
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {n}")
+    return n
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--workload", required=True)
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--seconds", type=float, default=20)
-    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--pairs", type=_pair_count, default=10,
+                    help="0 runs the import count and the probe pass only")
     ap.add_argument("--base", default="HEAD", help="git ref to compare against")
     args = ap.parse_args(argv)
     better = end_to_end_directions()
@@ -229,6 +239,8 @@ def main(argv=None) -> int:
               " in the change", flush=True)
         for line in moved:
             print("  " + line, flush=True)
+        if not args.pairs:
+            return 0
         for i in range(args.pairs):
             order = [("base", tmp), ("change", ROOT)]
             if i % 2:

@@ -24,12 +24,14 @@ them) are generated lazily in a fixed order, and nothing past the first hit
 is generated.  A pool that a walk draws to its end is kept for the process
 as a tuple, which later walks, in this query or later ones, read instead;
 so are a few constants per degree and type.  A class generator yields an
-element once its last non-fixed cycle is placed, and steps over a run of
-fixed points in one loop.  Orbits are closed on bytes in C, by generators
-built at the first closure.  The tuple found is put back in the requested
-order by one conjugation per entry moved, which keeps the product and
-carries the types the search built; cycle_type reads each entry once, in
-verify_tuple.
+element once its last non-fixed cycle is placed, places a 2-cycle directly
+rather than through its orderings, and steps over a run of fixed points in
+one loop.  Orbits are closed on bytes in C, by generators built at the
+first closure.  The type test of each h walks the one cycle through 0
+before it allocates anything.  The tuple found is put back in the
+requested order by one conjugation per entry moved, which keeps the
+product and carries the types the search built; cycle_type reads each
+entry once, in verify_tuple.
 """
 from __future__ import annotations
 
@@ -103,23 +105,36 @@ def cycle_type(p: Perm) -> Tuple[int, ...]:
 
 def _has_cycle_type(h: Perm, p: Perm, want: List[int]) -> bool:
     """Whether compose(h, p), the map j -> p[h[j]], has its cycle lengths
-    with the counts in `want` (want[n] cycles of length n, summing to
-    len(p)), without building it.  Stops at the first cycle whose length is
-    used up; a walk that meets none has used every count exactly, since both
-    sides sum to len(p)."""
+    with the counts in `want`, without building it: want[n] cycles of length
+    n for each n < len(want), the counts summing to len(p), and no cycle
+    longer than len(want) - 1, which is rejected once the walk passes that
+    bound.  The cycle through 0 is tested first, with no allocation; only
+    then are the counts copied and the other cycles walked.  Stops at the
+    first cycle whose length is used up; a walk that meets none has used
+    every count exactly, since both sides sum to len(p)."""
+    bound = len(want) - 1
+    n, j = 1, p[h[0]]
+    while j and n < bound:
+        n += 1
+        j = p[h[j]]
+    if j or not want[n]:
+        return False
     left = want[:]
+    left[n] -= 1
     seen = [False] * len(p)
-    for start in range(len(p)):
+    while not seen[j]:  # j is 0: mark its cycle
+        seen[j] = True
+        j = p[h[j]]
+    for start in range(1, len(p)):
         if seen[start]:
             continue
         seen[start] = True
-        n = 1
-        j = p[h[start]]
-        while j != start:
+        n, j = 1, p[h[start]]
+        while j != start and n < bound:
             seen[j] = True
             n += 1
             j = p[h[j]]
-        if not left[n]:
+        if j != start or not left[n]:
             return False
         left[n] -= 1
     return True
@@ -158,7 +173,9 @@ def class_elements(d: int, parts: Sequence[int]) -> Iterator[Perm]:
     the order is fixed by (d, parts).  Unplaced points stay fixed in img: a
     run of leading points left fixed is one loop step (the longest run
     first), not one call per point, and an element is complete once its
-    last non-fixed cycle is placed, which yields each ordering directly.
+    last non-fixed cycle is placed, which yields each ordering directly.  A
+    2-cycle (start x) is placed directly, for each x in the order
+    combinations gives, without building its orderings.
     """
     img = list(range(d))
     remaining = {k: parts.count(k) for k in parts if k > 1}
@@ -180,21 +197,30 @@ def class_elements(d: int, parts: Sequence[int]) -> Iterator[Perm]:
                 remaining[k] -= 1
                 # the last non-fixed cycle: only fixed points follow it
                 last = fixed == len(rest) - k + 1
-                for chosen in combinations(rest, k - 1):
-                    if not last:
-                        leftover = [x for x in rest if x not in chosen]
-                    for order in permutations(chosen):
-                        prev = start
-                        for x in order:
-                            img[prev] = x
-                            prev = x
-                        img[prev] = start
+                if k == 2:  # (start x) for each x in rest, as combinations gives them
+                    for i, x in enumerate(rest):
+                        img[start], img[x] = x, start
                         if last:
                             yield tuple(img)
                         else:
-                            yield from place(fixed, leftover)
-                    for x in chosen:
+                            yield from place(fixed, rest[:i] + rest[i + 1:])
                         img[x] = x
+                else:
+                    for chosen in combinations(rest, k - 1):
+                        if not last:
+                            leftover = [x for x in rest if x not in chosen]
+                        for order in permutations(chosen):
+                            prev = start
+                            for x in order:
+                                img[prev] = x
+                                prev = x
+                            img[prev] = start
+                            if last:
+                                yield tuple(img)
+                            else:
+                                yield from place(fixed, leftover)
+                        for x in chosen:
+                            img[x] = x
                 img[start] = start
                 remaining[k] += 1
 
@@ -451,7 +477,7 @@ def find_tuple(types: Sequence[Sequence[int]], degree: int) -> RealizabilityCert
         stats["outer"] += len(prefix)
         found = try_h(prefix, inverse(compose(identity(degree), *prefix)))
     else:
-        derived_counts = [big[-2].count(n) for n in range(degree + 1)]
+        derived_counts = [big[-2].count(n) for n in range(big[-2][0] + 1)]
         anchor = _memo(canonical_perm, big[-1])
 
         def walk(i: int, prefix: List[Perm], prefix_prod: Perm) -> Optional[List[Perm]]:

@@ -1,13 +1,15 @@
 """tools/bench_pairs.py's summary on canned perfbench result lines, its
 collection diff on canned probe events, its import gen-0 count, one
-probe pass of classify-multipoint and its --pairs option; no benchmark
-runs here."""
+probe pass of classify-multipoint, its --pairs option and the two copies
+its sides run from; no benchmark runs here."""
 from __future__ import annotations
 
 import compileall
 import importlib.util
 import json
 import shutil
+import subprocess
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -98,13 +100,20 @@ def test_probe_pass_notes_each_op_and_repeats():
 
 
 def test_zero_pairs_is_a_probe_only_run(monkeypatch, capsys):
-    # the export, the counts and the probes are stubbed, and a benchmark
-    # run fails the test
+    # the exports, the counts and the probes are stubbed (a marker file
+    # tells the change side's copy from the base's), and a benchmark run
+    # fails the test
     monkeypatch.setattr(bench_pairs, "export", lambda ref, dest: None)
+    monkeypatch.setattr(bench_pairs, "export_worktree",
+                        lambda dest: Path(dest, "change").touch())
+
+    def is_change(tree):
+        return Path(tree, "change").exists()
+
     monkeypatch.setattr(bench_pairs, "import_gen0_count",
-                        lambda tree: 4000 if tree == bench_pairs.ROOT else 4006)
+                        lambda tree: 4000 if is_change(tree) else 4006)
     monkeypatch.setattr(bench_pairs, "probe_events", lambda tree, workload, seed:
-                        [["k4", 600 if tree == bench_pairs.ROOT else 606, [0]]])
+                        [["k4", 600 if is_change(tree) else 606, [0]]])
 
     def no_run(*args):
         raise AssertionError("a benchmark ran")
@@ -119,3 +128,53 @@ def test_zero_pairs_is_a_probe_only_run(monkeypatch, capsys):
         bench_pairs.main(["--workload", "classify-multipoint", "--pairs", "-1"])
     assert exc.value.code == 2
     assert "--pairs: must be >= 0, got -1" in capsys.readouterr().err
+
+
+def _git(repo, *args):
+    subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t",
+                    "-c", "commit.gpgsign=false", *args], cwd=repo, check=True,
+                   capture_output=True)
+
+
+def test_both_sides_run_from_temporary_copies(tmp_path, monkeypatch, capsys):
+    # a small repository with a committed file edited on disk, an untracked
+    # file, an ignored one and a tracked one deleted; the counts, probes
+    # and benchmark runs are stubbed, and each run notes what its tree holds
+    repo = tmp_path / "repo"
+    repo.mkdir()
+    shutil.copy(Path(bench_pairs.ROOT) / "BENCHMARK.json", repo)
+    (repo / ".gitignore").write_text("ignored.txt\n")
+    (repo / "a.txt").write_text("committed")
+    (repo / "gone.txt").write_text("tracked")
+    _git(repo, "init", "-q")
+    _git(repo, "add", "-A")
+    _git(repo, "commit", "-q", "-m", "base")
+    (repo / "a.txt").write_text("edited")
+    (repo / "new.txt").write_text("untracked")
+    (repo / "ignored.txt").write_text("ignored")
+    (repo / "gone.txt").unlink()
+    monkeypatch.setattr(bench_pairs, "ROOT", str(repo))
+    monkeypatch.setattr(bench_pairs, "import_gen0_count", lambda tree: 4000)
+    monkeypatch.setattr(bench_pairs, "probe_events", lambda tree, workload, seed: [])
+    runs = []
+
+    def run_once(tree, workload, seed, seconds):
+        runs.append((tree, sorted(p.name for p in Path(tree).iterdir()),
+                     Path(tree, "a.txt").read_text()))
+        metrics = {name: {"value": 1.0} for name in bench_pairs.end_to_end_directions()}
+        return {"failed": 0, "attempted": 1, "metrics": metrics}
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    assert bench_pairs.main(["--workload", "hurwitz", "--pairs", "2"]) == 0
+    capsys.readouterr()
+    # pair 1 runs the base first, pair 2 the change
+    (base, base_files, base_a), (change, change_files, change_a) = runs[0], runs[1]
+    assert runs[2][0] == change and runs[3][0] == base
+    assert base_a == "committed" and base_files == [".gitignore", "BENCHMARK.json",
+                                                     "a.txt", "gone.txt"]
+    assert change_a == "edited" and change_files == [".gitignore", "BENCHMARK.json",
+                                                     "a.txt", "new.txt"]
+    # two temporary copies, removed at the end, and never the tree itself
+    for tree in (base, change):
+        assert Path(tree).parent == Path(tempfile.gettempdir())
+        assert Path(tree) != repo and not Path(tree).exists()

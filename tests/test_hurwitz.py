@@ -94,23 +94,47 @@ def test_cycle_type_counts_the_cycles_it_walks():
         assert _cayley_norm(p) == len(p) - len(cycles), p
 
 
+def _counts(t, size):
+    """counts[n]: the cycles of length n in type t, for n < size."""
+    counts = [0] * size
+    for n in t:
+        counts[n] += 1
+    return counts
+
+
 def test_has_cycle_type_agrees_with_cycle_type():
     # the leaf loop's early-exit test of compose(h, p), which it never
-    # builds, against the full sorted cycle type of the built product
-    perms = list(permutations(range(5)))
-    wants = []
-    for t in partitions_of(5):
-        counts = [0] * 6  # counts[n]: cycles of length n
-        for n in t:
-            counts[n] += 1
-        wants.append((t, counts))
-    for h in perms:
-        for p in perms:
-            got = cycle_type(compose(h, p))
-            for t, want in wants:
-                assert _has_cycle_type(h, p, want) == (got == t), (h, p, t)
+    # builds, against the full sorted cycle type of the built product; each
+    # type as full counts (length d + 1) and as find_tuple passes them,
+    # trimmed to its largest part (length t[0] + 1), so that a longer cycle
+    # must be rejected at the bound.  Every pair of degree <= 5 first
+    for d in range(1, 6):
+        perms = list(permutations(range(d)))
+        wants = [(t, want) for t in partitions_of(d)
+                 for want in (_counts(t, d + 1), _counts(t, t[0] + 1))]
+        for h in perms:
+            for p in perms:
+                got = cycle_type(compose(h, p))
+                for t, want in wants:
+                    assert _has_cycle_type(h, p, want) == (got == t), (h, p, want)
     # the counts are copied, not used up across calls
     assert wants[0][1] == [0, 0, 0, 0, 0, 1]
+    assert wants[1][1] == [0, 0, 0, 0, 0, 1]
+    assert wants[-1][1] == [0, 5]
+    # then seeded pairs of degree 6..16 whose product has a type drawn
+    # uniformly, against that type and up to 20 others of the degree
+    rng = random.Random(41)
+    for d in range(6, MAX_DEGREE + 1):
+        kinds = partitions_of(d)
+        for _ in range(20):
+            t = rng.choice(kinds)
+            x = conjugate(canonical_perm(t), _random_perm(rng, d))
+            p = _random_perm(rng, d)
+            h = compose(x, inverse(p))
+            assert compose(h, p) == x and cycle_type(x) == t
+            for u in rng.sample(kinds, min(20, len(kinds))) + [t]:
+                for want in (_counts(u, d + 1), _counts(u, u[0] + 1)):
+                    assert _has_cycle_type(h, p, want) == (u == t), (h, p, want)
 
 
 def test_conjugate_preserves_type():
@@ -490,6 +514,52 @@ def test_find_tuple_agrees_with_dp_oracle():
             assert verify_tuple(cert.tuple_.perms, types, d)
 
 
+def _realisable_draws(seed, count, degrees, max_genus=None):
+    """Seeded instances that exist by construction, as (d, types, genus):
+    r - 1 entries (r = 3..6), each a uniform element of a class drawn as a
+    transposition half the time, a 3-cycle a quarter and any type of d
+    otherwise, then the inverse of their product, which closes the tuple.
+    An intransitive tuple, or one of genus above max_genus, is dropped;
+    the types are read off the rest."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        d, r = rng.choice(degrees), rng.randint(3, 6)
+        perms = []
+        for _ in range(r - 1):
+            u = rng.random()
+            t = (2,) if u < 0.5 else (3,) if u < 0.75 else rng.choice(partitions_of(d))
+            t += (1,) * (d - sum(t))
+            perms.append(conjugate(canonical_perm(t), _random_perm(rng, d)))
+        perms.append(inverse(compose(identity(d), *perms)))
+        types = [cycle_type(p) for p in perms]
+        genus = (sum(d - len(t) for t in types) - 2 * d + 2) // 2
+        if is_transitive(perms, d) and (max_genus is None or genus <= max_genus):
+            out.append((d, types, genus))
+    return out
+
+
+def test_find_tuple_realises_random_tuples(empty_pool_store):
+    # a second oracle past d = 5: every drawn type multiset exists, whatever
+    # its genus, and its certificate passes verify_tuple; the cap on the
+    # genus keeps this to about a second
+    draws = _realisable_draws(29, 2000, range(3, 11), max_genus=3)
+    assert {g for _, _, g in draws} == {0, 1, 2, 3}
+    for d, types, _ in draws:
+        cert = find_tuple(types, d)
+        assert cert.exists, (d, types)
+        assert verify_tuple(cert.tuple_.perms, types, d), (d, types)
+
+
+@pytest.mark.slow
+def test_find_tuple_realises_random_tuples_of_any_genus(empty_pool_store):
+    # the same oracle up to the search cap, with no cap on the genus
+    for d, types, _ in _realisable_draws(30, 150, range(6, MAX_DEGREE + 1)):
+        cert = find_tuple(types, d)
+        assert cert.exists, (d, types)
+        assert verify_tuple(cert.tuple_.perms, types, d), (d, types)
+
+
 def test_find_tuple_parity_precheck():
     cert = find_tuple([(2, 1, 1), (1, 1, 1, 1), (1, 1, 1, 1)], 4)
     assert not cert.exists
@@ -650,6 +720,13 @@ def test_lazy_pools_generate_the_eager_order():
         assert list(h_set(9, k)) == _eager_h_set(9, k)
     for k in range(3):
         assert list(h_set(10, k)) == _eager_h_set(10, k)
+    # every class of d = 9 and 10 made of 2-cycles and fixed points, whose
+    # 2-cycles class_elements places directly (at most 4,725 elements);
+    # [2^4, 1] is the derived class of the d = 9, 10 panel's slowest queries
+    for d in (9, 10):
+        for twos in range(d // 2 + 1):
+            lam = (2,) * twos + (1,) * (d - 2 * twos)
+            assert list(class_elements(d, lam)) == _eager_class_elements(d, lam), lam
 
 
 def test_orbit_reps_match_the_eager_closure():

@@ -18,7 +18,7 @@ from .fuchsian import (Theta, hypergeometric_signature, is_elementary,
 from .frozen import Frozen
 from .orbifold import INF, RamificationProfile, partitions_of
 
-# No candidate has a larger degree, so it is also the default; see _candidate_rows.
+# The largest candidate degree, (2,3,7) at n = 0 (see _candidate_rows); also the default.
 DEGREE_BOUND = DEFAULT_DMAX = 42
 
 
@@ -59,68 +59,64 @@ def floor_identity_holds(t: TripleSpec, d: int) -> bool:
     return d - s == 1
 
 
-def _candidate_rows(d_max: int) -> Tuple[Tuple[object, ...], ...]:
-    """The n-independent candidates as integer rows (p0, p1, pinf, d, num,
-    den), sorted as the triples sort: the canonical hyperbolic p0 <= p1 <= pinf
-    (INF for inf) with the floor identity at d, -chi = num/den with den the
-    product of the finite entries (1/inf reads as 0).
-    Each command calls enumerate_candidates once, so the rows are computed
-    once per command and not cached.
+def _candidate_rows(n: int, d_max: int) -> List[Tuple[object, ...]]:
+    """The candidates at n as integer rows (p0, p1, pinf, d), sorted as the
+    triples sort: the canonical hyperbolic p0 <= p1 <= pinf (INF for inf)
+    with the floor identity at d and the chi inequality
+    d * (-chi) <= 1 - n/pinf (1/inf reads as 0).
 
-    The floor identity implies d * (-chi) <= 1, the chi inequality at n = 0,
-    as d * (-chi) = d - sum of d/p = 1 - sum of frac(d/p); so that bound only
-    stops the loops.  It also caps d at DEGREE_BOUND = 42, whatever d_max:
-    -chi >= 1/42 on every hyperbolic triple, as p0 >= 3 gives at least 1/12
-    (3,3,4), p0 = 2 and p1 >= 4 at least 1/20 (2,4,5), and (2,3,pinf) gives
-    1/6 - 1/pinf, positive only from pinf = 7.
+    The floor identity implies the n = 0 case, as d * (-chi) = d - sum of
+    d/p = 1 - sum of frac(d/p).  With d >= p1 and pinf >= p1 that gives
+    p1 (1 - 1/p0 - 2/p1) <= 1, so p1 (p0 - 1) <= 3 p0 and p0 <= 4: few
+    (p0, p1) pairs, the outer loops.  (p0, inf, inf) needs d - d//p0 = 1
+    and d (p0 - 1) <= p0, so d <= p0 // (p0 - 1).
 
-    -chi grows along each entry, so the p0 and p1 loops stop at the first
-    entry whose least -chi exceeds 1/d: d(p0 - 3) > p0, then
-    d(p0 p1 - p1 - 2 p0) > p0 p1.
+    Per pair, 1 - 1/p0 - 1/p1 = a/b (a = 0 only at (2,2), never hyperbolic)
+    and pmin = max(p1, b//a + 1) is the least hyperbolic pinf.  A finite
+    pinf needs d (a pinf - b) <= b (pinf - n); as pinf grows this bound on d
+    falls when n a < b and rises toward b/a otherwise, so pmin or b/a bounds
+    it for every pinf, and pinf = inf needs d a <= b.  So d stops at
+    max(b//a, (pmin - n) b // (a pmin - b)), the largest at (2,3): 42 at
+    n = 0 (DEGREE_BOUND) and 12 at n = 5, both reached by (2,3,7).
 
     pinf is solved outright.  With f = d - d//p0 - d//p1 - 1 the floor
     identity reads d//pinf = f: f = 0 leaves only pinf = inf (a canonical
-    finite pinf has d//pinf >= 1), and f > 0 a finite pinf >= p1 in
-    (d//(f + 1), d//f].  With 1 - 1/p0 - 1/p1 = a/b (a > 0 once f > 0, as
-    a <= 0 only at p0 = p1 = 2, where f <= 0), hyperbolicity reads
-    pinf > b//a.  (p0, inf, inf) needs d - d//p0 = 1.
+    finite pinf has d//pinf >= 1), and f > 0 a finite pinf >= pmin in
+    (d//(f + 1), d//f], kept by the chi inequality at n.
     """
     out = []
-    for d in range(2, min(d_max, DEGREE_BOUND) + 1):
-        for p0 in range(2, d + 1):
-            if d * (p0 - 3) > p0:
-                break
-            if d - d // p0 == 1:
-                out.append((p0, INF, INF, d, p0 - 1, p0))
-            for p1 in range(p0, d + 1):
-                a, b = p0 * p1 - p1 - p0, p0 * p1
-                if d * (a - p0) > b:
-                    break
+    for p0 in range(2, 5):
+        out += [(p0, INF, INF, d)
+                for d in range(p0, min(d_max, p0 // (p0 - 1)) + 1) if d - d // p0 == 1]
+        for p1 in range(max(p0, 3), 3 * p0 // (p0 - 1) + 1):
+            a, b = p0 * p1 - p1 - p0, p0 * p1
+            pmin = max(p1, b // a + 1)
+            top = max(b // a, (pmin - n) * b // (a * pmin - b))
+            for d in range(p1, min(d_max, top) + 1):
                 f = d - d // p0 - d // p1 - 1
-                if f == 0 and 0 < a:
-                    out.append((p0, p1, INF, d, a, b))
+                if f == 0:
+                    out.append((p0, p1, INF, d))
                 elif f > 0:
-                    for pinf in range(max(p1 - 1, d // (f + 1), b // a) + 1, d // f + 1):
-                        out.append((p0, p1, pinf, d, a * pinf - b, b * pinf))
+                    out += [(p0, p1, pinf, d)
+                            for pinf in range(max(pmin, d // (f + 1) + 1), d // f + 1)
+                            if d * (a * pinf - b) <= b * (pinf - n)]
     out.sort()
-    return tuple(out)
+    return out
 
 
 def enumerate_candidates(n: int, d_max: int = DEFAULT_DMAX) -> List[Tuple[TripleSpec, int]]:
     """All canonical (triple, degree) pairs passing the two necessary
-    conditions for an n-point pullback.
+    conditions for an n-point pullback, the floor identity and the chi
+    inequality at n (see _candidate_rows).
 
     Canonical means every finite entry is <= d: a branch point of weight
     p > d has no index-p preimage, so it acts exactly like weight inf and
-    the triple is rewritten with inf there.  The chi inequality is decided on
-    the sweep's rows (at pinf = inf it is the n = 0 case, which every row
-    passes), so a TripleSpec is built only for a kept row.
+    the triple is rewritten with inf there.  A TripleSpec is built only for
+    a kept row.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    return [(TripleSpec(p0, p1, pinf), d)
-            for p0, p1, pinf, d, num, den in _candidate_rows(d_max)
-            if pinf is INF or d * num * pinf <= den * (pinf - n)]
+    return [(TripleSpec(p0, p1, pinf), d) for p0, p1, pinf, d in _candidate_rows(n, d_max)]
 
 
 @lru_cache(maxsize=None)
@@ -266,10 +262,10 @@ def _t1_table(d_max: int) -> Table:
 
 # The two partial rows of the five-point family table, quoted from the
 # published table.  Each splits one forced part over a finite fiber into
-# ones (n = 5, N = 1, deficit 1); that relaxation admits 24 such profiles
-# over (2,3,p) with d <= 42 and no stated rule singles out these two, so
-# they are inputs here, not outputs of enumerate_profiles.  Everything shown
-# about them is still recomputed.
+# ones (n = 5, N = 1, deficit 1); over (2,3,p), p in 7..d or inf, d <= 42,
+# that relaxation admits 47 such profiles, 24 over a five-point candidate,
+# and no stated rule singles out these two, so they are inputs here, not
+# outputs of enumerate_profiles.  Everything shown about them is recomputed.
 _T2_EXTRA = (
     (3, ((2, 1), (1, 1, 1), (3,)), INF),
     (9, ((2, 2, 2, 2, 1), (3, 3, 1, 1, 1), (8, 1)), 8),

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations_with_replacement, product
 from math import gcd, prod
 
@@ -151,6 +152,7 @@ def test_enumerate_candidates_monotone_in_n():
         assert len(hi) == counts[n]
 
 
+@lru_cache(maxsize=None)
 def _cube_sweep(d_max):
     """Reference: every p0 <= p1 <= pinf in {2..d, inf} for every d, kept
     when hyperbolic with the floor identity; the n-dependent chi inequality
@@ -167,25 +169,55 @@ def _cube_sweep(d_max):
                     neg_chi = 1 - sum(Fraction(0) if p is INF else Fraction(1, p) for p in es)
                     if neg_chi > 0:
                         out.append((es, d, neg_chi))
-    return out
+    return tuple(out)
+
+
+def _cube_candidates(n):
+    """The cube sweep's (triple, degree) pairs that pass the chi inequality at n."""
+    return [(es, d) for es, d, neg_chi in _cube_sweep(60)
+            if d * neg_chi <= 1 - (0 if es[2] is INF else Fraction(n, es[2]))]
 
 
 def test_enumerate_candidates_matches_cube_sweep():
-    # 7, 12 and 43 reach the f = 0 (pinf = inf) case and the edges of the
-    # pinf interval the sweep solves the floor identity for
-    full = _cube_sweep(43)
-    for es, d, neg_chi in full:
+    # 4..7 and 12 reach the f = 0 (pinf = inf) case and the edges of the
+    # pinf interval the sweep solves the floor identity for, 60 passes the
+    # bound 42; from n = 7 on pmin <= n for every (p0, p1) pair, so only
+    # the b // a term of the degree bound is left
+    for es, d, neg_chi in _cube_sweep(60):
         # the floor identity alone gives d * (-chi) <= 1, the chi inequality
-        # at n = 0, so the sweep tests no bound on d * (-chi)
+        # at n = 0
         assert d * neg_chi == 1 - sum(Fraction(d % p, p) for p in es if p is not INF)
-    for d_max in (2, 3, 7, 10, 12, 42, 43):
-        cube = [e for e in full if e[1] <= d_max]
-        for n in range(14):
-            want = [(es, d) for es, d, neg_chi in cube
-                    if d * neg_chi <= 1 - (0 if es[2] is INF else Fraction(n, es[2]))]
-            want.sort(key=lambda e: ([(p is INF, 0 if p is INF else p) for p in e[0]], e[1]))
+    for n in range(46):
+        cube = _cube_candidates(n)
+        cube.sort(key=lambda e: ([(p is INF, 0 if p is INF else p) for p in e[0]], e[1]))
+        for d_max in (2, 3, 4, 5, 6, 7, 10, 12, 20, 42, 43, 60):
+            want = [e for e in cube if e[1] <= d_max]
             got = [(t.entries, d) for t, d in enumerate_candidates(n, d_max)]
             assert got == want, (d_max, n)
+
+
+def _pair_degree_bound(p0, p1, n):
+    """The degree bound of _candidate_rows' docstring for the pair (p0, p1)
+    at n, with 1 - 1/p0 - 1/p1 = a/b and pmin the least hyperbolic pinf."""
+    a, b = p0 * p1 - p1 - p0, p0 * p1
+    pmin = max(p1, b // a + 1)
+    return max(b // a, (pmin - n) * b // (a * pmin - b))
+
+
+def test_candidate_degrees_stay_within_the_pair_bound():
+    # the argument of _candidate_rows, checked on the cube sweep: every
+    # candidate has p1 (p0 - 1) <= 3 p0 and a degree within its pair's bound
+    for n in range(46):
+        for (p0, p1, _), d in _cube_candidates(n):
+            if p1 is INF:
+                assert d <= p0 // (p0 - 1), (p0, d)
+            else:
+                assert p1 * (p0 - 1) <= 3 * p0 and d <= _pair_degree_bound(p0, p1, n)
+    # (2,3,7) reaches the bound: at 42 for n = 0 and at 12 for n = 5
+    for n, top in ((0, 42), (5, 12)):
+        assert _pair_degree_bound(2, 3, n) == top
+        assert max(d for es, d in _cube_candidates(n) if es[:2] == (2, 3)) == top
+        assert ((2, 3, 7), top) in _cube_candidates(n)
 
 
 def test_candidate_pairs_are_canonical():
@@ -203,9 +235,9 @@ def test_candidate_pairs_are_canonical():
 
 def test_candidate_rows_stop_at_the_degree_bound():
     assert garnier.enumeration.DEGREE_BOUND == 42
-    rows = garnier.enumeration._candidate_rows(42)
+    rows = garnier.enumeration._candidate_rows(0, 42)
     assert max(row[3] for row in rows) == 42
-    assert garnier.enumeration._candidate_rows(10**9) == rows
+    assert garnier.enumeration._candidate_rows(0, 10**9) == rows
 
 
 def test_floor_identity_implies_the_chi_inequality_at_pinf_inf():
@@ -225,9 +257,10 @@ def test_floor_identity_implies_the_chi_inequality_at_pinf_inf():
 
 
 def test_candidate_rows_need_no_chi_test():
-    rows = garnier.enumeration._candidate_rows(42)
+    # at n = 0 the floor identity alone keeps a row
+    rows = garnier.enumeration._candidate_rows(0, 42)
     assert len(rows) == 62
-    assert all(d * num <= den for _, _, _, d, num, den in rows)
+    assert all(d * _fraction_neg_chi(es) <= 1 for *es, d in rows)
 
 
 def test_enumerate_candidates_fresh_list():
@@ -650,6 +683,43 @@ def test_t2_quoted_rows():
         assert n_pts == 5 and profile.free_points == 1
         assert str(verdict(profile, n_pts)) == "PARTIAL(deficit=1)"
         assert t2[(str(t), str(d), str(profile))][6:] == ("N=1", "PARTIAL(deficit=1)")
+
+
+def _at_most_three_parts(d):
+    """The partitions a >= b >= c of d, zero parts dropped."""
+    return [tuple(x for x in (a, b, d - a - b) if x)
+            for a in range(d, 0, -1) for b in range(min(a, d - a), -1, -1) if d - a - b <= b]
+
+
+def test_t2_relaxation_counts():
+    # the relaxation the quoted rows come from: over (2,3,p), p in 7..d or
+    # inf, d <= 42, one forced part q of a finite fibre becomes q ones and
+    # the profile reaches n = 5 and N = 1.  It admits 47 profiles, 24 of
+    # them over a five-point candidate, the two quoted rows among those
+    found = set()
+    for d in range(2, 43):
+        for p in [*range(7, d + 1), INF]:
+            ws = (2, 3, p)
+            # the q >= 2 new ones are essential, so the rest has at most 3
+            # essential points: over inf, a partition of at most 3 parts
+            options = [[(lam, len(lam)) for lam in _at_most_three_parts(d)] if w is INF
+                       else [o for o in _fiber_options(w, d) if o[1] <= 3] for w in ws]
+            for combo in product(*options):
+                n_rest = sum(o[1] for o in combo)
+                for i, q in enumerate(ws):
+                    if q is INF or n_rest + q != 5 or q not in combo[i][0]:
+                        continue
+                    lam = list(combo[i][0])
+                    lam.remove(q)
+                    lams = [o[0] for o in combo]
+                    lams[i] = tuple(lam) + (1,) * q
+                    profile = RamificationProfile(d, lams)
+                    if profile.free_points == 1:
+                        found.add((d, profile.partitions, p))
+    candidates = {(t.entries, d) for t, d in enumerate_candidates(5)}
+    on_candidate = {e for e in found if ((2, 3, e[2]), e[0]) in candidates}
+    assert (len(found), len(on_candidate)) == (47, 24)
+    assert set(_T2_EXTRA) <= on_candidate
 
 
 def test_t2_rows_respect_dmax():

@@ -172,7 +172,9 @@ class CandidateVerdict(NamedTuple):
 
 def verdict(profile: RamificationProfile, n: int) -> CandidateVerdict:
     """Completeness of an n-essential-point profile: the deformation space
-    has dimension n-3 and the free branch points supply N parameters."""
+    has dimension n-3 and the free branch points supply N parameters.  A
+    weight-p fibre has d - d//p (d at inf) essential points plus branching,
+    so each profile over (ws, d) has deficit balance - 2d - 1, balance their sum."""
     if n <= 2:
         return CandidateVerdict(VerdictKind.IMPOSSIBLE)
     if n == 3:
@@ -231,16 +233,20 @@ def multipoint_bases(k: int) -> List[Tuple[Tuple[object, ...], int]]:
 def multipoint_complete_search(k: int
                                ) -> List[Tuple[Tuple[object, ...], int, RamificationProfile]]:
     """Complete profiles over every base with k marked points, at every
-    degree of its budget.  Empty for every k >= 4, the paper's claim that
-    the base must be hypergeometric: multipoint_bases' argument bounds the
-    bases (none for k >= 6), and the search over the rest finds nothing."""
+    degree of its budget.  multipoint_bases bounds the bases (none for
+    k >= 6).  Each profile over (ws, d) has deficit balance - 2d - 1
+    (verdict), and some has n >= 4 iff most >= 4 (every remainder split into
+    ones), so the n >= 4 ones are COMPLETE iff balance <= 2d + 1.  No (ws, d)
+    passes: the result is [], the paper's claim that the base is hypergeometric."""
     hits = []
     for ws, budget in multipoint_bases(k):
         for d in range(2, budget + 1):
-            for profile, n_total in enumerate_profiles(ws, d):
-                v = verdict(profile, n_total)
-                if v.kind is VerdictKind.COMPLETE:
-                    hits.append((ws, d, profile))
+            balance = most = 0
+            for p in ws:
+                balance += d if p is INF else d - d // p
+                most += d if p is INF else d % p
+            if balance <= 2 * d + 1 and most >= 4:
+                hits += [(ws, d, pr) for pr, n in enumerate_profiles(ws, d) if n >= 4]
     return hits
 
 
@@ -357,7 +363,7 @@ def _n7_table(d_max: int) -> Table:
     points.  A profile has the most over a candidate when every fibre takes
     its last option, the remainder split into ones; a candidate where that
     reaches seven would be an internal error.  The rows print n = 7..12."""
-    most = max((sum(_fiber_options(p, d)[-1][1] for p in t.entries)
+    most = max((sum(d if p is INF else d % p for p in t.entries)
                 for t, d in enumerate_candidates(7, d_max)), default=0)
     if most >= 7:
         raise AssertionError(f"internal error: a profile over an n = 7 candidate "

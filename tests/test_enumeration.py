@@ -381,6 +381,38 @@ def test_fiber_options_branching_field():
                 assert branching == d - len(lam), (p, d, lam)
 
 
+def _balance_and_most(ws, d):
+    """The sum over ws of d - d//p (d at inf), every profile's essential
+    count plus branching, and of d mod p (d at inf), the most essential
+    points a profile over (ws, d) can have."""
+    balance = sum(d if p is INF else d - d // p for p in ws)
+    return balance, sum(d if p is INF else d % p for p in ws)
+
+
+def test_deficit_is_fixed_by_the_balance():
+    # every profile over (ws, d), N < 0 included, has n + branching equal to
+    # the balance, so N - (n - 3) = 2d + 1 - balance; n counts the parts
+    # beyond the forced d // p parts of size p, and N is the profile's own
+    checked = 0
+    for k, d_top in ((3, 6), (4, 5), (5, 4)):
+        for ws in combinations_with_replacement((2, 3, 4, 6, INF), k):
+            for d in range(2, d_top + 1):
+                balance = _balance_and_most(ws, d)[0]
+                for combo in product(*(_fiber_options(p, d) for p in ws)):
+                    lams = [c[0] for c in combo]
+                    n = sum(len(lam) - (0 if p is INF else d // p) for p, lam in zip(ws, lams))
+                    profile = RamificationProfile(d, lams)
+                    assert profile.free_points - (n - 3) == 2 * d + 1 - balance, (ws, lams)
+                    checked += 1
+    assert checked > 10000
+    # the floor identity is the three-point case at deficit 0: every
+    # candidate has balance 2d + 1, so verdict never rejects a profile of
+    # complete_profiles that has the requested n >= 4
+    for n in range(14):
+        for t, d in enumerate_candidates(n):
+            assert _balance_and_most(t.entries, d)[0] == 2 * d + 1, (n, t, d)
+
+
 def _profiles_reference(choices, d):
     """Every profile with one fiber from each list of (partition, essential
     count) choices, built and then dropped when N < 0."""
@@ -648,7 +680,7 @@ def test_n7_candidate_bound():
         assert enumerate_candidates(n) == pairs, n
     got = {}
     for t, d in pairs:
-        bound = sum(_fiber_options(p, d)[-1][1] for p in t.entries)
+        bound = _balance_and_most(t.entries, d)[1]
         assert bound == max(k for _, k in enumerate_profiles(t.entries, d)), (t, d)
         got[str(t), d] = bound
     assert got == N7_CANDIDATE_MAXIMA
@@ -812,9 +844,8 @@ def test_multipoint_complete_search_empty():
         assert multipoint_complete_search(k) == [], k
 
 
-def test_multipoint_search_runs_every_degree_of_each_base(monkeypatch):
-    # the empty answer cannot show a skipped degree: record what the search
-    # hands to enumerate_profiles
+def test_multipoint_search_enumerates_nothing(monkeypatch):
+    # no base passes the balance test, so no profile is enumerated at all
     seen = []
     real = enumerate_profiles
 
@@ -823,10 +854,50 @@ def test_multipoint_search_runs_every_degree_of_each_base(monkeypatch):
         return real(ws, d, n)
 
     monkeypatch.setattr(garnier.enumeration, "enumerate_profiles", recorded)
-    assert multipoint_complete_search(4) == []
-    bases = multipoint_bases(4)
-    assert seen == [(ws, d) for ws, budget in bases for d in range(2, budget + 1)]
-    assert len(seen) == 14
+    for k in (4, 5, 6):
+        assert multipoint_complete_search(k) == [], k
+    assert seen == []
+
+
+def test_multipoint_search_matches_brute_force(monkeypatch):
+    # on every base of a pool to 60 and every degree of its budget, a
+    # COMPLETE profile exists (enumerate_profiles + verdict) iff
+    # balance <= 2d + 1 and most >= 4, and the search, handed that one
+    # base, returns exactly the brute-force COMPLETE profiles and enumerates
+    # only the degrees that have one.  Three-point bases are added so that
+    # the test also sees hits, and (3,3,inf) at d = 3, at the equality with
+    # at most three essential points
+    bases = _sorted_product_sweep(4, 60) + _sorted_product_sweep(5, 60)
+    bases += [((2, 3, p), 12) for p in (7, 8, 9, 10, 12, INF)] + [((3, 3, INF), 3)]
+    hits = 0
+    for ws, budget in bases:
+        brute = []
+        for d in range(2, budget + 1):
+            complete = [(ws, d, pr) for pr, n in enumerate_profiles(ws, d)
+                        if verdict(pr, n).kind is VerdictKind.COMPLETE]
+            balance, most = _balance_and_most(ws, d)
+            assert bool(complete) == (balance <= 2 * d + 1 and most >= 4), (ws, d)
+            brute += complete
+        seen = []
+        monkeypatch.setattr(garnier.enumeration, "multipoint_bases",
+                            lambda k: [(ws, budget)])
+        monkeypatch.setattr(garnier.enumeration, "enumerate_profiles",
+                            lambda ws, d: seen.append(d) or enumerate_profiles(ws, d))
+        assert multipoint_complete_search(len(ws)) == brute, ws
+        assert seen == sorted({d for _, d, _ in brute}), ws
+        hits += len(brute)
+    assert hits == 52  # all over the (2,3,p) bases
+    # the derived pool's pairs at the equality balance = 2d + 1: each has
+    # at most two essential points, so none is COMPLETE
+    monkeypatch.undo()
+    at_equality = {k: [(ws, d, _balance_and_most(ws, d)[1])
+                       for ws, budget in multipoint_bases(k) for d in range(2, budget + 1)
+                       if _balance_and_most(ws, d)[0] == 2 * d + 1] for k in (4, 5)}
+    assert at_equality == {
+        4: [((2, 2, 2, 3), 2, 2), ((2, 2, 2, 3), 4, 1), ((2, 2, 2, 3), 6, 0),
+            ((2, 2, 2, 4), 2, 2), ((2, 2, 2, 4), 4, 0), ((2, 2, 2, INF), 2, 2)],
+        5: [((2, 2, 2, 2, 2), 2, 0)],
+    }
 
 
 def test_multipoint_search_builds_no_fraction(monkeypatch):
